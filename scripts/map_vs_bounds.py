@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from circbound.benchmarks import bcrb, zzb
-from circbound.mapsim import McConfig, mse_standard_error, run_monte_carlo
+from circbound.mapsim import McConfig, run_monte_carlo
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, build
@@ -45,9 +45,8 @@ def run(argv: list[str] | None = None) -> int:
           f" {'zzb_db':>8} {'bcrb_db':>8} {'outliers':>9}")
     for snr_db in grid:
         config = SignalConfig(K=args.k, snr=10.0 ** (snr_db / 10.0))
-        mc = McConfig(trials=args.trials, seed=args.seed)
-        result = run_monte_carlo(config, prior, mc)
-        se = mse_standard_error(config, prior, mc)
+        result = run_monte_carlo(config, prior, McConfig(trials=args.trials, seed=args.seed))
+        se = result.mse_se
         se_db = 5.0 * (math.log10(result.mse + se) - math.log10(result.mse))
         w = wwb_value(prior, config, points).mse_bound
         z = zzb(prior, config.K, config.snr)

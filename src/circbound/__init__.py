@@ -2,19 +2,19 @@
 Ziv-Zakai) on circular frequency estimation error under a von Mises prior,
 with a MAP Monte Carlo validation harness."""
 
-from .benchmarks import BoundPoint, bcrb, fisher_information, zzb
+from .benchmarks import bcrb, fisher_information, zzb
 from .mapsim import McConfig, McResult, map_estimate, run_monte_carlo, wrap_error
 from .numerics import QuadratureSpec
 from .prior import VonMisesPrior
-from .signal_model import ObservationVector, SignalConfig, ambiguity, generate, snr_from_cn0
+from .signal_model import ObservationVector, SignalConfig, generate, snr_from_cn0
 from .testpoints import TestPointConfig, TestPointSet, build, even_points, sidelobe_points
 from .wwb import QMatrix, WwbResult, optimize_s, wwb_value
 
 __all__ = [
-    "BoundPoint", "bcrb", "fisher_information", "zzb",
+    "bcrb", "fisher_information", "zzb",
     "McConfig", "McResult", "map_estimate", "run_monte_carlo", "wrap_error",
     "QuadratureSpec", "VonMisesPrior",
-    "ObservationVector", "SignalConfig", "ambiguity", "generate", "snr_from_cn0",
+    "ObservationVector", "SignalConfig", "generate", "snr_from_cn0",
     "TestPointConfig", "TestPointSet", "build", "even_points", "sidelobe_points",
     "QMatrix", "WwbResult", "optimize_s", "wwb_value",
 ]

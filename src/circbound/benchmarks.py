@@ -2,23 +2,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .numerics import normal_tail, regularized_lower_gamma
 from .prior import VonMisesPrior
 
-__all__ = ["BoundPoint", "fisher_information", "bcrb", "zzb"]
-
-
-@dataclass(frozen=True)
-class BoundPoint:
-    """Uniform result record shared by all bound kinds."""
-
-    snr: float
-    K: int
-    mse_bound: float
-    db: float
-    kind: str
+__all__ = ["fisher_information", "bcrb", "zzb"]
 
 
 def fisher_information(K: int, snr: float) -> float:

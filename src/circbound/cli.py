@@ -30,6 +30,8 @@ CSV_COLUMNS = [
 ]
 
 KINDS = ("WWB", "BCRB", "ZZB", "MAP")
+# the bound kind each single-kind subcommand evaluates
+_COMMAND_KINDS = {"wwb": "WWB", "bcrb": "BCRB", "zzb": "ZZB", "map-sim": "MAP"}
 
 
 class SpecError(ValueError):
@@ -53,9 +55,18 @@ class SweepSpec:
     bound_kinds: list[str]
     trios: list[tuple[int, int, int]] = field(default_factory=lambda: [(2, 9, 10)])
     s_grid: list[float] = field(default_factory=lambda: [0.5])
+    # WWB: one row per point at the s_grid value that maximizes the bound,
+    # instead of one row per s
+    maximize_s: bool = False
     seed: int = 0
     trials: int = 10_000
     mc_grid_size: int = 4096
+    # MAP: carrier phase, fixed true frequency (None samples the prior),
+    # peak refinement, and circular (wrapped) error scoring
+    phi: float = 0.0
+    theta: float | None = None
+    refine: bool = True
+    wrap: bool = True
     quad_nodes: int = 32
     f_int_hz: float | None = None
     output_path: str = "-"
@@ -119,35 +130,34 @@ def _maybe_add_hz(row: dict, f_int_hz: float | None):
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Evaluate the Cartesian product of sweep axes; one row per (kind, point)."""
+    """Evaluate the Cartesian product of sweep axes; one row per (kind, point).
+
+    Points are numbered in k x kappa x mu x SNR order. The MAP trials at
+    point i use the seed SeedSequence([spec.seed, i]), so a MAP row does not
+    depend on which other kinds the sweep evaluates.
+    """
     spec.validate()
     quad = QuadratureSpec(node_count=spec.quad_nodes)
     rows: list[dict] = []
     point_index = 0
-    for kind in spec.bound_kinds:
-        for k in spec.k_values:
-            for kappa in spec.kappa_values:
-                for mu in spec.mu_values:
-                    prior = VonMisesPrior(mu=mu, kappa=kappa)
-                    point_sets = {}
-                    if kind == "WWB":
-                        for trio in spec.trios:
-                            point_sets[trio] = testpoints.build(
-                                TestPointConfig(*trio), k
-                            )
-                    for snr_db in spec.snr_db:
-                        snr = 10.0 ** (snr_db / 10.0)
+    for k in spec.k_values:
+        point_sets = {}
+        if "WWB" in spec.bound_kinds:
+            point_sets = {trio: testpoints.build(TestPointConfig(*trio), k) for trio in spec.trios}
+        for kappa in spec.kappa_values:
+            for mu in spec.mu_values:
+                prior = VonMisesPrior(mu=mu, kappa=kappa)
+                for snr_db in spec.snr_db:
+                    for kind in spec.bound_kinds:
                         where = f"kind={kind} K={k} kappa={kappa} mu={mu} snr_db={snr_db}"
                         try:
-                            rows.extend(
-                                _eval_point(
-                                    kind, spec, quad, prior, k, kappa, mu,
-                                    snr_db, snr, point_sets, point_index,
-                                )
-                            )
+                            rows.extend(_eval_point(
+                                kind, spec, quad, prior, k, kappa, mu, snr_db,
+                                point_sets, point_index,
+                            ))
                         except (QuadratureError, OverflowError, RuntimeError) as err:
                             raise GridPointError(f"numerical failure at {where}: {err}") from err
-                        point_index += 1
+                    point_index += 1
     for row in rows:
         _maybe_add_hz(row, spec.f_int_hz)
     rows.sort(
@@ -157,14 +167,19 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _eval_point(kind, spec, quad, prior, k, kappa, mu, snr_db, snr, point_sets, point_index):
+def _eval_point(kind, spec, quad, prior, k, kappa, mu, snr_db, point_sets, point_index):
+    snr = 10.0 ** (snr_db / 10.0)
     rows = []
     if kind == "WWB":
         config = SignalConfig(K=k, snr=snr)
         for trio, points in point_sets.items():
-            for s in spec.s_grid:
-                res = wwb.wwb_value(prior, config, points.with_exponent(s), quad)
-                extra = {}
+            if spec.maximize_s:
+                s_best, res = wwb.optimize_s(prior, config, points, spec.s_grid, quad)
+                results = [(s_best, res, {"s_grid": spec.s_grid})]
+            else:
+                results = [(s, wwb.wwb_value(prior, config, points.with_exponent(s), quad), {})
+                           for s in spec.s_grid]
+            for s, res, extra in results:
                 if res.dropped_points:
                     extra["dropped_points"] = list(res.dropped_points)
                 rows.append(_row("WWB", snr_db, k, kappa, mu, s, trio, res.mse_bound, extra))
@@ -176,8 +191,10 @@ def _eval_point(kind, spec, quad, prior, k, kappa, mu, snr_db, snr, point_sets, 
                          benchmarks.zzb(prior, k, snr), {}))
     elif kind == "MAP":
         point_seed = int(np.random.SeedSequence([spec.seed, point_index]).generate_state(1)[0])
-        mc = mapsim.McConfig(trials=spec.trials, grid_size=spec.mc_grid_size, seed=point_seed)
-        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc)
+        mc = mapsim.McConfig(trials=spec.trials, grid_size=spec.mc_grid_size,
+                             refine=spec.refine, seed=point_seed)
+        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr, phi=spec.phi), prior, mc,
+                                     theta_fixed=spec.theta, wrap=spec.wrap)
         rows.append(_row("MAP", snr_db, k, kappa, mu, None, None, res.mse,
                          {"trials": res.trials_used,
                           "outlier_fraction": res.outlier_fraction}))
@@ -425,9 +442,14 @@ def _single_point_spec(args, kind: str) -> SweepSpec:
     if kind == "WWB":
         spec.trios = [_trio(args.trio)]
         spec.s_grid = _floats(args.s)
+        spec.maximize_s = len(spec.s_grid) > 1
     if kind == "MAP":
         spec.trials = int(args.trials)
         spec.mc_grid_size = int(args.grid_size)
+        spec.phi = float(args.phi)
+        spec.theta = float(args.theta) if args.theta is not None else None
+        spec.refine = not args.no_refine
+        spec.wrap = not args.linear_error
     return spec
 
 
@@ -448,85 +470,18 @@ def _cmd_testpoints(args) -> int:
     return 0
 
 
-def _cmd_wwb_like(args, kind: str) -> int:
-    spec = _single_point_spec(args, kind)
-    if kind == "WWB" and len(spec.s_grid) > 1:
-        # grid means: maximize over s and report only the winner
-        rows = []
-        quad = QuadratureSpec(node_count=spec.quad_nodes)
-        spec.validate()
-        for k in spec.k_values:
-            for kappa in spec.kappa_values:
-                for mu in spec.mu_values:
-                    prior = VonMisesPrior(mu=mu, kappa=kappa)
-                    points = testpoints.build(TestPointConfig(*spec.trios[0]), k)
-                    for snr_db in spec.snr_db:
-                        config = SignalConfig(K=k, snr=10.0 ** (snr_db / 10.0))
-                        s_best, res = wwb.optimize_s(prior, config, points, spec.s_grid, quad)
-                        extra = {"s_grid": spec.s_grid}
-                        if res.dropped_points:
-                            extra["dropped_points"] = list(res.dropped_points)
-                        rows.append(_maybe_add_hz(
-                            _row("WWB", snr_db, k, kappa, mu, s_best, spec.trios[0],
-                                 res.mse_bound, extra),
-                            spec.f_int_hz,
-                        ))
-    else:
-        rows = run_sweep(spec)
-    emit(rows, spec.output_format, spec.output_path)
-    return 0
-
-
-def _cmd_map_sim(args) -> int:
-    spec = _single_point_spec(args, "MAP")
-    spec.validate()
-    rows = []
-    for k in spec.k_values:
-        for kappa in spec.kappa_values:
-            for mu in spec.mu_values:
-                prior = VonMisesPrior(mu=mu, kappa=kappa)
-                for snr_db in spec.snr_db:
-                    config = SignalConfig(K=k, snr=10.0 ** (snr_db / 10.0),
-                                          phi=float(args.phi))
-                    mc = mapsim.McConfig(
-                        trials=spec.trials, grid_size=spec.mc_grid_size,
-                        refine=not args.no_refine, seed=spec.seed,
-                    )
-                    res = mapsim.run_monte_carlo(
-                        config, prior, mc,
-                        theta_fixed=float(args.theta) if args.theta is not None else None,
-                        wrap=not args.linear_error,
-                    )
-                    rows.append(_maybe_add_hz(
-                        _row("MAP", snr_db, k, kappa, mu, None, None, res.mse,
-                             {"trials": res.trials_used,
-                              "outlier_fraction": res.outlier_fraction}),
-                        spec.f_int_hz,
-                    ))
-    emit(rows, spec.output_format, spec.output_path)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = _apply_config_file(list(sys.argv[1:] if argv is None else argv), parser)
         if args.command == "testpoints":
             return _cmd_testpoints(args)
-        if args.command == "wwb":
-            return _cmd_wwb_like(args, "WWB")
-        if args.command == "bcrb":
-            return _cmd_wwb_like(args, "BCRB")
-        if args.command == "zzb":
-            return _cmd_wwb_like(args, "ZZB")
-        if args.command == "map-sim":
-            return _cmd_map_sim(args)
         if args.command == "sweep":
             spec = _make_spec(args)
-            rows = run_sweep(spec)
-            emit(rows, spec.output_format, spec.output_path)
-            return 0
-        raise SpecError("command", f"unknown command {args.command}")
+        else:
+            spec = _single_point_spec(args, _COMMAND_KINDS[args.command])
+        emit(run_sweep(spec), spec.output_format, spec.output_path)
+        return 0
     except (SpecError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

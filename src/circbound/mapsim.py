@@ -40,10 +40,11 @@ class McResult:
     rmse_db: float
     trials_used: int
     outlier_fraction: float
+    mse_se: float  # std(err^2)/sqrt(N); inf for a single trial
 
 
-def wrap_error(estimate: float, truth: float):
-    """Wrapped (circular) error in [-pi, pi)."""
+def wrap_error(estimate, truth):
+    """Wrapped (circular) error in [-pi, pi); accepts scalars or arrays."""
     return np.mod(np.asarray(estimate) - truth + math.pi, 2.0 * math.pi) - math.pi
 
 
@@ -141,8 +142,9 @@ def run_monte_carlo(
     """Bayesian MSE of the MAP estimator over `mc.trials` independent trials.
 
     Each trial draws theta from the prior (or uses `theta_fixed`), generates
-    observations, estimates, and scores the wrapped error. Trial t uses the
-    random stream seeded by (mc.seed, t).
+    observations, estimates, and scores the wrapped error; the MSE and its
+    standard error come from the same scored errors. Trial t uses the random
+    stream seeded by (mc.seed, t).
     """
     truths = np.empty(mc.trials)
     samples = np.empty((mc.trials, config.K), dtype=complex)
@@ -160,38 +162,13 @@ def run_monte_carlo(
             config, prior, samples[start:stop], mc.grid_size, mc.refine
         )
 
-    if wrap:
-        errors = np.mod(estimates - truths + math.pi, 2.0 * math.pi) - math.pi
-    else:
-        errors = estimates - truths
-    mse = float(np.mean(errors**2))
+    errors = wrap_error(estimates, truths) if wrap else estimates - truths
+    sq = errors**2
+    mse = float(np.mean(sq))
     return McResult(
         mse=mse,
         rmse_db=10.0 * math.log10(mse) if mse > 0.0 else -math.inf,
         trials_used=mc.trials,
         outlier_fraction=float(np.mean(np.abs(errors) > 0.5 * math.pi)),
+        mse_se=float(np.std(sq, ddof=1) / math.sqrt(mc.trials)) if mc.trials > 1 else math.inf,
     )
-
-
-def mse_standard_error(config: SignalConfig, prior: VonMisesPrior, mc: McConfig) -> float:
-    """Monte Carlo standard error of the MSE estimate (std of squared errors / sqrt N).
-
-    Re-runs the trial streams; intended for validation harnesses, not hot loops.
-    """
-    truths = np.empty(mc.trials)
-    samples = np.empty((mc.trials, config.K), dtype=complex)
-    for t in range(mc.trials):
-        rng = np.random.default_rng([mc.seed, t])
-        theta = float(prior.sample(rng))
-        obs = generate(config, theta, rng)
-        truths[t] = theta
-        samples[t] = obs.samples
-    estimates = np.empty(mc.trials)
-    for start in range(0, mc.trials, _TRIAL_CHUNK):
-        stop = min(start + _TRIAL_CHUNK, mc.trials)
-        estimates[start:stop] = _estimate_batch(
-            config, prior, samples[start:stop], mc.grid_size, mc.refine
-        )
-    errors = np.mod(estimates - truths + math.pi, 2.0 * math.pi) - math.pi
-    sq = errors**2
-    return float(np.std(sq, ddof=1) / math.sqrt(mc.trials))

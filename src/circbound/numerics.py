@@ -23,7 +23,6 @@ __all__ = [
     "normal_tail",
     "regularized_lower_gamma",
     "spd_solve",
-    "valley_fill",
 ]
 
 
@@ -221,11 +220,3 @@ def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (y[k] - low[k + 1:, k] @ x[k + 1:]) / low[k, k]
     return x * d_scale
-
-
-def valley_fill(f: np.ndarray) -> np.ndarray:
-    """Running maximum from the right: output[i] = max_{j >= i} f[j]."""
-    f = np.asarray(f, dtype=float)
-    if f.size == 0:
-        raise DomainError("valley_fill requires a non-empty sample vector")
-    return np.maximum.accumulate(f[::-1])[::-1]

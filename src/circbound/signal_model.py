@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import VonMisesPrior
-
-__all__ = ["SignalConfig", "ObservationVector", "snr_from_cn0", "cn0_from_snr"]
+__all__ = ["SignalConfig", "ObservationVector", "snr_from_cn0"]
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,6 @@ def snr_from_cn0(cn0_dbhz: float, bandwidth_hz: float) -> float:
     return 10.0 ** (cn0_dbhz / 10.0) / bandwidth_hz
 
 
-def cn0_from_snr(snr: float, bandwidth_hz: float) -> float:
-    """Inverse of snr_from_cn0, in dB-Hz."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
-    return 10.0 * math.log10(snr * bandwidth_hz)
-
-
 def generate(config: SignalConfig, theta: float, rng: np.random.Generator) -> ObservationVector:
     """Draw one observation vector at frequency `theta`."""
     if not (-math.pi <= theta <= math.pi):
@@ -70,23 +61,3 @@ def generate(config: SignalConfig, theta: float, rng: np.random.Generator) -> Ob
     sigma = math.sqrt(config.sigma2)
     noise = sigma * (rng.standard_normal(config.K) + 1j * rng.standard_normal(config.K))
     return ObservationVector(samples=clean + noise, truth=theta)
-
-
-def ambiguity(
-    config: SignalConfig,
-    obs: ObservationVector,
-    prior: VonMisesPrior,
-    theta_grid: np.ndarray,
-) -> np.ndarray:
-    """Log a-posteriori objective on a frequency grid (theta-free terms dropped).
-
-    2 K SNR Re{e^{-j phi} (1/K) sum_k (x_k / A) e^{-j theta k}} + kappa cos(theta - mu).
-    The samples are normalized by the amplitude so the data term carries the
-    correct statistical weight against the prior term.
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    k = np.arange(config.K)
-    basis = np.exp(-1j * np.outer(theta_grid, k))
-    coherent = (basis @ (obs.samples / config.amplitude)) / config.K
-    data_term = 2.0 * config.K * config.snr * np.real(np.exp(-1j * config.phi) * coherent)
-    return data_term + prior.kappa * np.cos(theta_grid - prior.mu)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +60,6 @@ class WwbResult:
     mse_bound: float
     db: float
     dropped_points: tuple[int, ...]
-    config_echo: dict = field(default_factory=dict)
 
 
 def mu_i(s: float, h: float, K: int, snr: float) -> float:
@@ -305,14 +304,6 @@ def wwb_value(
             mse_bound=bound,
             db=10.0 * math.log10(bound),
             dropped_points=tuple(sorted(dropped)),
-            config_echo={
-                "K": config.K,
-                "snr": config.snr,
-                "mu": prior.mu,
-                "kappa": prior.kappa,
-                "s": points.s,
-                "R": len(active),
-            },
         )
 
 

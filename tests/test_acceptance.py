@@ -12,7 +12,7 @@ import pytest
 
 from circbound.benchmarks import bcrb, zzb
 from circbound.cli import main
-from circbound.mapsim import McConfig, mse_standard_error, run_monte_carlo
+from circbound.mapsim import McConfig, run_monte_carlo
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, build, sidelobe_points
@@ -191,10 +191,8 @@ def test_08_bound_validity_on_reference_grid():
         snr = 10.0 ** (snr_db / 10.0)
         config = SignalConfig(K=20, snr=snr)
         bound = wwb_value(prior, config, points).mse_bound
-        mc = McConfig(trials=10_000, seed=29)
-        mse = run_monte_carlo(config, prior, mc).mse
-        se = mse_standard_error(config, prior, mc)
-        margins.append(mse - (bound - 3.0 * se))
+        res = run_monte_carlo(config, prior, McConfig(trials=10_000, seed=29))
+        margins.append(res.mse - (bound - 3.0 * res.mse_se))
     elapsed = time.monotonic() - start
     ok = min(margins) >= 0.0 and elapsed < 600.0
     _verdict(8, ok, f"min(MAP MSE - (WWB - 3 SE)) = {min(margins):.3e} rad^2 "

@@ -2,8 +2,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from circbound import mapsim
 from circbound.cli import (
     SpecError,
     SweepSpec,
@@ -12,6 +14,8 @@ from circbound.cli import (
     parse_rows,
     run_sweep,
 )
+from circbound.prior import VonMisesPrior
+from circbound.signal_model import SignalConfig
 
 
 def _small_spec(**overrides):
@@ -130,6 +134,21 @@ class TestMainExitCodes:
         assert rc == 3
         assert "numerical" in capsys.readouterr().err
 
+    def test_s_grid_failure_names_grid_point(self, capsys):
+        rc = main(["wwb", "--snr-db=25", "--s", "0.3,0.5"])
+        assert rc == 3
+        assert "snr_db=25.0" in capsys.readouterr().err
+
+    def test_wwb_s_grid_reports_maximizing_exponent(self, tmp_path):
+        out = tmp_path / "w.csv"
+        rc = main(["wwb", "--snr-db=-8", "--s", "0.3,0.5", "--out", str(out)])
+        assert rc == 0
+        (row,) = parse_rows(out.read_text())
+        each = run_sweep(_small_spec(bound_kinds=["WWB"], snr_db=[-8.0], s_grid=[0.3, 0.5]))
+        best = max(each, key=lambda r: r["value_rad2"])
+        assert (row["s"], row["value_rad2"]) == (best["s"], best["value_rad2"])
+        assert row["extra"]["s_grid"] == [0.3, 0.5]
+
     def test_testpoints_subcommand(self, tmp_path):
         out = tmp_path / "pts.csv"
         rc = main(["testpoints", "--k", "20", "--config", "2,9,0", "--out", str(out)])
@@ -147,6 +166,20 @@ class TestMainExitCodes:
         assert rows[0]["kind"] == "MAP"
         assert rows[0]["extra"]["trials"] == 50
 
+    def test_map_sim_options_reach_monte_carlo(self, tmp_path):
+        out = tmp_path / "map.csv"
+        rc = main(["map-sim", "--snr-db=-5", "--trials", "40", "--seed", "2",
+                   "--phi", "0.3", "--theta", "0.4", "--no-refine", "--linear-error",
+                   "--out", str(out)])
+        assert rc == 0
+        seed = int(np.random.SeedSequence([2, 0]).generate_state(1)[0])
+        want = mapsim.run_monte_carlo(
+            SignalConfig(K=20, snr=10.0 ** -0.5, phi=0.3), VonMisesPrior(mu=0.0, kappa=1.0),
+            mapsim.McConfig(trials=40, refine=False, seed=seed),
+            theta_fixed=0.4, wrap=False,
+        )
+        assert parse_rows(out.read_text())[0]["value_rad2"] == want.mse
+
 
 class TestDeterminism:
     def test_identical_sweeps_are_byte_identical(self, tmp_path):
@@ -157,6 +190,21 @@ class TestDeterminism:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_map_row_independent_of_command_and_other_kinds(self, tmp_path):
+        common = ["--snr-db=-5,0", "--trials", "50", "--seed", "3"]
+        runs = {
+            "sweep_map": ["sweep", "--kinds", "MAP"],
+            "sweep_zzb_map": ["sweep", "--kinds", "ZZB,MAP"],
+            "map_sim": ["map-sim"],
+        }
+        map_rows = {}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main(argv + common + ["--out", str(out)]) == 0
+            map_rows[name] = [r for r in parse_rows(out.read_text()) if r["kind"] == "MAP"]
+        assert len(map_rows["map_sim"]) == 2
+        assert map_rows["sweep_map"] == map_rows["sweep_zzb_map"] == map_rows["map_sim"]
 
     def test_seed_changes_monte_carlo_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

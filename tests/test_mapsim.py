@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circbound import mapsim
 from circbound.benchmarks import bcrb
 from circbound.mapsim import (
     McConfig,
@@ -107,6 +108,7 @@ class TestMonteCarlo:
         a = run_monte_carlo(config, prior, mc)
         b = run_monte_carlo(config, prior, mc)
         assert a == b
+        assert a.mse_se == math.inf  # no spread estimate from one trial
 
     def test_deterministic_full_run(self):
         config = SignalConfig(K=20, snr=0.1)
@@ -114,16 +116,31 @@ class TestMonteCarlo:
         mc = McConfig(trials=300, seed=7)
         assert run_monte_carlo(config, prior, mc) == run_monte_carlo(config, prior, mc)
 
-    def test_chunking_invariant(self):
-        # result must not depend on how trials split into batches: a prefix
-        # run and a full run must agree on their shared trials, which holds
-        # because each trial owns a (seed, index)-derived stream
+    def test_chunking_invariant(self, monkeypatch):
+        # the result must not depend on how trials split into estimation
+        # batches, since each trial owns a (seed, index)-derived stream
+        config = SignalConfig(K=20, snr=10.0 ** -0.2)
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+        mc = McConfig(trials=300, seed=3)
+        default = run_monte_carlo(config, prior, mc)
+        monkeypatch.setattr(mapsim, "_TRIAL_CHUNK", 7)
+        assert run_monte_carlo(config, prior, mc) == default
+
+    def test_standard_error_matches_per_trial_rescoring(self):
+        # reference: regenerate each trial's stream, estimate it alone, and
+        # take std(err^2)/sqrt(N) of the wrapped errors
         config = SignalConfig(K=20, snr=0.5)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        small = run_monte_carlo(config, prior, McConfig(trials=64, seed=3), theta_fixed=0.2)
-        big = run_monte_carlo(config, prior, McConfig(trials=64, grid_size=4096, seed=3),
-                              theta_fixed=0.2)
-        assert small == big
+        mc = McConfig(trials=40, seed=8)
+        sq = []
+        for t in range(mc.trials):
+            rng = np.random.default_rng([mc.seed, t])
+            theta = float(prior.sample(rng))
+            est = map_estimate(config, prior, generate(config, theta, rng))
+            sq.append(float(wrap_error(est, theta)) ** 2)
+        res = run_monte_carlo(config, prior, mc)
+        assert res.mse == pytest.approx(np.mean(sq), rel=1e-9)
+        assert res.mse_se == pytest.approx(np.std(sq, ddof=1) / math.sqrt(mc.trials), rel=1e-9)
 
     def test_high_snr_tracks_bcrb(self):
         config = SignalConfig(K=20, snr=10.0)

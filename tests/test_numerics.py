@@ -18,7 +18,6 @@ from circbound.numerics import (
     normal_tail,
     regularized_lower_gamma,
     spd_solve,
-    valley_fill,
 )
 
 from conftest import bessel_series_oracle, dirichlet_sum_oracle
@@ -240,35 +239,3 @@ class TestSpdSolve:
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(SingularMatrixError):
             spd_solve(m, np.array([1.0, 1.0]))
-
-
-class TestValleyFill:
-    def test_hand_example(self):
-        assert valley_fill(np.array([3.0, 1.0, 2.0, 0.0])).tolist() == [3.0, 2.0, 2.0, 0.0]
-
-    def test_non_increasing_fixed_point(self):
-        f = np.array([5.0, 4.0, 4.0, 1.0])
-        assert valley_fill(f).tolist() == f.tolist()
-
-    def test_constant_fixed_point(self):
-        f = np.full(7, 2.5)
-        assert valley_fill(f).tolist() == f.tolist()
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            valley_fill(np.array([]))
-
-    @given(
-        st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-            min_size=1,
-            max_size=50,
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_properties(self, values):
-        f = np.array(values)
-        out = valley_fill(f)
-        assert np.all(np.diff(out) <= 0.0)          # non-increasing
-        assert np.all(out >= f)                     # pointwise dominates input
-        assert np.allclose(valley_fill(out), out)   # idempotent

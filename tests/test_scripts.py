@@ -1,0 +1,27 @@
+"""Smoke runs of the experiment scripts on small grids."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv, lines", [
+    # header plus the -20, -5 and +10 dB rows
+    ("map_vs_bounds", ["--trials", "50", "--step", "15"], 4),
+    # blank line, K/kappa line, header, the -12, -6 and 0 dB rows, peak, sign change
+    ("bound_gap_scan", ["--k", "20", "--step", "6"], 8),
+])
+def test_script_runs(name, argv, lines, capsys):
+    assert _load(name).run(argv) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == lines
+    assert "nan" not in out

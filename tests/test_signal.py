@@ -1,15 +1,12 @@
-"""Observation model: generation, unit conversions, ambiguity surface."""
+"""Observation model: generation and unit conversions."""
 import math
 
 import numpy as np
 import pytest
 
-from circbound.prior import VonMisesPrior
 from circbound.signal_model import (
     ObservationVector,
     SignalConfig,
-    ambiguity,
-    cn0_from_snr,
     generate,
     snr_from_cn0,
 )
@@ -48,13 +45,14 @@ class TestUnitConversions:
         for _ in range(20):
             cn0 = float(rng.uniform(5.0, 60.0))
             bw = float(rng.uniform(10.0, 1e5))
-            assert cn0_from_snr(snr_from_cn0(cn0, bw), bw) == pytest.approx(cn0)
+            snr = snr_from_cn0(cn0, bw)
+            assert 10.0 * math.log10(snr * bw) == pytest.approx(cn0)
 
     def test_invalid_bandwidth(self):
         with pytest.raises(ValueError):
             snr_from_cn0(30.0, 0.0)
         with pytest.raises(ValueError):
-            cn0_from_snr(1.0, -1.0)
+            snr_from_cn0(30.0, -1.0)
 
 
 class TestGenerate:
@@ -101,42 +99,3 @@ class TestGenerate:
     def test_frequency_outside_circle_rejected(self):
         with pytest.raises(ValueError):
             generate(SignalConfig(K=4, snr=1.0), 3.5, np.random.default_rng(0))
-
-
-class TestAmbiguity:
-    def test_noiseless_peak_at_truth(self):
-        cfg = SignalConfig(K=20, snr=1.0)
-        theta = 0.4 * math.pi
-        obs = generate(cfg, theta, _ZeroNoise())
-        grid = np.linspace(-math.pi, math.pi, 2048, endpoint=False)
-        surface = ambiguity(cfg, obs, VonMisesPrior(kappa=0.0), grid)
-        peak = grid[np.argmax(surface)]
-        cell = 2.0 * math.pi / grid.size
-        assert abs(peak - theta) <= cell
-
-    def test_matched_filter_optimality_on_grid(self):
-        cfg = SignalConfig(K=20, snr=1.0)
-        theta = -0.25 * math.pi
-        obs = generate(cfg, theta, _ZeroNoise())
-        grid = np.linspace(-math.pi, math.pi, 512, endpoint=False)
-        surface = ambiguity(cfg, obs, VonMisesPrior(kappa=0.0), grid)
-        at_truth = ambiguity(cfg, obs, VonMisesPrior(kappa=0.0), np.array([theta]))[0]
-        assert np.all(surface <= at_truth + 1e-9)
-
-    def test_prior_term_is_additive(self):
-        cfg = SignalConfig(K=20, snr=1.0)
-        obs = generate(cfg, 0.2, np.random.default_rng(21))
-        grid = np.linspace(-math.pi, math.pi, 257)
-        flat = ambiguity(cfg, obs, VonMisesPrior(mu=0.3, kappa=0.0), grid)
-        peaked = ambiguity(cfg, obs, VonMisesPrior(mu=0.3, kappa=20.0), grid)
-        assert np.allclose(peaked - flat, 20.0 * np.cos(grid - 0.3), atol=1e-9)
-
-    def test_sidelobe_structure(self):
-        # noiseless surface has an oscillating pattern with local maxima
-        # away from the main lobe
-        cfg = SignalConfig(K=20, snr=1.0)
-        obs = generate(cfg, 0.4 * math.pi, _ZeroNoise())
-        grid = np.linspace(-math.pi, math.pi, 4096, endpoint=False)
-        surface = ambiguity(cfg, obs, VonMisesPrior(kappa=0.0), grid)
-        interior = (surface[1:-1] > surface[:-2]) & (surface[1:-1] > surface[2:])
-        assert int(np.count_nonzero(interior)) > 10
