@@ -182,6 +182,8 @@ def _eval_point(kind, spec, quad, prior, k, kappa, mu, snr_db, point_sets, point
             for s, res, extra in results:
                 if res.dropped_points:
                     extra["dropped_points"] = list(res.dropped_points)
+                if res.s_failed:
+                    extra["s_failed"] = [list(pair) for pair in res.s_failed]
                 rows.append(_row("WWB", snr_db, k, kappa, mu, s, trio, res.mse_bound, extra))
     elif kind == "BCRB":
         rows.append(_row("BCRB", snr_db, k, kappa, mu, None, None,

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, i0e, i1e
 
 __all__ = [
     "QuadratureSpec",
@@ -64,107 +64,98 @@ _GL_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _bessel_series(x: float, order: int) -> float:
-    # power series sum_m (x/2)^{2m+order} / (m! (m+order)!)
-    if x == 0.0:
-        return 1.0 if order == 0 else 0.0
-    half = 0.5 * x
-    term = half**order / math.factorial(order)
-    total = term
-    m = 1
-    while True:
-        term *= half * half / (m * (m + order))
-        total += term
-        if term < 1e-18 * total:
-            return total
-        m += 1
-
-
-def _bessel_asymptotic(x: float, order: int) -> float:
-    # e^x / sqrt(2 pi x) * sum_k t_k,  t_k = t_{k-1} (4 nu^2 - (2k-1)^2)/(-8 k x)
-    nu4 = 4.0 * order * order
-    term = 1.0
-    total = 1.0
-    for k in range(1, 40):
-        term *= (nu4 - (2 * k - 1) ** 2) / (-8.0 * k * x)
-        total += term
-        if abs(term) < 1e-17 * abs(total):
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
-
-def _bessel_i(x: float, order: int) -> float:
+def _bessel_i(x: float, scaled) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"modified Bessel argument must be finite and >= 0, got {x}")
-    if x > 500.0:
-        raise DomainError(f"modified Bessel argument must be <= 500, got {x}")
-    if x < 15.0:
-        return _bessel_series(x, order)
-    return _bessel_asymptotic(x, order)
+    # e^x in two halves: e^x alone overflows before I_n(x) does
+    half = math.exp(0.5 * x)
+    value = float(scaled(x)) * half * half
+    if math.isinf(value):
+        raise DomainError(f"modified Bessel value overflows double precision at {x}; use i0e/i1e")
+    return value
 
 
 def bessel_i0(x: float) -> float:
     """Modified Bessel function of the first kind, order 0."""
-    return _bessel_i(x, 0)
+    return _bessel_i(x, i0e)
 
 
 def bessel_i1(x: float) -> float:
     """Modified Bessel function of the first kind, order 1."""
-    return _bessel_i(x, 1)
+    return _bessel_i(x, i1e)
 
 
-def dirichlet_kernel(h: float, K: int) -> float:
+def dirichlet_kernel(h, K: int):
     """sum_{k=0}^{K-1} cos(h k), evaluated in closed form away from the 0/0 points.
 
-    Near h = 2 pi m the closed form is 0/0 and loses accuracy well before the
-    exact singularity (the ratio amplifies rounding by ~K/sin^2); fall back to
-    the direct sum, which is the definition, wherever the closed form cannot
-    deliver 1e-10 absolute accuracy for K up to a few hundred.
+    `h` may be a scalar (a float is returned) or an array (evaluated entry by
+    entry). Near h = 2 pi m the closed form is 0/0 and loses accuracy well
+    before the exact singularity (the ratio amplifies rounding by ~K/sin^2);
+    fall back to the direct sum, which is the definition, wherever the closed
+    form cannot deliver 1e-10 absolute accuracy for K up to a few hundred.
     """
-    if not math.isfinite(h):
+    h = np.asarray(h, dtype=float)
+    if np.count_nonzero(np.isfinite(h)) != h.size:
         raise DomainError(f"kernel offset must be finite, got {h}")
     if K < 1:
         raise DomainError(f"sample count must be >= 1, got {K}")
-    s = math.sin(0.5 * h)
-    if abs(s) < 5e-3:
-        k = np.arange(K)
-        return float(np.sum(np.cos(h * k)))
-    return math.cos(0.5 * h * (K - 1)) * math.sin(0.5 * h * K) / s
+    s = np.sin(0.5 * h)
+    near = np.abs(s) < 5e-3
+    # adding `near` keeps the divisor of the entries replaced below nonzero
+    out = np.cos(0.5 * h * (K - 1)) * np.sin(0.5 * h * K) / (s + near)
+    if np.count_nonzero(near):
+        out = np.array(out)
+        out[near] = np.sum(np.cos(np.multiply.outer(h[near], np.arange(K))), axis=-1)
+    return float(out) if h.ndim == 0 else out
 
 
-def _composite_gl(f, a: float, b: float, panels: int) -> float:
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    # all nodes at once: shape (panels, order)
-    nodes = mid[:, None] + half * _GL_NODES[None, :]
-    vals = f(nodes.ravel()).reshape(panels, _GL_ORDER)
-    return float(half * np.sum(vals @ _GL_WEIGHTS))
+# entries of a batched integral evaluated together, which bounds its node
+# arrays at _BLOCK_ROWS x 8 node_count x _GL_ORDER doubles
+_BLOCK_ROWS = 64
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def _composite_gl(f, a: np.ndarray, b: np.ndarray, rows: np.ndarray, panels: int) -> np.ndarray:
+    # node positions on [0, 1], all panels at once: shape (panels * order,)
+    u = ((np.arange(panels)[:, None] + 0.5 + 0.5 * _GL_NODES) / panels).ravel()
+    width = b[rows] - a[rows]
+    theta = a[rows, None] + width[:, None] * u
+    vals = f(theta, rows).reshape(rows.size, panels, _GL_ORDER)
+    return 0.5 * width / panels * np.sum(vals @ _GL_WEIGHTS, axis=1)
+
+
+def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
     """Composite Gauss-Legendre integral of `f` over [a, b].
 
-    `f` must accept an ndarray of abscissae. Convergence is declared when one
-    node-count doubling changes the result by less than `rel_tol` relatively;
-    two further doublings are tried before signalling QuadratureError.
+    With scalar limits `f` must accept an ndarray of abscissae and the result
+    is a float. With 1-D array limits every entry is its own integral and the
+    result is an array: `f(theta, rows)` gets one row of abscissae per entry
+    in the index array `rows`. Each entry converges on its own: when one
+    node-count doubling changes it by less than `rel_tol` relatively; two
+    further doublings are tried before signalling QuadratureError.
     """
-    if a > b:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if np.any(a > b):
         raise DomainError(f"integration interval requires a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-    panels = spec.node_count
-    prev = _composite_gl(f, a, b, panels)
-    for _ in range(3):
-        panels *= 2
-        cur = _composite_gl(f, a, b, panels)
-        if abs(cur - prev) <= spec.rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"integral on [{a}, {b}] did not converge to rel_tol={spec.rel_tol} "
-        f"after {panels} panels"
-    )
+    if a.ndim == 0:
+        return float(integrate(lambda t, _: f(t.ravel()).reshape(t.shape), a[None], b[None], spec)[0])
+    out = np.zeros(a.shape)
+    live = np.flatnonzero(a < b)
+    for start in range(0, live.size, _BLOCK_ROWS):
+        rows = live[start:start + _BLOCK_ROWS]
+        panels = spec.node_count
+        prev = _composite_gl(f, a, b, rows, panels)
+        while rows.size and panels < 8 * spec.node_count:
+            panels *= 2
+            cur = _composite_gl(f, a, b, rows, panels)
+            done = np.abs(cur - prev) <= spec.rel_tol * np.maximum(np.abs(cur), 1e-300)
+            out[rows[done]] = cur[done]
+            rows, prev = rows[~done], cur[~done]
+        if rows.size:
+            raise QuadratureError(
+                f"integral on [{a[rows[0]]}, {b[rows[0]]}] did not converge to "
+                f"rel_tol={spec.rel_tol} after {panels} panels"
+            )
+    return out
 
 
 def normal_tail(z: float) -> float:
@@ -193,7 +184,6 @@ def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
-    n = m.shape[0]
     scale = max(np.max(np.abs(m)), 1e-300)
     if np.max(np.abs(m - m.T)) > 1e-9 * scale:
         raise DomainError("matrix is not symmetric within 1e-9 relative")
@@ -203,20 +193,28 @@ def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(bad, float(diag[bad]))
     d_scale = 1.0 / np.sqrt(diag)
     ms = m * np.outer(d_scale, d_scale)
-    low = np.zeros_like(ms)
-    for k in range(n):
-        d = ms[k, k] - low[k, :k] @ low[k, :k]
-        if d <= 1e-14:
-            raise SingularMatrixError(k, float(d))
-        low[k, k] = math.sqrt(d)
-        if k + 1 < n:
-            low[k + 1:, k] = (ms[k + 1:, k] - low[k + 1:, :k] @ low[k, :k]) / low[k, k]
-    # forward then backward substitution on the scaled system
+    low = _cholesky(ms)
+    if low is None:
+        # LAPACK reports no pivot index, but the largest leading block that
+        # passes ends just before it (Sylvester's criterion): bisect for it
+        good, bad = 0, ms.shape[0]
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            good, bad = (mid, bad) if _cholesky(ms[:mid, :mid]) is not None else (good, mid)
+        row = np.linalg.solve(_cholesky(ms[:good, :good]), ms[:good, good])
+        raise SingularMatrixError(good, float(ms[good, good] - row @ row))
     vs = v * d_scale
-    y = np.zeros(n)
-    for k in range(n):
-        y[k] = (vs[k] - low[k, :k] @ y[:k]) / low[k, k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (y[k] - low[k + 1:, k] @ x[k + 1:]) / low[k, k]
-    return x * d_scale
+    return np.linalg.solve(low.T, np.linalg.solve(low, vs)) * d_scale
+
+
+def _cholesky(ms: np.ndarray) -> np.ndarray | None:
+    """LAPACK Cholesky factor of `ms`, or None when a pivot is at or below 1e-14.
+
+    LAPACK accepts tiny positive pivots, so the rule is applied to the
+    factor's squared diagonal, which holds the pivots.
+    """
+    try:
+        low = np.linalg.cholesky(ms)
+    except np.linalg.LinAlgError:
+        return None
+    return low if np.all(np.diag(low) ** 2 > 1e-14) else None

@@ -9,8 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e, i1e
 
-from .numerics import DomainError, bessel_i0, bessel_i1
+from .numerics import DomainError
 
 __all__ = ["VonMisesPrior", "UNIFORM_VARIANCE"]
 
@@ -34,8 +35,8 @@ class VonMisesPrior:
 
     @property
     def log_norm(self) -> float:
-        """ln(2 pi I0(kappa)), the log normalizing constant."""
-        return math.log(2.0 * math.pi * bessel_i0(self.kappa))
+        """ln(2 pi I0(kappa)), the log normalizing constant; ln I0 = ln i0e(kappa) + kappa."""
+        return math.log(2.0 * math.pi * float(i0e(self.kappa))) + self.kappa
 
     def pdf(self, theta: float) -> float:
         """Density e^{kappa cos(theta-mu)} / (2 pi I0(kappa)) on [-pi, pi], 0 outside."""
@@ -69,7 +70,7 @@ class VonMisesPrior:
         """I1(kappa) / I0(kappa), in [0, 1)."""
         if self.kappa == 0.0:
             return 0.0
-        return bessel_i1(self.kappa) / bessel_i0(self.kappa)
+        return float(i1e(self.kappa) / i0e(self.kappa))
 
     def variance(self) -> float:
         """Variance surrogate used by the ZZB closed form.

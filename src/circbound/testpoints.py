@@ -123,7 +123,7 @@ def sidelobe_points(K: int, grid_step: float | None = None) -> np.ndarray:
     first_null = 2.0 * math.pi / K
     grid = np.arange(first_null + grid_step, math.pi + 0.5 * grid_step, grid_step)
     grid[-1] = math.pi
-    vals = np.array([dirichlet_kernel(h, K) for h in grid])
+    vals = dirichlet_kernel(grid, K)
 
     def d(h: float) -> float:
         return dirichlet_kernel(h, K)

@@ -3,12 +3,13 @@
 Closed-form data exponents (Dirichlet-kernel combinations), prior-only log
 integrals over the von Mises support, assembly of the score matrix, the
 scalar bound h Q^{-1} h^T, and the grid search over the shared exponent s.
+The exponents of Q are snr * core + gamma: the data cores and the prior
+log-integrals gamma are computed once per test-point set, as arrays.
 """
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +46,10 @@ DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 # beyond this exp() overflows double precision
 _EXP_LIMIT = 700.0
 
+# test-point sets whose SNR-free parts are kept; a sweep revisits the few
+# sets of its current (kappa, mu) at every SNR
+_SET_CACHE_SIZE = 64
+
 
 @dataclass(frozen=True)
 class QMatrix:
@@ -60,137 +65,154 @@ class WwbResult:
     mse_bound: float
     db: float
     dropped_points: tuple[int, ...]
+    # (s, message) for every exponent of an optimize_s grid that failed
+    s_failed: tuple[tuple[float, str], ...] = ()
+
+
+def _cores(s_i, s_j, h_i, h_j, K: int) -> np.ndarray:
+    """Data exponents at snr = 1 of the four score products, stacked on a new first axis.
+
+    Arguments broadcast; requires h_i >= h_j. With s_j = 0 the first product is
+    the single-point normalizer of h_i.
+    """
+    d_i, d_j = dirichlet_kernel(h_i, K), dirichlet_kernel(h_j, K)
+    d_minus, d_plus = dirichlet_kernel(h_i - h_j, K), dirichlet_kernel(h_i + h_j, K)
+    return np.stack([
+        K * ((s_i + s_j - 1.0) ** 2 + s_i**2 + s_j**2 - 1.0)
+        + 2.0 * s_i * s_j * d_minus
+        - 2.0 * (s_i + s_j - 1.0) * s_i * d_i
+        - 2.0 * (s_i + s_j - 1.0) * s_j * d_j,
+        K * (s_j**2 + (s_i - 1.0) ** 2 + (s_i - s_j) ** 2 - 1.0)
+        - 2.0 * s_j * (s_i - 1.0) * d_plus
+        + 2.0 * s_j * (s_i - s_j) * d_j
+        - 2.0 * (s_i - 1.0) * (s_i - s_j) * d_i,
+        K * (s_i**2 + (s_j - 1.0) ** 2 + (s_i - s_j) ** 2 - 1.0)
+        - 2.0 * s_i * (s_j - 1.0) * d_plus
+        + 2.0 * s_i * (s_j - s_i) * d_i
+        - 2.0 * (s_j - 1.0) * (s_j - s_i) * d_j,
+        K * ((s_i + s_j - 1.0) ** 2 + (s_i - 1.0) ** 2 + (s_j - 1.0) ** 2 - 1.0)
+        - 2.0 * (s_i + s_j - 1.0) * (s_i - 1.0) * d_i
+        - 2.0 * (s_i + s_j - 1.0) * (s_j - 1.0) * d_j
+        + 2.0 * (s_i - 1.0) * (s_j - 1.0) * d_minus,
+    ])
+
+
+def _layouts(s_i, s_j, h_i, h_j):
+    """Prior integrals of the four score products as (z, lo, hi), each stacked on a new first axis.
+
+    Product t integrates exp(kappa Re(z_t e^{i(theta - mu)})) over [lo_t, hi_t]:
+    z_t sums weight * e^{i offset} over its three shifted densities, and the
+    limits are the set where every shifted argument stays inside [-pi, pi].
+    Arguments broadcast; requires h_i >= h_j.
+    """
+    e_i, e_j = np.exp(1j * h_i), np.exp(1j * h_j)
+    z = np.stack([
+        (1.0 - s_i - s_j) + s_i * e_i + s_j * e_j,
+        (s_i - s_j) + s_j * e_j + (1.0 - s_i) * np.conj(e_i),
+        (s_j - s_i) + s_i * e_i + (1.0 - s_j) * np.conj(e_j),
+        (s_i + s_j - 1.0) + (1.0 - s_i) * np.conj(e_i) + (1.0 - s_j) * np.conj(e_j),
+    ])
+    pi = np.full(z.shape[1:], math.pi)
+    lo = np.stack([-pi, h_i - pi, h_j - pi, h_i - pi])
+    hi = np.stack([pi - h_i, pi - h_j, pi - h_i, pi])
+    return z, lo, hi
+
+
+def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.ndarray:
+    """ln of the integral over [lo, hi] of exp(kappa Re(z e^{i(theta - mu)})) / (2 pi I0), per entry.
+
+    A flat array, -inf on empty intervals. The exponent kappa |z| cos(theta - mu
+    + arg z) takes one cosine per node; its maximum over the interval is
+    factored out for stability at large kappa.
+    """
+    z, lo, hi = np.ravel(z), np.ravel(lo), np.ravel(hi)
+    out = np.full(z.shape, -np.inf)
+    live = lo < hi
+    z, lo, hi = z[live], lo[live], hi[live]
+    amp = prior.kappa * np.abs(z)
+    phase = np.angle(z) - prior.mu
+    # the cosine peaks where theta + phase is a multiple of 2 pi
+    x_lo, x_hi = lo + phase, hi + phase
+    peak_inside = 2.0 * math.pi * np.ceil(x_lo / (2.0 * math.pi)) <= x_hi
+    shift = amp * np.where(peak_inside, 1.0, np.maximum(np.cos(x_lo), np.cos(x_hi)))
+
+    def f(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.exp(amp[rows, None] * np.cos(theta + phase[rows, None]) - shift[rows, None])
+
+    out[live] = shift + np.log(integrate(f, lo, hi, quad)) - prior.log_norm
+    return out
+
+
+@lru_cache(maxsize=_SET_CACHE_SIZE)
+def _set_parts(
+    K: int, h: tuple[float, ...], s: float, prior: VonMisesPrior, quad: QuadratureSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """SNR-free parts (core, gamma), each 4 x r x r, of the score matrix of the points `h`.
+
+    Product t of entry (a, b) has the exponent snr * core[t, a, b] + gamma[t, a, b]
+    relative to the normalizers of h[a] and h[b]. The arrays are shared, read-only.
+    """
+    hv = np.array(h)
+    r = hv.size
+    a, b = np.triu_indices(r)
+    n = a.size
+    # the n entries in canonical order h_i >= h_j, then the r single-point
+    # normalizers, which are the first product with s_j = 0
+    h_i = np.concatenate([np.maximum(hv[a], hv[b]), hv])
+    h_j = np.concatenate([np.minimum(hv[a], hv[b]), hv])
+    s_j = np.concatenate([np.full(n, s), np.zeros(r)])
+    cores = _cores(s, s_j, h_i, h_j, K)
+    layouts = (np.concatenate([x[:, :n].ravel(), x[0, n:]]) for x in _layouts(s, s_j, h_i, h_j))
+    logs = _log_integrals(prior, *layouts, quad)
+    parts = []
+    for entries, norm in ((cores[:, :n], cores[0, n:]), (logs[:4 * n].reshape(4, n), logs[4 * n:])):
+        full = np.empty((4, r, r))
+        full[:, a, b] = full[:, b, a] = entries - (norm[a] + norm[b])
+        full.setflags(write=False)
+        parts.append(full)
+    return parts[0], parts[1]
+
+
+def _combine(core: np.ndarray, gamma: np.ndarray, snr: float) -> np.ndarray:
+    """Score-matrix entries from the exponents snr * core + gamma of their four products.
+
+    The products enter with signs +, -, -, + and share a factored-out maximum,
+    so the ratio never overflows even when the exponents scale like K * SNR.
+    An entry whose products all have empty support is 0.
+    """
+    e = snr * core + gamma
+    m = np.max(e, axis=0)
+    if np.max(m) > _EXP_LIMIT:
+        raise OverflowError(
+            f"score-matrix exponent {np.max(m):.1f} exceeds {_EXP_LIMIT} after factoring"
+        )
+    live = m > -np.inf
+    m = np.where(live, m, 0.0)
+    t = np.exp(e - m)
+    return np.where(live, np.exp(m) * (t[0] - t[1] - t[2] + t[3]), 0.0)
+
+
+def _check_term(term: int, h_i: float, h_j: float) -> None:
+    if h_i < h_j:
+        raise ValueError("canonical ordering requires h_i >= h_j")
+    if term not in (1, 2, 3, 4):
+        raise ValueError(f"term must be 1..4, got {term}")
 
 
 def mu_i(s: float, h: float, K: int, snr: float) -> float:
     """Data exponent of the single-point normalizer: -s(1-s) 2K SNR (1 - D(h)/K)."""
-    return -s * (1.0 - s) * 2.0 * K * snr * (1.0 - dirichlet_kernel(h, K) / K)
-
-
-def _vm_log_integral(
-    kappa: float,
-    mu: float,
-    coeffs: tuple[tuple[float, float], ...],
-    lo: float,
-    hi: float,
-    quad: QuadratureSpec,
-) -> float:
-    """ln of integral over [lo, hi] of exp(kappa * sum_c c * cos(theta + off - mu)) / (2 pi I0).
-
-    `coeffs` is a tuple of (weight, offset) pairs. Returns -inf on an empty
-    interval. The overall exponent maximum is factored out for stability at
-    large kappa.
-    """
-    if hi <= lo:
-        return -math.inf
-    from .numerics import bessel_i0
-
-    log_norm = math.log(2.0 * math.pi * bessel_i0(kappa))
-
-    def exponent(theta: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(theta)
-        for w, off in coeffs:
-            acc += w * np.cos(theta + off - mu)
-        return kappa * acc
-
-    # probe the exponent on a coarse grid to find a stable shift
-    probe = np.linspace(lo, hi, 257)
-    shift = float(np.max(exponent(probe)))
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return np.exp(exponent(theta) - shift)
-
-    val = integrate(f, lo, hi, quad)
-    return shift - log_norm + math.log(val)
-
-
-@lru_cache(maxsize=200_000)
-def _gamma_i_cached(
-    kappa: float, mu: float, s: float, h: float, node_count: int, rel_tol: float
-) -> float:
-    quad = QuadratureSpec(node_count=node_count, rel_tol=rel_tol)
-    coeffs = ((1.0 - s, 0.0), (s, h))
-    return _vm_log_integral(kappa, mu, coeffs, -math.pi, math.pi - h, quad)
+    return mu_cross(1, s, 0.0, h, h, K, snr)
 
 
 def gamma_i(prior: VonMisesPrior, s: float, h: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Prior exponent of the single-point normalizer (log integral over [-pi, pi-h])."""
-    return _gamma_i_cached(prior.kappa, prior.mu, s, h, quad.node_count, quad.rel_tol)
+    return gamma_cross(1, prior, s, 0.0, h, h, quad)
 
 
 def mu_cross(term: int, s_i: float, s_j: float, h_i: float, h_j: float, K: int, snr: float) -> float:
     """Data exponent of the four score-product expectations; requires h_i >= h_j."""
-    if h_i < h_j:
-        raise ValueError("canonical ordering requires h_i >= h_j")
-    d = lambda h: dirichlet_kernel(h, K)
-    if term == 1:
-        core = (
-            K * ((s_i + s_j - 1.0) ** 2 + s_i**2 + s_j**2 - 1.0)
-            + 2.0 * s_i * s_j * d(h_i - h_j)
-            - 2.0 * (s_i + s_j - 1.0) * s_i * d(h_i)
-            - 2.0 * (s_i + s_j - 1.0) * s_j * d(h_j)
-        )
-    elif term == 2:
-        core = (
-            K * (s_j**2 + (s_i - 1.0) ** 2 + (s_i - s_j) ** 2 - 1.0)
-            - 2.0 * s_j * (s_i - 1.0) * d(h_i + h_j)
-            + 2.0 * s_j * (s_i - s_j) * d(h_j)
-            - 2.0 * (s_i - 1.0) * (s_i - s_j) * d(h_i)
-        )
-    elif term == 3:
-        core = (
-            K * (s_i**2 + (s_j - 1.0) ** 2 + (s_i - s_j) ** 2 - 1.0)
-            - 2.0 * s_i * (s_j - 1.0) * d(h_i + h_j)
-            + 2.0 * s_i * (s_j - s_i) * d(h_i)
-            - 2.0 * (s_j - 1.0) * (s_j - s_i) * d(h_j)
-        )
-    elif term == 4:
-        core = (
-            K * ((s_i + s_j - 1.0) ** 2 + (s_i - 1.0) ** 2 + (s_j - 1.0) ** 2 - 1.0)
-            - 2.0 * (s_i + s_j - 1.0) * (s_i - 1.0) * d(h_i)
-            - 2.0 * (s_i + s_j - 1.0) * (s_j - 1.0) * d(h_j)
-            + 2.0 * (s_i - 1.0) * (s_j - 1.0) * d(h_i - h_j)
-        )
-    else:
-        raise ValueError(f"term must be 1..4, got {term}")
-    return snr * core
-
-
-# support-rule integration limits and cosine-weight layouts for the four
-# prior-only integrals; entries are (weight_expr, offset_expr) pairs
-def _gamma_cross_coeffs(term: int, s_i: float, s_j: float, h_i: float, h_j: float):
-    if term == 1:
-        coeffs = ((1.0 - s_i - s_j, 0.0), (s_i, h_i), (s_j, h_j))
-        lo, hi = -math.pi, math.pi - h_i
-    elif term == 2:
-        coeffs = ((s_i - s_j, 0.0), (s_j, h_j), (1.0 - s_i, -h_i))
-        lo, hi = -math.pi + h_i, math.pi - h_j
-    elif term == 3:
-        coeffs = ((s_j - s_i, 0.0), (s_i, h_i), (1.0 - s_j, -h_j))
-        lo, hi = -math.pi + h_j, math.pi - h_i
-    elif term == 4:
-        coeffs = ((s_i + s_j - 1.0, 0.0), (1.0 - s_i, -h_i), (1.0 - s_j, -h_j))
-        lo, hi = -math.pi + h_i, math.pi
-    else:
-        raise ValueError(f"term must be 1..4, got {term}")
-    return coeffs, lo, hi
-
-
-@lru_cache(maxsize=200_000)
-def _gamma_cross_cached(
-    kappa: float,
-    mu: float,
-    term: int,
-    s_i: float,
-    s_j: float,
-    h_i: float,
-    h_j: float,
-    node_count: int,
-    rel_tol: float,
-) -> float:
-    quad = QuadratureSpec(node_count=node_count, rel_tol=rel_tol)
-    coeffs, lo, hi = _gamma_cross_coeffs(term, s_i, s_j, h_i, h_j)
-    return _vm_log_integral(kappa, mu, coeffs, lo, hi, quad)
+    _check_term(term, h_i, h_j)
+    return snr * float(_cores(s_i, s_j, h_i, h_j, K)[term - 1])
 
 
 def gamma_cross(
@@ -209,11 +231,9 @@ def gamma_cross(
     stays inside [-pi, pi]. Requires h_i >= h_j. Returns -inf when the support
     interval is empty.
     """
-    if h_i < h_j:
-        raise ValueError("canonical ordering requires h_i >= h_j")
-    return _gamma_cross_cached(
-        prior.kappa, prior.mu, term, s_i, s_j, h_i, h_j, quad.node_count, quad.rel_tol
-    )
+    _check_term(term, h_i, h_j)
+    z, lo, hi = _layouts(s_i, s_j, h_i, h_j)
+    return float(_log_integrals(prior, z[term - 1], lo[term - 1], hi[term - 1], quad)[0])
 
 
 def q_element(
@@ -226,33 +246,11 @@ def q_element(
 ) -> float:
     """One entry of the score matrix for test points (h_a, h_b) at shared exponent s.
 
-    The four numerator exponentials share a factored-out maximum so the ratio
-    never overflows even when the exponents scale like K * SNR.
+    It is the off-diagonal entry of the two-point score matrix, computed by
+    the same array path as build_q.
     """
-    # the matrix is symmetric; evaluate in the canonical h_i >= h_j ordering
-    h_i, h_j = (h_a, h_b) if h_a >= h_b else (h_b, h_a)
-    exps = []
-    signs = (1.0, -1.0, -1.0, 1.0)
-    for term in (1, 2, 3, 4):
-        e = mu_cross(term, s, s, h_i, h_j, config.K, config.snr) + gamma_cross(
-            term, prior, s, s, h_i, h_j, quad
-        )
-        exps.append(e)
-    den = (
-        mu_i(s, h_i, config.K, config.snr)
-        + gamma_i(prior, s, h_i, quad)
-        + mu_i(s, h_j, config.K, config.snr)
-        + gamma_i(prior, s, h_j, quad)
-    )
-    m = max(exps)
-    if m == -math.inf:
-        return 0.0
-    if m - den > _EXP_LIMIT:
-        raise OverflowError(
-            f"score-matrix exponent {m - den:.1f} exceeds {_EXP_LIMIT} after factoring"
-        )
-    acc = sum(sign * math.exp(e - m) for sign, e in zip(signs, exps))
-    return math.exp(m - den) * acc
+    core, gamma = _set_parts(config.K, (float(h_a), float(h_b)), s, prior, quad)
+    return float(_combine(core[:, 0, 1], gamma[:, 0, 1], config.snr))
 
 
 def build_q(
@@ -262,14 +260,8 @@ def build_q(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> QMatrix:
     """Assemble the full symmetric score matrix for a test-point set."""
-    r = len(points)
-    q = np.empty((r, r))
-    for a in range(r):
-        for b in range(a, r):
-            q[a, b] = q[b, a] = q_element(
-                float(points.h[a]), float(points.h[b]), points.s, prior, config, quad
-            )
-    return QMatrix(q=q, h=points.h.copy(), s=points.s)
+    core, gamma = _set_parts(config.K, tuple(points.h.tolist()), points.s, prior, quad)
+    return QMatrix(q=_combine(core, gamma, config.snr), h=points.h.copy(), s=points.s)
 
 
 def wwb_value(
@@ -281,23 +273,24 @@ def wwb_value(
     """Evaluate the bound h Q^{-1} h^T for a fixed test-point set.
 
     Near-duplicate or redundant test points make Q numerically singular; the
-    offending point (smallest factorization pivot) is dropped and the solve
-    retried, with drops recorded in the result.
+    offending point (smallest factorization pivot) is dropped by deleting its
+    row and column, and the solve retried, with drops recorded in the result.
     """
-    active = points
+    qm = build_q(prior, config, points, quad)
+    q, h = qm.q, qm.h
     index_map = list(range(len(points)))
     dropped: list[int] = []
     while True:
-        qm = build_q(prior, config, active, quad)
         try:
-            x = spd_solve(qm.q, qm.h)
+            x = spd_solve(q, h)
         except SingularMatrixError as err:
             dropped.append(index_map.pop(err.index))
             if not index_map:
                 raise RuntimeError("all test points dropped; bound undefined") from err
-            active = active.drop(err.index)
+            q = np.delete(np.delete(q, err.index, axis=0), err.index, axis=1)
+            h = np.delete(h, err.index)
             continue
-        bound = float(qm.h @ x)
+        bound = float(h @ x)
         if bound <= 0.0:
             raise RuntimeError(f"non-positive bound value {bound}; Q assembly invalid")
         return WwbResult(
@@ -317,20 +310,26 @@ def optimize_s(
     """Grid search over the shared exponent; returns the maximizing (s, result).
 
     Ties are broken toward s = 0.5, then toward smaller s. A failing grid
-    point is skipped with a warning; all points failing raises.
+    point is skipped and recorded with its message in the result's
+    `s_failed`; all points failing raises.
     """
     s_grid = list(s_grid)
     if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
         raise ValueError("s_grid must be non-empty with all values in (0, 1)")
     results: list[tuple[float, WwbResult]] = []
+    failed: list[tuple[float, str]] = []
     for s in s_grid:
         try:
             results.append((s, wwb_value(prior, config, points.with_exponent(s), quad)))
         except (RuntimeError, OverflowError) as err:
-            warnings.warn(f"bound evaluation failed at s={s}: {err}")
+            failed.append((s, str(err)))
     if not results:
-        raise RuntimeError("bound evaluation failed at every s grid point")
+        raise RuntimeError(
+            "bound evaluation failed at every s grid point: "
+            + "; ".join(f"s={s}: {msg}" for s, msg in failed)
+        )
     best_val = max(r.mse_bound for _, r in results)
     tied = [(s, r) for s, r in results if r.mse_bound >= best_val * (1.0 - 1e-12)]
     tied.sort(key=lambda sr: (abs(sr[0] - 0.5), sr[0]))
-    return tied[0]
+    s_best, res = tied[0]
+    return s_best, replace(res, s_failed=tuple(failed))

@@ -137,7 +137,29 @@ class TestMainExitCodes:
     def test_s_grid_failure_names_grid_point(self, capsys):
         rc = main(["wwb", "--snr-db=25", "--s", "0.3,0.5"])
         assert rc == 3
-        assert "snr_db=25.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "snr_db=25.0" in err
+        # one line: the failures of the single exponents are part of it
+        assert err.count("\n") == 1 and err.startswith("numerical error:")
+        assert "s=0.3:" in err and "s=0.5:" in err
+
+    def test_s_grid_partial_failure_recorded_in_row(self, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        rc = main(["wwb", "--k", "60", "--kappa", "2", "--trio", "2,9,0", "--snr-db=6",
+                   "--s", "0.1,0.5", "--out", str(out)])
+        assert rc == 0
+        (row,) = parse_rows(out.read_text())
+        assert row["s"] == 0.5
+        ((s_failed, message),) = row["extra"]["s_failed"]
+        assert s_failed == 0.1 and "exceeds" in message
+        assert capsys.readouterr().err == ""
+
+    def test_large_kappa_accepted(self, tmp_path):
+        out = tmp_path / "b.csv"
+        rc = main(["bcrb", "--kappa", "600", "--out", str(out)])
+        assert rc == 0
+        (row,) = parse_rows(out.read_text())
+        assert math.isfinite(row["value_rad2"]) and row["value_rad2"] > 0.0
 
     def test_wwb_s_grid_reports_maximizing_exponent(self, tmp_path):
         out = tmp_path / "w.csv"

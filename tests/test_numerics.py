@@ -30,11 +30,11 @@ class TestBessel:
     def test_i1_at_zero(self):
         assert bessel_i1(0.0) == 0.0
 
-    @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 10.0, 14.9, 15.0, 20.0, 100.0, 500.0])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 10.0, 14.9, 15.0, 20.0, 100.0, 500.0, 600.0])
     def test_i0_vs_series_oracle(self, x):
         assert bessel_i0(x) == pytest.approx(bessel_series_oracle(x, 0), rel=1e-12)
 
-    @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 10.0, 14.9, 15.0, 20.0, 100.0, 500.0])
+    @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 10.0, 14.9, 15.0, 20.0, 100.0, 500.0, 600.0])
     def test_i1_vs_series_oracle(self, x):
         assert bessel_i1(x) == pytest.approx(bessel_series_oracle(x, 1), rel=1e-12)
 
@@ -42,7 +42,9 @@ class TestBessel:
     def test_i1_small_argument_limit(self, x):
         assert bessel_i1(x) == pytest.approx(x / 2.0, rel=1e-8)
 
-    @pytest.mark.parametrize("bad", [-1.0, -1e-12, math.nan, math.inf, 500.001])
+    # the domain ends where I0 and I1 overflow double precision, near 714;
+    # larger kappa is handled through the scaled i0e/i1e
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, math.nan, math.inf, 720.0])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             bessel_i0(bad)
@@ -109,7 +111,20 @@ class TestDirichletKernel:
         for m in (1, 2):
             assert dirichlet_kernel(2.0 * math.pi * m, 17) == pytest.approx(17.0)
 
+    def test_array_matches_scalar_calls(self):
+        hs = [0.0, math.pi, -math.pi]
+        for m in (1, 2):
+            for base in (2.0 * math.pi * m, -2.0 * math.pi * m):
+                hs += [base + 1e-4, base - 1e-4]
+        for K in (1, 2, 17, 60):
+            got = dirichlet_kernel(np.array(hs).reshape(-1, 1), K)
+            assert got.shape == (len(hs), 1)
+            want = [dirichlet_kernel(h, K) for h in hs]
+            np.testing.assert_allclose(got[:, 0], want, rtol=1e-14, atol=1e-14)
+
     def test_invalid_inputs(self):
+        with pytest.raises(DomainError):
+            dirichlet_kernel(np.array([0.1, math.inf]), 5)
         with pytest.raises(DomainError):
             dirichlet_kernel(math.nan, 5)
         with pytest.raises(DomainError):
@@ -143,6 +158,29 @@ class TestIntegrate:
         fine = integrate(lambda t: np.exp(np.cos(t)), -math.pi, math.pi,
                          QuadratureSpec(node_count=64))
         assert coarse == pytest.approx(fine, rel=1e-10)
+
+    def test_batched_matches_scalar_entry_by_entry(self):
+        # entry 2 oscillates fast enough to need 128 panels, the others
+        # converge at 64; entry 3 is an empty interval
+        freq = np.array([1.0, 3.0, 400.0, 0.5])
+        a = np.array([0.0, -1.0, 0.0, 0.2])
+        b = np.array([1.0, 2.0, 1.0, 0.2])
+        nodes = {}
+
+        def f(theta, rows):
+            for row in rows:
+                nodes[int(row)] = max(nodes.get(int(row), 0), theta.shape[1])
+            return np.cos(freq[rows, None] * theta) + 2.0
+
+        got = integrate(f, a, b)
+        for i in range(4):
+            want = integrate(lambda t: np.cos(freq[i] * t) + 2.0, a[i], b[i])
+            assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert nodes == {0: 64 * 8, 1: 64 * 8, 2: 128 * 8}
+
+    def test_batched_reversed_interval_rejected(self):
+        with pytest.raises(DomainError):
+            integrate(lambda t, rows: np.cos(t), np.array([0.0, 1.0]), np.array([1.0, 0.5]))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -226,6 +264,14 @@ class TestSpdSolve:
 
     def test_singular_matrix_reports_index(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as exc:
+            spd_solve(m, np.array([1.0, 1.0]))
+        assert exc.value.index == 1
+
+    def test_tiny_positive_pivot_reports_index(self):
+        # LAPACK factors this matrix; its second pivot, about 1.1e-15, is
+        # below the 1e-14 rule
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
         with pytest.raises(SingularMatrixError) as exc:
             spd_solve(m, np.array([1.0, 1.0]))
         assert exc.value.index == 1

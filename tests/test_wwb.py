@@ -181,6 +181,63 @@ class TestQMatrix:
         assert np.all(np.diag(qm.q) > 0.0)
 
 
+class TestArrayPath:
+    """build_q's broadcast assembly against the per-entry view q_element."""
+
+    @staticmethod
+    def _sets(K):
+        sets = [
+            TestPointSet(
+                h=np.array([0.001, 0.01, 0.25, 0.6, 1.0]) * math.pi,
+                provenance=("C", "C", "E", "E", "E"),
+            ),
+            # near-duplicate points
+            TestPointSet(
+                h=np.array([0.3 * math.pi, 0.3 * math.pi + 1e-9, 0.8 * math.pi]),
+                provenance=("E", "E", "E"),
+            ),
+        ]
+        if K >= 20:
+            sets.append(build(TestPointConfig(2, 3, 2), K))
+        return sets
+
+    @pytest.mark.parametrize("K", [1, 2, 20, 60])
+    def test_build_q_matches_q_element(self, K):
+        config = SignalConfig(K=K, snr=0.5)
+        for kappa in (0.0, 20.0):
+            prior = VonMisesPrior(mu=0.7, kappa=kappa)
+            for points in self._sets(K):
+                for s in (0.1, 0.5, 0.9):
+                    qm = build_q(prior, config, points.with_exponent(s))
+                    h = points.h
+                    for a in range(len(h)):
+                        for b in range(a, len(h)):
+                            want = q_element(float(h[a]), float(h[b]), s, prior, config)
+                            assert qm.q[a, b] == pytest.approx(want, rel=1e-9)
+                            assert qm.q[b, a] == qm.q[a, b]
+
+    def test_overflow_wall_unchanged(self):
+        # the residual exponent reaches about 1698 here (limit 700)
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+        config = SignalConfig(K=20, snr=100.0)
+        with pytest.raises(OverflowError):
+            build_q(prior, config, build(TestPointConfig(2, 9, 10), 20))
+
+    def test_drop_matches_reduced_set(self):
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+        config = SignalConfig(K=20, snr=1.0)
+        h = 0.3 * math.pi
+        points = TestPointSet(
+            h=np.array([0.1 * math.pi, h, h + 1e-13, 0.7 * math.pi]),
+            provenance=("E",) * 4,
+        )
+        res = wwb_value(prior, config, points)
+        assert len(res.dropped_points) == 1
+        reduced = wwb_value(prior, config, points.drop(res.dropped_points[0]))
+        assert reduced.dropped_points == ()
+        assert res.mse_bound == pytest.approx(reduced.mse_bound, rel=1e-12)
+
+
 class TestBoundValue:
     def test_single_point_scalar_formula(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
@@ -251,6 +308,18 @@ class TestOptimizeS:
         points = build(TestPointConfig(2, 9, 0), 20)
         s_best, _ = optimize_s(prior, config, points)
         assert s_best == 0.5
+
+    def test_failed_exponents_recorded(self):
+        # at K=60 and +6 dB, s=0.1 hits the overflow wall and s=0.5 does not
+        prior = VonMisesPrior(mu=0.0, kappa=2.0)
+        config = SignalConfig(K=60, snr=10.0 ** 0.6)
+        points = build(TestPointConfig(2, 9, 0), 60)
+        s_best, res = optimize_s(prior, config, points, s_grid=[0.1, 0.5])
+        assert s_best == 0.5
+        assert [s for s, _ in res.s_failed] == [0.1]
+        assert "exceeds" in res.s_failed[0][1]
+        _, clean = optimize_s(prior, config, points, s_grid=[0.5])
+        assert clean.s_failed == ()
 
     def test_invalid_grid_rejected(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
