@@ -122,13 +122,6 @@ def _row(kind, snr_db, k, kappa, mu, s, trio, value, extra):
     }
 
 
-def _maybe_add_hz(row: dict, f_int_hz: float | None):
-    if f_int_hz is not None:
-        # f_IF = theta * f_INT / (2 pi); RMS error converted the same way
-        row["extra"]["rmse_hz"] = math.sqrt(row["value_rad2"]) * f_int_hz / (2.0 * math.pi)
-    return row
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the Cartesian product of sweep axes; one row per (kind, point).
 
@@ -143,7 +136,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     for k in spec.k_values:
         point_sets = {}
         if "WWB" in spec.bound_kinds:
-            point_sets = {trio: testpoints.build(TestPointConfig(*trio), k) for trio in spec.trios}
+            try:
+                point_sets = {trio: testpoints.build(TestPointConfig(*trio), k)
+                              for trio in spec.trios}
+            except ValueError as err:
+                raise SpecError("testpoint_trio", f"K={k}: {err}") from err
         for kappa in spec.kappa_values:
             for mu in spec.mu_values:
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
@@ -158,8 +155,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                         except (QuadratureError, OverflowError, RuntimeError) as err:
                             raise GridPointError(f"numerical failure at {where}: {err}") from err
                     point_index += 1
-    for row in rows:
-        _maybe_add_hz(row, spec.f_int_hz)
+    if spec.f_int_hz is not None:
+        for row in rows:  # f_IF = theta * f_INT / (2 pi); RMS error converted the same way
+            row["extra"]["rmse_hz"] = math.sqrt(row["value_rad2"]) * spec.f_int_hz / (2.0 * math.pi)
     rows.sort(
         key=lambda r: (r["kind"], r["k"], r["kappa"], r["mu_rad"], r["snr_db"],
                        r["trio"], -1.0 if r["s"] is None else r["s"])
@@ -319,32 +317,27 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--f-int", default=None, help="integration rate in Hz for unit columns")
     common.add_argument("--config-file", default=None, help="flat key=value file; flags override")
 
+    # the single-point axes of wwb, bcrb, zzb and map-sim
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--snr-db", default="0", help="dB value or comma list")
+    point.add_argument("--k", default="20")
+    point.add_argument("--kappa", default="1")
+    point.add_argument("--mu", default="0")
+
     parser = argparse.ArgumentParser(
         prog="circbound",
         description="Bayesian lower bounds on circular frequency estimation error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wwb", parents=[common], help="evaluate the analytic bound")
-    p.add_argument("--snr-db", default="0", help="dB value or comma list")
-    p.add_argument("--k", default="20")
-    p.add_argument("--kappa", default="1")
-    p.add_argument("--mu", default="0")
+    p = sub.add_parser("wwb", parents=[common, point], help="evaluate the analytic bound")
     p.add_argument("--trio", default="2,9,10", help="C,S,E test point counts")
     p.add_argument("--s", default="0.5", help="exponent value or comma grid (grid -> maximize)")
 
     for name in ("bcrb", "zzb"):
-        p = sub.add_parser(name, parents=[common], help=f"evaluate the {name.upper()}")
-        p.add_argument("--snr-db", default="0")
-        p.add_argument("--k", default="20")
-        p.add_argument("--kappa", default="1")
-        p.add_argument("--mu", default="0")
+        sub.add_parser(name, parents=[common, point], help=f"evaluate the {name.upper()}")
 
-    p = sub.add_parser("map-sim", parents=[common], help="Monte Carlo MAP estimator MSE")
-    p.add_argument("--snr-db", default="0")
-    p.add_argument("--k", default="20")
-    p.add_argument("--kappa", default="1")
-    p.add_argument("--mu", default="0")
+    p = sub.add_parser("map-sim", parents=[common, point], help="Monte Carlo MAP estimator MSE")
     p.add_argument("--phi", default="0")
     p.add_argument("--trials", default="10000")
     p.add_argument("--grid-size", default="4096")

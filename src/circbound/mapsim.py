@@ -5,18 +5,18 @@ so results are identical regardless of execution order or parallelism.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .prior import VonMisesPrior
-from .signal_model import ObservationVector, SignalConfig, generate
+from .signal_model import ObservationVector, SignalConfig, synthesize
 
 __all__ = ["McConfig", "McResult", "map_estimate", "wrap_error", "run_monte_carlo"]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_ITERS = 48
+_NEWTON_STEPS = 4
 _TRIAL_CHUNK = 1024  # fixed chunk size keeps batched results order-independent
 
 
@@ -48,73 +48,72 @@ def wrap_error(estimate, truth):
     return np.mod(np.asarray(estimate) - truth + math.pi, 2.0 * math.pi) - math.pi
 
 
-def _objective(
-    config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray, thetas: np.ndarray
-) -> np.ndarray:
-    """Log-posterior objective per trial at per-trial frequencies.
+def _fold(config: SignalConfig, samples: np.ndarray) -> np.ndarray:
+    """z = 2 snr e^{-j phi} x / A, so that the MAP objective is
+    f(theta) = Re sum_k z_k e^{-j theta k} + kappa cos(theta - mu)."""
+    return samples * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
 
-    samples: (n, K) complex, thetas: (n,). Returns (n,).
-    """
-    k = np.arange(config.K)
-    basis = np.exp(-1j * thetas[:, None] * k[None, :])
-    coherent = np.sum(samples * basis, axis=1) / (config.amplitude * config.K)
-    data = 2.0 * config.K * config.snr * np.real(np.exp(-1j * config.phi) * coherent)
-    return data + prior.kappa * np.cos(thetas - prior.mu)
+
+@functools.lru_cache(maxsize=4)
+def _grid_table(K: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grid g (G,) on [-pi, pi) and [cos(k g); sin(k g)] (2K, G)."""
+    grid = -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
+    kg = np.outer(np.arange(K), grid)
+    table = np.concatenate([np.cos(kg), np.sin(kg)])
+    grid.flags.writeable = table.flags.writeable = False
+    return grid, table
 
 
 def _grid_peak(
     config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
-    """Argmax of the objective over a shared grid, per trial row."""
-    k = np.arange(config.K)
-    basis = np.exp(-1j * np.outer(k, grid))  # (K, G)
-    prior_term = prior.kappa * np.cos(grid - prior.mu)
-    scores = (
-        2.0 * config.snr * np.real(np.exp(-1j * config.phi) * (samples @ basis))
-        / config.amplitude
-        + prior_term[None, :]
-    )
+    """Argmax of the objective over the `_grid_table` grid, per trial row; the data term
+    Re z_k cos(k g) + Im z_k sin(k g) is one product [Re z | Im z] @ [cos; sin]."""
+    z = _fold(config, samples)
+    scores = np.concatenate([z.real, z.imag], axis=1) @ _grid_table(config.K, len(grid))[1]
+    scores += prior.kappa * np.cos(grid - prior.mu)
     return grid[np.argmax(scores, axis=1)]
 
 
 def _refine_peaks(
-    config: SignalConfig,
-    prior: VonMisesPrior,
-    samples: np.ndarray,
-    centers: np.ndarray,
-    cell: float,
+    config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray,
+    centers: np.ndarray, cell: float,
 ) -> np.ndarray:
-    """Vectorized golden-section refinement within +/- one grid cell."""
-    a = centers - cell
-    b = centers + cell
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = _objective(config, prior, samples, x1)
-    f2 = _objective(config, prior, samples, x2)
-    for _ in range(_REFINE_ITERS):
-        right = f1 < f2  # maximum lies in [x1, b]
-        a = np.where(right, x1, a)
-        b = np.where(right, b, x2)
-        x1_new = np.where(right, x2, b - _GOLDEN * (b - a))
-        x2_new = np.where(right, a + _GOLDEN * (b - a), x1)
-        f_new = _objective(config, prior, samples, np.where(right, x2_new, x1_new))
-        f1, f2 = np.where(right, f2, f_new), np.where(right, f_new, f1)
-        x1, x2 = x1_new, x2_new
-    return 0.5 * (a + b)
+    """Maximize the objective within +/- one grid cell of each center by Newton
+    steps on f' = sum k Im w_k - kappa sin(theta - mu), f'' = -sum k^2 Re w_k -
+    kappa cos(theta - mu), w_k = z_k e^{-j theta k}, inside a bracket narrowed by
+    the sign of f' and bisected when f'' >= 0 or a step leaves it. A window whose
+    f rises (falls) all the way across ends at its right (left) edge."""
+    z = _fold(config, samples)
+    k = np.arange(config.K)
+
+    def derivatives(theta):  # f, f', f'' at theta of shape (..., n)
+        cos, sin = np.cos(theta[..., None] * k), np.sin(theta[..., None] * k)
+        re, im = z.real * cos + z.imag * sin, z.imag * cos - z.real * sin
+        pc, ps = prior.kappa * np.cos(theta - prior.mu), prior.kappa * np.sin(theta - prior.mu)
+        return re.sum(-1) + pc, (im * k).sum(-1) - ps, -(re * k**2).sum(-1) - pc
+
+    lo, hi = centers - cell, centers + cell
+    f, d1, _ = derivatives(np.stack([lo, hi]))
+    at_hi = (d1[1] >= 0.0) & ((d1[0] > 0.0) | (f[1] > f[0]))
+    at_lo = (d1[0] <= 0.0) & ~at_hi
+    lo, hi = np.where(at_hi, hi, lo), np.where(at_lo, lo, hi)
+    x = np.where(at_lo | at_hi, lo, centers)
+    for _ in range(_NEWTON_STEPS):
+        _, d1, d2 = derivatives(x)
+        lo, hi = np.where(d1 > 0.0, x, lo), np.where(d1 < 0.0, x, hi)
+        newton = x - d1 / np.where(d2 < 0.0, d2, -1.0)
+        # a step landing exactly on a bracket end is kept: converged rows stay put
+        x = np.where((d2 < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+    return x
 
 
 def _estimate_batch(
-    config: SignalConfig,
-    prior: VonMisesPrior,
-    samples: np.ndarray,
-    grid_size: int,
-    refine: bool,
+    config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray, grid_size: int, refine: bool
 ) -> np.ndarray:
-    grid = -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
-    peaks = _grid_peak(config, prior, samples, grid)
+    peaks = _grid_peak(config, prior, samples, _grid_table(config.K, grid_size)[0])
     if refine:
-        cell = 2.0 * math.pi / grid_size
-        peaks = _refine_peaks(config, prior, samples, peaks, cell)
+        peaks = _refine_peaks(config, prior, samples, peaks, 2.0 * math.pi / grid_size)
     return peaks
 
 
@@ -125,11 +124,24 @@ def map_estimate(
     grid_size: int = 4096,
     refine: bool = True,
 ) -> float:
-    """MAP frequency estimate: grid search then golden-section refinement."""
+    """MAP frequency estimate: grid search then bracketed Newton refinement."""
     if grid_size < 64:
         raise ValueError(f"grid_size must be >= 64, got {grid_size}")
     samples = np.asarray(obs.samples)[None, :]
     return float(_estimate_batch(config, prior, samples, grid_size, refine)[0])
+
+
+def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig, theta_fixed) -> tuple:
+    """Truths (N,) and samples (N, K): trial t draws its theta (unless fixed), then
+    its noise, from the stream default_rng([mc.seed, t])."""
+    truths = np.empty(mc.trials) if theta_fixed is None else np.full(mc.trials, float(theta_fixed))
+    normals = np.empty((mc.trials, 2, config.K))
+    for t in range(mc.trials):
+        rng = np.random.default_rng([mc.seed, t])
+        if theta_fixed is None:
+            truths[t] = prior.sample(rng)
+        rng.standard_normal(out=normals[t])
+    return truths, synthesize(config, truths, normals)
 
 
 def run_monte_carlo(
@@ -146,21 +158,11 @@ def run_monte_carlo(
     standard error come from the same scored errors. Trial t uses the random
     stream seeded by (mc.seed, t).
     """
-    truths = np.empty(mc.trials)
-    samples = np.empty((mc.trials, config.K), dtype=complex)
-    for t in range(mc.trials):
-        rng = np.random.default_rng([mc.seed, t])
-        theta = theta_fixed if theta_fixed is not None else float(prior.sample(rng))
-        obs = generate(config, theta, rng)
-        truths[t] = theta
-        samples[t] = obs.samples
-
-    estimates = np.empty(mc.trials)
-    for start in range(0, mc.trials, _TRIAL_CHUNK):
-        stop = min(start + _TRIAL_CHUNK, mc.trials)
-        estimates[start:stop] = _estimate_batch(
-            config, prior, samples[start:stop], mc.grid_size, mc.refine
-        )
+    truths, samples = _trials(config, prior, mc, theta_fixed)
+    estimates = np.concatenate([
+        _estimate_batch(config, prior, samples[i:i + _TRIAL_CHUNK], mc.grid_size, mc.refine)
+        for i in range(0, mc.trials, _TRIAL_CHUNK)
+    ])
 
     errors = wrap_error(estimates, truths) if wrap else estimates - truths
     sq = errors**2

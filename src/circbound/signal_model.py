@@ -52,12 +52,17 @@ def snr_from_cn0(cn0_dbhz: float, bandwidth_hz: float) -> float:
     return 10.0 ** (cn0_dbhz / 10.0) / bandwidth_hz
 
 
+def synthesize(config: SignalConfig, thetas: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Rows A e^{i(theta k + phi)} + sigma (u_k + i v_k); normals (n, 2, K) hold (u, v)."""
+    outside = thetas[~((thetas >= -math.pi) & (thetas <= math.pi))]
+    if outside.size:
+        raise ValueError(f"theta outside [-pi, pi]: {outside[0]}")
+    clean = config.amplitude * np.exp(1j * (thetas[:, None] * np.arange(config.K) + config.phi))
+    return clean + math.sqrt(config.sigma2) * (normals[:, 0] + 1j * normals[:, 1])
+
+
 def generate(config: SignalConfig, theta: float, rng: np.random.Generator) -> ObservationVector:
     """Draw one observation vector at frequency `theta`."""
-    if not (-math.pi <= theta <= math.pi):
-        raise ValueError(f"theta outside [-pi, pi]: {theta}")
-    k = np.arange(config.K)
-    clean = config.amplitude * np.exp(1j * (theta * k + config.phi))
-    sigma = math.sqrt(config.sigma2)
-    noise = sigma * (rng.standard_normal(config.K) + 1j * rng.standard_normal(config.K))
-    return ObservationVector(samples=clean + noise, truth=theta)
+    normals = rng.standard_normal((1, 2, config.K))
+    samples = synthesize(config, np.array([theta], dtype=float), normals)[0]
+    return ObservationVector(samples=samples, truth=theta)

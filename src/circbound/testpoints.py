@@ -121,6 +121,8 @@ def sidelobe_points(K: int, grid_step: float | None = None) -> np.ndarray:
     if grid_step is None:
         grid_step = math.pi / (64 * K)
     first_null = 2.0 * math.pi / K
+    if first_null >= math.pi:  # K = 2: the main lobe fills (0, pi]
+        return np.empty(0)
     grid = np.arange(first_null + grid_step, math.pi + 0.5 * grid_step, grid_step)
     grid[-1] = math.pi
     vals = dirichlet_kernel(grid, K)

@@ -154,6 +154,25 @@ class TestMainExitCodes:
         assert s_failed == 0.1 and "exceeds" in message
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_missing_side_lobes_name_trio(self, k, capsys):
+        rc = main(["wwb", "--k", k])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid testpoint_trio:") and f"K={k}" in err
+
+    def test_two_samples_without_side_lobes(self, tmp_path):
+        out = tmp_path / "w.csv"
+        rc = main(["wwb", "--k", "2", "--trio", "2,0,10", "--out", str(out)])
+        assert rc == 0
+        (row,) = parse_rows(out.read_text())
+        assert row["value_rad2"] == 0.5171918780647794
+
+    def test_map_sim_theta_outside_circle(self, capsys):
+        rc = main(["map-sim", "--theta", "3.5", "--trials", "5"])
+        assert rc == 2
+        assert "theta" in capsys.readouterr().err
+
     def test_large_kappa_accepted(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = main(["bcrb", "--kappa", "600", "--out", str(out)])

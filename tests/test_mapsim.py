@@ -23,6 +23,49 @@ class _ZeroNoise:
         return np.zeros(size)
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CELL = 2.0 * math.pi / 4096
+
+
+def _rise(config, prior, samples, x0, delta):
+    """f(x0 + delta) - f(x0) per row, f(theta) = Re sum_k z_k e^{-j theta k} +
+    kappa cos(theta - mu) with z = 2 snr e^{-j phi} x / A.
+
+    Summed from terms that vanish with delta, so differences near a peak stay
+    accurate where f itself is flat to rounding.
+    """
+    k = np.arange(config.K)
+    z = samples * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
+    w0 = z * np.exp(-1j * x0[:, None] * k)
+    kd = k * delta[:, None]
+    data = (w0.imag * np.sin(kd) - 2.0 * w0.real * np.sin(0.5 * kd) ** 2).sum(axis=1)
+    u = x0 - prior.mu
+    prior_rise = np.sin(u) * np.sin(delta) + 2.0 * np.cos(u) * np.sin(0.5 * delta) ** 2
+    return data - prior.kappa * prior_rise
+
+
+def _dense_golden_peak(config, prior, samples, centers, cell):
+    """Best of 201 evenly spaced offsets within +/- cell, polished by golden
+    section between its neighbours; returns (best point, offset)."""
+    offsets = np.linspace(-cell, cell, 201)
+    rises = np.stack([_rise(config, prior, samples, centers, np.full(centers.size, o))
+                      for o in offsets], axis=1)
+    best = np.argmax(rises, axis=1)
+    x0, step = centers + offsets[best], offsets[1] - offsets[0]
+    a = np.maximum(-step, -cell - offsets[best])
+    b = np.minimum(step, cell - offsets[best])
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = _rise(config, prior, samples, x0, x1), _rise(config, prior, samples, x0, x2)
+    for _ in range(120):
+        right = f1 < f2
+        a, b = np.where(right, x1, a), np.where(right, b, x2)
+        x1, x2 = (np.where(right, x2, b - _GOLDEN * (b - a)),
+                  np.where(right, a + _GOLDEN * (b - a), x1))
+        f_new = _rise(config, prior, samples, x0, np.where(right, x2, x1))
+        f1, f2 = np.where(right, f2, f_new), np.where(right, f_new, f1)
+    return x0, 0.5 * (a + b)
+
+
 class TestWrapError:
     def test_small_error_unchanged(self):
         assert wrap_error(0.1, 0.0) == pytest.approx(0.1)
@@ -94,7 +137,62 @@ class TestMapEstimate:
             map_estimate(config, VonMisesPrior(), obs, grid_size=32)
 
 
+class TestRefinePeaks:
+    @pytest.mark.parametrize("K", [5, 20, 60])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 50.0])
+    def test_matches_dense_golden_section(self, K, kappa):
+        prior = VonMisesPrior(mu=0.7, kappa=kappa)
+        for snr_db in range(-20, 11, 5):
+            config = SignalConfig(K=K, snr=10.0 ** (snr_db / 10.0))
+            mc = McConfig(trials=32, seed=100 * K + snr_db + 20)
+            _, samples = mapsim._trials(config, prior, mc, None)
+            centers = mapsim._grid_peak(config, prior, samples, mapsim._grid_table(K, 4096)[0])
+            got = mapsim._refine_peaks(config, prior, samples, centers, _CELL)
+            x0, offset = _dense_golden_peak(config, prior, samples, centers, _CELL)
+            np.testing.assert_allclose(got, x0 + offset, rtol=0.0, atol=1e-9)
+            # never lower than the reference, up to rounding of the rise itself
+            slack = 1e-15 * (np.abs(samples).sum(axis=1) + kappa)
+            assert np.all(_rise(config, prior, samples, x0, got - x0)
+                          >= _rise(config, prior, samples, x0, offset) - slack)
+
+    def test_monotone_window_ends_at_its_edge(self):
+        # the grid peak lies within half a cell of the maximum, so windows
+        # shifted by 1.5 cells see f fall (or rise) all the way across
+        config = SignalConfig(K=20, snr=1.0)
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=64, seed=4), None)
+        centers = mapsim._grid_peak(config, prior, samples, mapsim._grid_table(20, 4096)[0])
+        above, below = centers + 1.5 * _CELL, centers - 1.5 * _CELL
+        got_above = mapsim._refine_peaks(config, prior, samples, above, _CELL)
+        got_below = mapsim._refine_peaks(config, prior, samples, below, _CELL)
+        np.testing.assert_allclose(got_above, above - _CELL, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got_below, below + _CELL, rtol=0.0, atol=1e-12)
+
+    def test_flat_objective_stays_finite(self):
+        # zero samples and kappa = 0 make f, f' and f'' vanish everywhere
+        config = SignalConfig(K=20, snr=1.0)
+        centers = np.array([-1.0, 0.0, 2.5])
+        with np.errstate(all="raise"):
+            got = mapsim._refine_peaks(config, VonMisesPrior(), np.zeros((3, 20), complex),
+                                       centers, _CELL)
+        # no end is higher, so the left one is kept, as golden section does
+        assert np.array_equal(got, centers - _CELL)
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("theta_fixed", [None, 0.4])
+    def test_trial_streams_match_per_trial_generation(self, theta_fixed):
+        config = SignalConfig(K=7, snr=0.3, phi=0.2)
+        prior = VonMisesPrior(mu=0.5, kappa=2.0)
+        mc = McConfig(trials=50, seed=12)
+        truths, samples = mapsim._trials(config, prior, mc, theta_fixed)
+        for t in range(mc.trials):
+            rng = np.random.default_rng([mc.seed, t])
+            theta = float(prior.sample(rng)) if theta_fixed is None else theta_fixed
+            obs = generate(config, theta, rng)
+            assert truths[t] == theta
+            assert np.array_equal(samples[t], obs.samples)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)

@@ -71,6 +71,15 @@ class TestGenerate:
         b = generate(cfg, 0.1, np.random.default_rng(42)).samples
         assert np.array_equal(a, b)
 
+    def test_stream_order_real_then_imaginary_draws(self):
+        # one trial's stream: K real noise parts, then K imaginary parts
+        cfg = SignalConfig(K=6, snr=0.7, phi=0.3, sigma2=2.0)
+        got = generate(cfg, 0.2, np.random.default_rng(3)).samples
+        rng = np.random.default_rng(3)
+        re, im = rng.standard_normal(6), rng.standard_normal(6)
+        clean = cfg.amplitude * np.exp(1j * (0.2 * np.arange(6) + cfg.phi))
+        assert np.array_equal(got, clean + math.sqrt(2.0) * (re + 1j * im))
+
     def test_noise_variance(self):
         n = 1_000_000
         big = SignalConfig(K=n, snr=1.0, sigma2=1.0)

@@ -92,6 +92,14 @@ class TestSidelobePoints:
         with pytest.raises(DomainError):
             sidelobe_points(1)
 
+    def test_two_samples_have_no_side_lobes(self):
+        # D(h) = 1 + cos h: the first null 2 pi / K is already pi
+        assert sidelobe_points(2).shape == (0,)
+        with pytest.raises(ValueError, match="only 0 exist for K=2"):
+            build(TestPointConfig(2, 9, 10), 2)
+        pts = build(TestPointConfig(2, 0, 10), 2)
+        assert set(pts.provenance) == {"C", "E"}
+
 
 class TestConfig:
     def test_trio_echo(self):
