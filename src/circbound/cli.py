@@ -99,6 +99,8 @@ class SweepSpec:
             raise SpecError("testpoint_trio", "empty list")
         if self.trials < 1:
             raise SpecError("trials", "must be >= 1")
+        if self.seed < 0:
+            raise SpecError("seed", "must be >= 0")
         if self.output_format not in ("csv", "json"):
             raise SpecError("output_format", "must be csv or json")
 

@@ -1,23 +1,36 @@
 """MAP estimator and the Monte Carlo harness that validates the bounds.
 
-Per-trial random streams derive deterministically from (seed, trial index),
-so results are identical regardless of execution order or parallelism.
+Trial t draws from the stream np.random.default_rng([seed, t]), so results are
+identical regardless of execution order or parallelism. That stream is produced
+without building it: the SeedSequence hash of every (seed, t) is computed in one
+array pass, turned into the PCG64 state that seeding would set, and assigned to
+one reused Generator.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .prior import VonMisesPrior
+from .prior import VonMisesPrior, wrap_angle
 from .signal_model import ObservationVector, SignalConfig, synthesize
 
 __all__ = ["McConfig", "McResult", "map_estimate", "wrap_error", "run_monte_carlo"]
 
 _NEWTON_STEPS = 4
 _TRIAL_CHUNK = 1024  # fixed chunk size keeps batched results order-independent
+
+# numpy.random.SeedSequence (a port of O'Neill's seed_seq, pool size 4) and the
+# PCG64 multiplier; uint32 arithmetic is done in uint64 arrays masked to 32 bits
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -28,6 +41,13 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        object.__setattr__(self, "seed", seed)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.grid_size < 64:
@@ -45,7 +65,7 @@ class McResult:
 
 def wrap_error(estimate, truth):
     """Wrapped (circular) error in [-pi, pi); accepts scalars or arrays."""
-    return np.mod(np.asarray(estimate) - truth + math.pi, 2.0 * math.pi) - math.pi
+    return wrap_angle(np.asarray(estimate) - truth)
 
 
 def _fold(config: SignalConfig, samples: np.ndarray) -> np.ndarray:
@@ -131,16 +151,72 @@ def map_estimate(
     return float(_estimate_batch(config, prior, samples, grid_size, refine)[0])
 
 
+def _hasher(const: int, mult: int):
+    """numpy's SeedSequence hashmix with its own running constant: each call XORs
+    the constant in, steps it by `mult` and multiplies it in, all mod 2**32."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+    return hashmix
+
+
+def _seed_words(seed: int, t: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, t]).generate_state(4, np.uint64) for each t, shape (n, 4).
+
+    The entropy is the 32-bit words of `seed` (little-endian, at least one)
+    followed by t, which is one word (t < 2**32)."""
+    entropy = [np.full(t.shape, seed >> 32 * i & _MASK32, dtype=np.uint64)
+               for i in range(max(1, (seed.bit_length() + 31) // 32))] + [t.astype(np.uint64)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(word) for word in (entropy + [np.zeros_like(t, dtype=np.uint64)] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_out = _hasher(_INIT_B, _MULT_B)
+    state = [hash_out(pool[i % 4]) for i in range(8)]  # uint32 words, little-endian pairs
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
+    """PCG64 (state, inc) that seeding from `words` rows (s_hi, s_lo, i_hi, i_lo)
+    sets: inc = 2i + 1 and state = (inc + s) * multiplier + inc, mod 2**128."""
+    w = words.astype(object)  # Python ints: exact 128-bit arithmetic
+    inc = (w[:, 2] << 65 | w[:, 3] << 1 | 1) & _MASK128
+    state = (((w[:, 0] << 64 | w[:, 1]) + inc) * _PCG64_MULT + inc) & _MASK128
+    return state.tolist(), inc.tolist()
+
+
 def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig, theta_fixed) -> tuple:
     """Truths (N,) and samples (N, K): trial t draws its theta (unless fixed), then
-    its noise, from the stream default_rng([mc.seed, t])."""
+    its noise, from the stream default_rng([mc.seed, t]).
+
+    The stream is not built per trial: `_seed_words` hashes every trial's seed at
+    once, `_pcg64_states` turns each row into the PCG64 state that default_rng
+    would set, and one Generator is re-seated on it before the trial's draws."""
     truths = np.empty(mc.trials) if theta_fixed is None else np.full(mc.trials, float(theta_fixed))
     normals = np.empty((mc.trials, 2, config.K))
-    for t in range(mc.trials):
-        rng = np.random.default_rng([mc.seed, t])
+    gen = np.random.Generator(np.random.PCG64(0))  # fixed seed: no OS entropy is read
+    states, incs = _pcg64_states(_seed_words(mc.seed, np.arange(mc.trials)))
+    for t, (state, inc) in enumerate(zip(states, incs)):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
         if theta_fixed is None:
-            truths[t] = prior.sample(rng)
-        rng.standard_normal(out=normals[t])
+            truths[t] = gen.vonmises(prior.mu, prior.kappa)
+        gen.standard_normal(out=normals[t])
+    if theta_fixed is None:
+        truths = wrap_angle(truths)
     return truths, synthesize(config, truths, normals)
 
 

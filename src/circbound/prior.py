@@ -13,11 +13,16 @@ from scipy.special import i0e, i1e
 
 from .numerics import DomainError
 
-__all__ = ["VonMisesPrior", "UNIFORM_VARIANCE"]
+__all__ = ["VonMisesPrior", "UNIFORM_VARIANCE", "wrap_angle"]
 
 # variance of the uniform distribution on [-pi, pi]; the normal-approximation
 # surrogate -2 ln(I1/I0) diverges as kappa -> 0, so it is clamped here
 UNIFORM_VARIANCE = math.pi**2 / 3.0
+
+
+def wrap_angle(theta):
+    """Angles wrapped into [-pi, pi]; accepts scalars or arrays."""
+    return np.mod(theta + math.pi, 2.0 * math.pi) - math.pi
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,7 @@ class VonMisesPrior:
         Uses the Best-Fisher rejection sampler (numpy's Generator.vonmises);
         results are wrapped into [-pi, pi].
         """
-        draws = rng.vonmises(self.mu, self.kappa, size=size)
-        return np.mod(draws + math.pi, 2.0 * math.pi) - math.pi
+        return wrap_angle(rng.vonmises(self.mu, self.kappa, size=size))
 
     def bessel_ratio(self) -> float:
         """I1(kappa) / I0(kappa), in [0, 1)."""

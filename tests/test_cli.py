@@ -173,6 +173,11 @@ class TestMainExitCodes:
         assert rc == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_negative_seed_names_field(self, capsys):
+        rc = main(["map-sim", "--seed", "-1", "--trials", "5"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: invalid seed:")
+
     def test_large_kappa_accepted(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = main(["bcrb", "--kappa", "600", "--out", str(out)])

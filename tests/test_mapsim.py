@@ -182,22 +182,45 @@ class TestRefinePeaks:
 class TestMonteCarlo:
     @pytest.mark.parametrize("theta_fixed", [None, 0.4])
     def test_trial_streams_match_per_trial_generation(self, theta_fixed):
-        config = SignalConfig(K=7, snr=0.3, phi=0.2)
-        prior = VonMisesPrior(mu=0.5, kappa=2.0)
-        mc = McConfig(trials=50, seed=12)
-        truths, samples = mapsim._trials(config, prior, mc, theta_fixed)
-        for t in range(mc.trials):
-            rng = np.random.default_rng([mc.seed, t])
-            theta = float(prior.sample(rng)) if theta_fixed is None else theta_fixed
-            obs = generate(config, theta, rng)
-            assert truths[t] == theta
-            assert np.array_equal(samples[t], obs.samples)
+        # kappa 1e7 takes numpy's wrapped-normal branch of vonmises
+        for kappa in (0.0, 2.0, 800.0, 1e7):
+            config = SignalConfig(K=7, snr=0.3, phi=0.2)
+            prior = VonMisesPrior(mu=0.5, kappa=kappa)
+            mc = McConfig(trials=50, seed=12)
+            truths, samples = mapsim._trials(config, prior, mc, theta_fixed)
+            for t in range(mc.trials):
+                rng = np.random.default_rng([mc.seed, t])
+                theta = float(prior.sample(rng)) if theta_fixed is None else theta_fixed
+                obs = generate(config, theta, rng)
+                assert truths[t] == theta
+                assert np.array_equal(samples[t], obs.samples)
+
+    # one to four 32-bit seed words; the 100-bit seed makes five entropy words
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
+    def test_seed_words_and_states_match_numpy(self, seed):
+        t = np.array([0, 1, 65_536, 99_999])
+        words = mapsim._seed_words(seed, t)
+        states, incs = mapsim._pcg64_states(words)
+        for i, ti in enumerate(t.tolist()):
+            want = np.random.SeedSequence([seed, ti]).generate_state(4, np.uint64)
+            assert words.dtype == np.uint64 and np.array_equal(words[i], want)
+            bit_state = np.random.default_rng([seed, ti]).bit_generator.state
+            assert bit_state["state"] == {"state": states[i], "inc": incs[i]}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
         with pytest.raises(ValueError):
             McConfig(grid_size=32)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=seed)
+
+    def test_numpy_integer_seed_is_taken_as_int(self):
+        mc = McConfig(trials=3, seed=np.uint32(5))
+        assert type(mc.seed) is int and mc == McConfig(trials=3, seed=5)
 
     def test_single_trial_reproducible(self):
         config = SignalConfig(K=20, snr=1.0)

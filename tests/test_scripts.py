@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from circbound.cli import FIGURE_PRESETS
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,3 +27,12 @@ def test_script_runs(name, argv, lines, capsys):
     out = capsys.readouterr().out
     assert len(out.splitlines()) == lines
     assert "nan" not in out
+
+
+def test_reproduce_figures_writes_every_preset(tmp_path):
+    assert _load("reproduce_figures").run(["--trials", "20", "--outdir", str(tmp_path)]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == [f"figure_{fig:02d}.csv" for fig in sorted(FIGURE_PRESETS)]
+    assert len(written) == 6
+    for path in tmp_path.iterdir():
+        assert "nan" not in path.read_text()
