@@ -6,17 +6,17 @@ from .benchmarks import bcrb, fisher_information, zzb
 from .mapsim import McConfig, McResult, map_estimate, run_monte_carlo, wrap_error
 from .numerics import QuadratureSpec
 from .prior import VonMisesPrior
-from .signal_model import ObservationVector, SignalConfig, generate, snr_from_cn0
+from .signal_model import SignalConfig, generate
 from .testpoints import TestPointConfig, TestPointSet, build, even_points, sidelobe_points
-from .wwb import QMatrix, WwbResult, optimize_s, wwb_value
+from .wwb import WwbResult, optimize_s, wwb_value
 
 __all__ = [
     "bcrb", "fisher_information", "zzb",
     "McConfig", "McResult", "map_estimate", "run_monte_carlo", "wrap_error",
     "QuadratureSpec", "VonMisesPrior",
-    "ObservationVector", "SignalConfig", "generate", "snr_from_cn0",
+    "SignalConfig", "generate",
     "TestPointConfig", "TestPointSet", "build", "even_points", "sidelobe_points",
-    "QMatrix", "WwbResult", "optimize_s", "wwb_value",
+    "WwbResult", "optimize_s", "wwb_value",
 ]
 
 __version__ = "0.1.0"

@@ -229,14 +229,19 @@ def emit(rows: list[dict], fmt: str, path: str) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(rows, sort_keys=True, indent=1) + "\n"
+    _write(text, path)
+
+
+def _write(text: str, path: str) -> None:
+    """Write `text` to `path`, or to stdout for '-'."""
     if path == "-":
         sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as err:
-            raise RuntimeError(f"cannot write {path}: {err}") from err
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise RuntimeError(f"cannot write {path}: {err}") from err
 
 
 def parse_rows(text: str) -> list[dict]:
@@ -266,8 +271,15 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _int(text: str, fieldname: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(fieldname, f"expected an integer, got {text!r}") from None
+
+
+def _ints(text: str, fieldname: str) -> list[int]:
+    return [_int(v, fieldname) for v in text.split(",") if v.strip() != ""]
 
 
 def _snr_axis(text: str) -> list[float]:
@@ -285,7 +297,7 @@ def _snr_axis(text: str) -> list[float]:
 
 
 def _trio(text: str) -> tuple[int, int, int]:
-    vals = _ints(text)
+    vals = _ints(text, "testpoint_trio")
     if len(vals) != 3:
         raise SpecError("testpoint_trio", f"expected C,S,E, got {text!r}")
     return (vals[0], vals[1], vals[2])
@@ -407,16 +419,16 @@ def _make_spec(args) -> SweepSpec:
     ]
     return SweepSpec(
         snr_db=_snr_axis(args.snr_db if args.snr_db is not None else _FIGURE_SNR),
-        k_values=_ints(pick(args.k, "k", "20")),
+        k_values=_ints(pick(args.k, "k", "20"), "k_values"),
         kappa_values=_floats(pick(args.kappa, "kappa", "1")),
         mu_values=_floats(pick(args.mu, "mu", "0")),
         bound_kinds=[k.strip().upper() for k in kinds],
         trios=trios,
         s_grid=_floats(pick(args.s, "s", "0.5")),
-        seed=int(args.seed),
-        trials=int(args.trials),
-        mc_grid_size=int(args.grid_size),
-        quad_nodes=int(args.quad_nodes),
+        seed=_int(args.seed, "seed"),
+        trials=_int(args.trials, "trials"),
+        mc_grid_size=_int(args.grid_size, "grid_size"),
+        quad_nodes=_int(args.quad_nodes, "quad_nodes"),
         f_int_hz=float(args.f_int) if args.f_int else None,
         output_path=args.out,
         output_format=args.format,
@@ -426,12 +438,12 @@ def _make_spec(args) -> SweepSpec:
 def _single_point_spec(args, kind: str) -> SweepSpec:
     spec = SweepSpec(
         snr_db=_floats(args.snr_db),
-        k_values=_ints(args.k),
+        k_values=_ints(args.k, "k_values"),
         kappa_values=_floats(args.kappa),
         mu_values=_floats(args.mu),
         bound_kinds=[kind],
-        quad_nodes=int(args.quad_nodes),
-        seed=int(args.seed),
+        quad_nodes=_int(args.quad_nodes, "quad_nodes"),
+        seed=_int(args.seed, "seed"),
         f_int_hz=float(args.f_int) if args.f_int else None,
         output_path=args.out,
         output_format=args.format,
@@ -441,8 +453,8 @@ def _single_point_spec(args, kind: str) -> SweepSpec:
         spec.s_grid = _floats(args.s)
         spec.maximize_s = len(spec.s_grid) > 1
     if kind == "MAP":
-        spec.trials = int(args.trials)
-        spec.mc_grid_size = int(args.grid_size)
+        spec.trials = _int(args.trials, "trials")
+        spec.mc_grid_size = _int(args.grid_size, "grid_size")
         spec.phi = float(args.phi)
         spec.theta = float(args.theta) if args.theta is not None else None
         spec.refine = not args.no_refine
@@ -452,18 +464,13 @@ def _single_point_spec(args, kind: str) -> SweepSpec:
 
 def _cmd_testpoints(args) -> int:
     trio = _trio(args.config)
-    points = testpoints.build(TestPointConfig(*trio), int(args.k))
+    points = testpoints.build(TestPointConfig(*trio), _int(args.k, "k"))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["h_rad", "h_over_pi", "provenance"])
     for h, tag in zip(points.h, points.provenance):
         writer.writerow([f"{h:.17g}", f"{h / math.pi:.17g}", tag])
-    text = buf.getvalue()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write(buf.getvalue(), args.out)
     return 0
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prior import VonMisesPrior, wrap_angle
-from .signal_model import ObservationVector, SignalConfig, synthesize
+from .signal_model import SignalConfig, synthesize
 
 __all__ = ["McConfig", "McResult", "map_estimate", "wrap_error", "run_monte_carlo"]
 
@@ -140,15 +140,14 @@ def _estimate_batch(
 def map_estimate(
     config: SignalConfig,
     prior: VonMisesPrior,
-    obs: ObservationVector,
+    samples: np.ndarray,
     grid_size: int = 4096,
     refine: bool = True,
 ) -> float:
-    """MAP frequency estimate: grid search then bracketed Newton refinement."""
+    """MAP frequency estimate from K complex samples: grid search, then Newton refinement."""
     if grid_size < 64:
         raise ValueError(f"grid_size must be >= 64, got {grid_size}")
-    samples = np.asarray(obs.samples)[None, :]
-    return float(_estimate_batch(config, prior, samples, grid_size, refine)[0])
+    return float(_estimate_batch(config, prior, np.asarray(samples)[None, :], grid_size, refine)[0])
 
 
 def _hasher(const: int, mult: int):

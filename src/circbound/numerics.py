@@ -1,4 +1,4 @@
-"""Special functions, quadrature, and small linear algebra shared by the bound modules.
+"""Dirichlet kernel, quadrature, and small linear algebra shared by the bound modules.
 
 Everything here is pure and thread-safe.
 """
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, i0e, i1e
+from scipy.special import gammainc
 
 __all__ = [
     "QuadratureSpec",
@@ -16,8 +16,6 @@ __all__ = [
     "DomainError",
     "QuadratureError",
     "SingularMatrixError",
-    "bessel_i0",
-    "bessel_i1",
     "dirichlet_kernel",
     "integrate",
     "normal_tail",
@@ -62,27 +60,6 @@ DEFAULT_QUAD = QuadratureSpec()
 # order of the Gauss-Legendre rule inside each panel
 _GL_ORDER = 8
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-
-def _bessel_i(x: float, scaled) -> float:
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"modified Bessel argument must be finite and >= 0, got {x}")
-    # e^x in two halves: e^x alone overflows before I_n(x) does
-    half = math.exp(0.5 * x)
-    value = float(scaled(x)) * half * half
-    if math.isinf(value):
-        raise DomainError(f"modified Bessel value overflows double precision at {x}; use i0e/i1e")
-    return value
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order 0."""
-    return _bessel_i(x, i0e)
-
-
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function of the first kind, order 1."""
-    return _bessel_i(x, i1e)
 
 
 def dirichlet_kernel(h, K: int):

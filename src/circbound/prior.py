@@ -1,7 +1,7 @@
 """Von Mises prior on the normalized circular frequency.
 
-Density, log-density, sampling, Bessel ratio, and the variance surrogate used
-by the Ziv-Zakai closed form.
+Log normalizer, sampling, Bessel ratio, and the variance surrogate used by the
+Ziv-Zakai closed form.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ def wrap_angle(theta):
 
 @dataclass(frozen=True)
 class VonMisesPrior:
-    """Location `mu` (radians in [-pi, pi]) and concentration `kappa` >= 0."""
+    """Location `mu` (radians in [-pi, pi]) and finite concentration `kappa` >= 0."""
 
     mu: float = 0.0
     kappa: float = 0.0
@@ -35,32 +35,14 @@ class VonMisesPrior:
     def __post_init__(self):
         if not (-math.pi <= self.mu <= math.pi):
             raise ValueError(f"mu must lie in [-pi, pi], got {self.mu}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        # kappa is the argument of the Bessel functions I0 and I1
+        if not (0.0 <= self.kappa < math.inf):
+            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
 
     @property
     def log_norm(self) -> float:
         """ln(2 pi I0(kappa)), the log normalizing constant; ln I0 = ln i0e(kappa) + kappa."""
         return math.log(2.0 * math.pi * float(i0e(self.kappa))) + self.kappa
-
-    def pdf(self, theta: float) -> float:
-        """Density e^{kappa cos(theta-mu)} / (2 pi I0(kappa)) on [-pi, pi], 0 outside."""
-        if not math.isfinite(theta):
-            raise DomainError(f"theta must be finite, got {theta}")
-        if not (-math.pi <= theta <= math.pi):
-            return 0.0
-        return math.exp(self.kappa * math.cos(theta - self.mu) - self.log_norm)
-
-    def log_pdf(self, theta: float) -> float:
-        if not (-math.pi <= theta <= math.pi):
-            raise DomainError(f"theta outside support [-pi, pi]: {theta}")
-        return self.kappa * math.cos(theta - self.mu) - self.log_norm
-
-    def pdf_array(self, theta: np.ndarray) -> np.ndarray:
-        """Vectorized pdf; support handled by masking."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.exp(self.kappa * np.cos(theta - self.mu) - self.log_norm)
-        return np.where((theta >= -math.pi) & (theta <= math.pi), out, 0.0)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw from the prior; uniform on [-pi, pi] when kappa = 0.

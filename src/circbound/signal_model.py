@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SignalConfig", "ObservationVector", "snr_from_cn0"]
+__all__ = ["SignalConfig", "synthesize", "generate"]
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,6 @@ class SignalConfig:
         return math.sqrt(2.0 * self.sigma2 * self.snr)
 
 
-@dataclass(frozen=True)
-class ObservationVector:
-    """K complex samples plus the generating frequency, kept for error scoring."""
-
-    samples: np.ndarray
-    truth: float
-
-
-def snr_from_cn0(cn0_dbhz: float, bandwidth_hz: float) -> float:
-    """Linear SNR from a carrier-to-noise density ratio and sampling bandwidth."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth_hz}")
-    return 10.0 ** (cn0_dbhz / 10.0) / bandwidth_hz
-
-
 def synthesize(config: SignalConfig, thetas: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Rows A e^{i(theta k + phi)} + sigma (u_k + i v_k); normals (n, 2, K) hold (u, v)."""
     outside = thetas[~((thetas >= -math.pi) & (thetas <= math.pi))]
@@ -61,8 +46,7 @@ def synthesize(config: SignalConfig, thetas: np.ndarray, normals: np.ndarray) ->
     return clean + math.sqrt(config.sigma2) * (normals[:, 0] + 1j * normals[:, 1])
 
 
-def generate(config: SignalConfig, theta: float, rng: np.random.Generator) -> ObservationVector:
-    """Draw one observation vector at frequency `theta`."""
+def generate(config: SignalConfig, theta: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw the K complex samples of one observation at frequency `theta`."""
     normals = rng.standard_normal((1, 2, config.K))
-    samples = synthesize(config, np.array([theta], dtype=float), normals)[0]
-    return ObservationVector(samples=samples, truth=theta)
+    return synthesize(config, np.array([theta], dtype=float), normals)[0]

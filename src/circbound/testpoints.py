@@ -78,15 +78,6 @@ class TestPointSet:
     def with_exponent(self, s: float) -> "TestPointSet":
         return TestPointSet(h=self.h, provenance=self.provenance, s=s)
 
-    def drop(self, index: int) -> "TestPointSet":
-        keep = np.ones(len(self), dtype=bool)
-        keep[index] = False
-        return TestPointSet(
-            h=self.h[keep],
-            provenance=tuple(p for i, p in enumerate(self.provenance) if keep[i]),
-            s=self.s,
-        )
-
 
 def close_points() -> np.ndarray:
     """The two near-main-lobe offsets, ascending."""

@@ -1,10 +1,11 @@
 """Analytic Weiss-Weinstein-type lower bound for circular frequency estimation.
 
-Closed-form data exponents (Dirichlet-kernel combinations), prior-only log
-integrals over the von Mises support, assembly of the score matrix, the
-scalar bound h Q^{-1} h^T, and the grid search over the shared exponent s.
-The exponents of Q are snr * core + gamma: the data cores and the prior
-log-integrals gamma are computed once per test-point set, as arrays.
+The four score products are laid out once, as (weights, offsets) in
+`_products`; their closed-form data exponents (Dirichlet-kernel sums) and
+their prior-only log integrals over the von Mises support derive from that
+table. The exponents of Q are snr * core + gamma: the data cores and the prior
+log-integrals gamma are computed once per test-point set, as arrays. On Q sit
+the scalar bound h Q^{-1} h^T and the grid search over the shared exponent s.
 """
 from __future__ import annotations
 
@@ -26,19 +27,7 @@ from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointSet
 
-__all__ = [
-    "QMatrix",
-    "WwbResult",
-    "mu_i",
-    "gamma_i",
-    "mu_cross",
-    "gamma_cross",
-    "q_element",
-    "build_q",
-    "wwb_value",
-    "optimize_s",
-    "DEFAULT_S_GRID",
-]
+__all__ = ["WwbResult", "build_q", "wwb_value", "optimize_s", "DEFAULT_S_GRID"]
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
@@ -52,15 +41,6 @@ _SET_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
-class QMatrix:
-    """Symmetric score matrix with its test-point row vector and shared exponent."""
-
-    q: np.ndarray
-    h: np.ndarray
-    s: float
-
-
-@dataclass(frozen=True)
 class WwbResult:
     mse_bound: float
     db: float
@@ -69,53 +49,38 @@ class WwbResult:
     s_failed: tuple[tuple[float, str], ...] = ()
 
 
-def _cores(s_i, s_j, h_i, h_j, K: int) -> np.ndarray:
-    """Data exponents at snr = 1 of the four score products, stacked on a new first axis.
+def _products(s_i, s_j, h_i, h_j) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w and offsets o, each 4 x 3 x ..., of the four score products.
 
-    Arguments broadcast; requires h_i >= h_j. With s_j = 0 the first product is
-    the single-point normalizer of h_i.
+    Product t is the expectation of prod_l p(x, theta + o[t, l])^{w[t, l]} over
+    x and theta, with weights summing to 1 (Van Trees & Bell, Bayesian Bounds,
+    2007). Arguments broadcast. With s_j = 0 the first product is the
+    single-point normalizer of h_i.
     """
-    d_i, d_j = dirichlet_kernel(h_i, K), dirichlet_kernel(h_j, K)
-    d_minus, d_plus = dirichlet_kernel(h_i - h_j, K), dirichlet_kernel(h_i + h_j, K)
-    return np.stack([
-        K * ((s_i + s_j - 1.0) ** 2 + s_i**2 + s_j**2 - 1.0)
-        + 2.0 * s_i * s_j * d_minus
-        - 2.0 * (s_i + s_j - 1.0) * s_i * d_i
-        - 2.0 * (s_i + s_j - 1.0) * s_j * d_j,
-        K * (s_j**2 + (s_i - 1.0) ** 2 + (s_i - s_j) ** 2 - 1.0)
-        - 2.0 * s_j * (s_i - 1.0) * d_plus
-        + 2.0 * s_j * (s_i - s_j) * d_j
-        - 2.0 * (s_i - 1.0) * (s_i - s_j) * d_i,
-        K * (s_i**2 + (s_j - 1.0) ** 2 + (s_i - s_j) ** 2 - 1.0)
-        - 2.0 * s_i * (s_j - 1.0) * d_plus
-        + 2.0 * s_i * (s_j - s_i) * d_i
-        - 2.0 * (s_j - 1.0) * (s_j - s_i) * d_j,
-        K * ((s_i + s_j - 1.0) ** 2 + (s_i - 1.0) ** 2 + (s_j - 1.0) ** 2 - 1.0)
-        - 2.0 * (s_i + s_j - 1.0) * (s_i - 1.0) * d_i
-        - 2.0 * (s_i + s_j - 1.0) * (s_j - 1.0) * d_j
-        + 2.0 * (s_i - 1.0) * (s_j - 1.0) * d_minus,
-    ])
+    s_i, s_j, h_i, h_j = np.broadcast_arrays(s_i, s_j, h_i, h_j)
+    zero = np.zeros(h_i.shape)
+    w = np.array([[1.0 - s_i - s_j, s_i, s_j], [s_i - s_j, s_j, 1.0 - s_i],
+                  [s_j - s_i, s_i, 1.0 - s_j], [s_i + s_j - 1.0, 1.0 - s_i, 1.0 - s_j]])
+    o = np.array([[zero, h_i, h_j], [zero, h_j, -h_i], [zero, h_i, -h_j], [zero, -h_i, -h_j]])
+    return w, o
 
 
-def _layouts(s_i, s_j, h_i, h_j):
-    """Prior integrals of the four score products as (z, lo, hi), each stacked on a new first axis.
+def _cores(w: np.ndarray, o: np.ndarray, K: int) -> np.ndarray:
+    """Data exponents at snr = 1 of `_products` rows: -2 sum_{l<m} w_l w_m (K - D(o_l - o_m))."""
+    pairs = ((0, 1), (0, 2), (1, 2))
+    d = dirichlet_kernel(np.stack([o[:, l] - o[:, m] for l, m in pairs]), K)
+    return -2.0 * sum(w[:, l] * w[:, m] * (K - d[p]) for p, (l, m) in enumerate(pairs))
+
+
+def _supports(w: np.ndarray, o: np.ndarray):
+    """Prior integrals of `_products` rows as (z, lo, hi).
 
     Product t integrates exp(kappa Re(z_t e^{i(theta - mu)})) over [lo_t, hi_t]:
-    z_t sums weight * e^{i offset} over its three shifted densities, and the
-    limits are the set where every shifted argument stays inside [-pi, pi].
-    Arguments broadcast; requires h_i >= h_j.
+    z_t = sum_l w_l e^{i o_l}, and the limits are the set where every shifted
+    argument theta + o_l stays inside [-pi, pi].
     """
-    e_i, e_j = np.exp(1j * h_i), np.exp(1j * h_j)
-    z = np.stack([
-        (1.0 - s_i - s_j) + s_i * e_i + s_j * e_j,
-        (s_i - s_j) + s_j * e_j + (1.0 - s_i) * np.conj(e_i),
-        (s_j - s_i) + s_i * e_i + (1.0 - s_j) * np.conj(e_j),
-        (s_i + s_j - 1.0) + (1.0 - s_i) * np.conj(e_i) + (1.0 - s_j) * np.conj(e_j),
-    ])
-    pi = np.full(z.shape[1:], math.pi)
-    lo = np.stack([-pi, h_i - pi, h_j - pi, h_i - pi])
-    hi = np.stack([pi - h_i, pi - h_j, pi - h_i, pi])
-    return z, lo, hi
+    z = np.sum(w * np.exp(1j * o), axis=1)
+    return z, -math.pi - np.min(o, axis=1), math.pi - np.max(o, axis=1)
 
 
 def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.ndarray:
@@ -143,6 +108,15 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
     return out
 
 
+def _product_exponents(
+    prior: VonMisesPrior, K: int, s_i, s_j, h_i, h_j, quad: QuadratureSpec = DEFAULT_QUAD
+) -> tuple[np.ndarray, np.ndarray]:
+    """Data cores at snr = 1 and prior log-integrals, each of shape (4,), of the
+    four score products at one (s_i, s_j, h_i, h_j), before normalization."""
+    w, o = _products(s_i, s_j, h_i, h_j)
+    return _cores(w, o, K), _log_integrals(prior, *_supports(w, o), quad)
+
+
 @lru_cache(maxsize=_SET_CACHE_SIZE)
 def _set_parts(
     K: int, h: tuple[float, ...], s: float, prior: VonMisesPrior, quad: QuadratureSpec
@@ -161,9 +135,10 @@ def _set_parts(
     h_i = np.concatenate([np.maximum(hv[a], hv[b]), hv])
     h_j = np.concatenate([np.minimum(hv[a], hv[b]), hv])
     s_j = np.concatenate([np.full(n, s), np.zeros(r)])
-    cores = _cores(s, s_j, h_i, h_j, K)
-    layouts = (np.concatenate([x[:, :n].ravel(), x[0, n:]]) for x in _layouts(s, s_j, h_i, h_j))
-    logs = _log_integrals(prior, *layouts, quad)
+    w, o = _products(s, s_j, h_i, h_j)
+    cores = _cores(w, o, K)
+    supports = (np.concatenate([x[:, :n].ravel(), x[0, n:]]) for x in _supports(w, o))
+    logs = _log_integrals(prior, *supports, quad)
     parts = []
     for entries, norm in ((cores[:, :n], cores[0, n:]), (logs[:4 * n].reshape(4, n), logs[4 * n:])):
         full = np.empty((4, r, r))
@@ -192,76 +167,15 @@ def _combine(core: np.ndarray, gamma: np.ndarray, snr: float) -> np.ndarray:
     return np.where(live, np.exp(m) * (t[0] - t[1] - t[2] + t[3]), 0.0)
 
 
-def _check_term(term: int, h_i: float, h_j: float) -> None:
-    if h_i < h_j:
-        raise ValueError("canonical ordering requires h_i >= h_j")
-    if term not in (1, 2, 3, 4):
-        raise ValueError(f"term must be 1..4, got {term}")
-
-
-def mu_i(s: float, h: float, K: int, snr: float) -> float:
-    """Data exponent of the single-point normalizer: -s(1-s) 2K SNR (1 - D(h)/K)."""
-    return mu_cross(1, s, 0.0, h, h, K, snr)
-
-
-def gamma_i(prior: VonMisesPrior, s: float, h: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Prior exponent of the single-point normalizer (log integral over [-pi, pi-h])."""
-    return gamma_cross(1, prior, s, 0.0, h, h, quad)
-
-
-def mu_cross(term: int, s_i: float, s_j: float, h_i: float, h_j: float, K: int, snr: float) -> float:
-    """Data exponent of the four score-product expectations; requires h_i >= h_j."""
-    _check_term(term, h_i, h_j)
-    return snr * float(_cores(s_i, s_j, h_i, h_j, K)[term - 1])
-
-
-def gamma_cross(
-    term: int,
-    prior: VonMisesPrior,
-    s_i: float,
-    s_j: float,
-    h_i: float,
-    h_j: float,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """Log of the prior-only integral for one of the four score products.
-
-    Integration limits follow the support rule: the integrand contains shifted
-    densities and the limits are exactly the set where every shifted argument
-    stays inside [-pi, pi]. Requires h_i >= h_j. Returns -inf when the support
-    interval is empty.
-    """
-    _check_term(term, h_i, h_j)
-    z, lo, hi = _layouts(s_i, s_j, h_i, h_j)
-    return float(_log_integrals(prior, z[term - 1], lo[term - 1], hi[term - 1], quad)[0])
-
-
-def q_element(
-    h_a: float,
-    h_b: float,
-    s: float,
-    prior: VonMisesPrior,
-    config: SignalConfig,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """One entry of the score matrix for test points (h_a, h_b) at shared exponent s.
-
-    It is the off-diagonal entry of the two-point score matrix, computed by
-    the same array path as build_q.
-    """
-    core, gamma = _set_parts(config.K, (float(h_a), float(h_b)), s, prior, quad)
-    return float(_combine(core[:, 0, 1], gamma[:, 0, 1], config.snr))
-
-
 def build_q(
     prior: VonMisesPrior,
     config: SignalConfig,
     points: TestPointSet,
     quad: QuadratureSpec = DEFAULT_QUAD,
-) -> QMatrix:
-    """Assemble the full symmetric score matrix for a test-point set."""
+) -> np.ndarray:
+    """The full symmetric score matrix of a test-point set at its exponent `points.s`."""
     core, gamma = _set_parts(config.K, tuple(points.h.tolist()), points.s, prior, quad)
-    return QMatrix(q=_combine(core, gamma, config.snr), h=points.h.copy(), s=points.s)
+    return _combine(core, gamma, config.snr)
 
 
 def wwb_value(
@@ -276,8 +190,7 @@ def wwb_value(
     offending point (smallest factorization pivot) is dropped by deleting its
     row and column, and the solve retried, with drops recorded in the result.
     """
-    qm = build_q(prior, config, points, quad)
-    q, h = qm.q, qm.h
+    q, h = build_q(prior, config, points, quad), points.h
     index_map = list(range(len(points)))
     dropped: list[int] = []
     while True:

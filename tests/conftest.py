@@ -34,6 +34,19 @@ def bessel_series_oracle(x: float, order: int) -> float:
         m += 1
 
 
+def von_mises_pdf(prior: VonMisesPrior):
+    """The prior density theta -> e^{kappa cos(theta - mu)} / (2 pi I0(kappa)) on
+    [-pi, pi], 0 outside, for scalars or arrays; I0 comes from the series."""
+    norm = 2.0 * math.pi * bessel_series_oracle(prior.kappa, 0)
+
+    def pdf(theta):
+        theta = np.asarray(theta, dtype=float)
+        inside = (theta >= -math.pi) & (theta <= math.pi)
+        return np.where(inside, np.exp(prior.kappa * np.cos(theta - prior.mu)) / norm, 0.0)
+
+    return pdf
+
+
 def dirichlet_sum_oracle(h: float, K: int) -> float:
     """Direct O(K) cosine sum, the definition."""
     return float(sum(math.cos(h * k) for k in range(K)))
@@ -67,7 +80,7 @@ CROSS_LAYOUTS = {
 def prior_power_integral_oracle(prior: VonMisesPrior, weights, offsets) -> float:
     """ln of integral of prod_l pdf(theta + a_l)^{w_l} over the common support.
 
-    Written directly in terms of pdf calls and adaptive quadrature, so the
+    Written directly in terms of density calls and adaptive quadrature, so the
     support limits and the integrand both come from the density itself.
     """
     from scipy.integrate import quad
@@ -76,11 +89,12 @@ def prior_power_integral_oracle(prior: VonMisesPrior, weights, offsets) -> float
     hi = min(math.pi - max(offsets), math.pi)
     if hi <= lo:
         return -math.inf
+    pdf = von_mises_pdf(prior)
 
     def f(theta: float) -> float:
         out = 1.0
         for w, a in zip(weights, offsets):
-            out *= prior.pdf(theta + a) ** w
+            out *= float(pdf(theta + a)) ** w
         return out
 
     val, _ = quad(f, lo, hi, limit=400, epsabs=1e-13, epsrel=1e-12)

@@ -13,6 +13,7 @@ import pytest
 from circbound.benchmarks import bcrb, zzb
 from circbound.cli import main
 from circbound.mapsim import McConfig, run_monte_carlo
+from circbound.numerics import QuadratureSpec
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, build, sidelobe_points
@@ -203,9 +204,20 @@ def test_08_bound_validity_on_reference_grid():
 
 def test_09_oracle_suites():
     from circbound.numerics import dirichlet_kernel, integrate
-    from circbound.wwb import gamma_cross, gamma_i, q_element
+    from circbound.testpoints import TestPointSet
+    from circbound.wwb import _product_exponents, build_q
 
-    from conftest import CROSS_LAYOUTS, dirichlet_sum_oracle, prior_power_integral_oracle
+    from conftest import (
+        CROSS_LAYOUTS,
+        dirichlet_sum_oracle,
+        prior_power_integral_oracle,
+        von_mises_pdf,
+    )
+
+    def gamma(prior, si, sj, h_i, h_j, quad=QuadratureSpec()):
+        # prior log-integrals of the four score products; sj = 0, h_j = h_i
+        # makes the first one the single-point normalizer of h_i
+        return _product_exponents(prior, 1, si, sj, h_i, h_j, quad)[1]
 
     checks = []
 
@@ -214,28 +226,29 @@ def test_09_oracle_suites():
     config = SignalConfig(K=2, snr=1.0)
     h = 0.3 * math.pi
     est, se = q_element_mc_oracle(h, h, 0.5, prior, config, 1_000_000, 123)
-    checks.append(("a", abs(q_element(h, h, 0.5, prior, config) - est) <= 3.0 * se))
+    q = build_q(prior, config, TestPointSet(h=np.array([h]), provenance=("E",), s=0.5))
+    checks.append(("a", abs(q[0, 0] - est) <= 3.0 * se))
 
     # (b) every prior integral vs direct-pdf quadrature
-    from circbound.numerics import QuadratureSpec
     tight = QuadratureSpec(node_count=64, rel_tol=1e-12)
     prior_b = VonMisesPrior(mu=0.3, kappa=2.0)
     ok_b = True
     si, sj, h_i, h_j = 0.6, 0.4, 0.45 * math.pi, 0.2 * math.pi
     want = prior_power_integral_oracle(prior_b, (1.0 - si, si), (0.0, h_i))
-    ok_b &= abs(gamma_i(prior_b, si, h_i, tight) - want) < 1e-8
+    ok_b &= abs(gamma(prior_b, si, 0.0, h_i, h_i, tight)[0] - want) < 1e-8
+    got = gamma(prior_b, si, sj, h_i, h_j, tight)
     for term in (1, 2, 3, 4):
         weights, offsets = CROSS_LAYOUTS[term](si, sj, h_i, h_j)
         want = prior_power_integral_oracle(prior_b, weights, offsets)
-        ok_b &= abs(gamma_cross(term, prior_b, si, sj, h_i, h_j, tight) - want) < 1e-8
+        ok_b &= abs(got[term - 1] - want) < 1e-8
     checks.append(("b", bool(ok_b)))
 
     # (c) uniform-prior closed forms
     flat = VonMisesPrior(kappa=0.0)
     ok_c = abs(
-        gamma_i(flat, 0.5, 0.1 * math.pi) - math.log(0.95)
+        gamma(flat, 0.5, 0.0, 0.1 * math.pi, 0.1 * math.pi)[0] - math.log(0.95)
     ) < 1e-10 and abs(
-        gamma_cross(2, flat, 0.5, 0.5, 0.4 * math.pi, 0.15 * math.pi)
+        gamma(flat, 0.5, 0.5, 0.4 * math.pi, 0.15 * math.pi)[1]
         - math.log((2.0 * math.pi - 0.55 * math.pi) / (2.0 * math.pi))
     ) < 1e-10
     checks.append(("c", bool(ok_c)))
@@ -251,7 +264,8 @@ def test_09_oracle_suites():
 
     # (e) prior information term vs quadrature
     prior_e = VonMisesPrior(mu=0.0, kappa=2.0)
-    integrand = lambda t: 2.0 * np.cos(t) * prior_e.pdf_array(t)
+    pdf_e = von_mises_pdf(prior_e)
+    integrand = lambda t: 2.0 * np.cos(t) * pdf_e(t)
     want = integrate(integrand, -math.pi, math.pi)
     checks.append(("e", abs(prior_e.kappa * prior_e.bessel_ratio() - want) < 1e-8))
 

@@ -8,6 +8,8 @@ from circbound.benchmarks import bcrb, fisher_information, zzb
 from circbound.numerics import integrate
 from circbound.prior import VonMisesPrior
 
+from conftest import von_mises_pdf
+
 
 class TestFisherInformation:
     def test_single_sample(self):
@@ -41,7 +43,8 @@ class TestBcrb:
         # the log-prior: integral of kappa cos(theta - mu) times the pdf
         kappa = 2.0
         prior = VonMisesPrior(mu=0.0, kappa=kappa)
-        integrand = lambda t: kappa * np.cos(t - prior.mu) * prior.pdf_array(t)
+        pdf = von_mises_pdf(prior)
+        integrand = lambda t: kappa * np.cos(t - prior.mu) * pdf(t)
         want = integrate(integrand, -math.pi, math.pi)
         got = prior.kappa * prior.bessel_ratio()
         assert got == pytest.approx(want, abs=1e-8)

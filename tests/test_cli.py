@@ -178,6 +178,26 @@ class TestMainExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: invalid seed:")
 
+    @pytest.mark.parametrize("argv, field", [
+        (["map-sim", "--seed", "1.5"], "seed"),
+        (["map-sim", "--trials", "x"], "trials"),
+        (["map-sim", "--grid-size", "4e3"], "grid_size"),
+        (["sweep", "--trials", "1.5"], "trials"),
+        (["sweep", "--grid-size", "x"], "grid_size"),
+        (["bcrb", "--quad-nodes", "32.0"], "quad_nodes"),
+        (["wwb", "--k", "20.5"], "k_values"),
+        (["wwb", "--trio", "2,9,x"], "testpoint_trio"),
+        (["testpoints", "--k", "ten"], "k"),
+    ])
+    def test_integer_flags_name_field(self, argv, field, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {field}: expected an integer")
+
+    @pytest.mark.parametrize("kappa", ["nan", "inf"])
+    def test_non_finite_kappa_rejected(self, kappa, capsys):
+        assert main(["bcrb", f"--kappa={kappa}"]) == 2
+        assert capsys.readouterr().err.startswith("error: kappa must be finite")
+
     def test_large_kappa_accepted(self, tmp_path):
         out = tmp_path / "b.csv"
         rc = main(["bcrb", "--kappa", "600", "--out", str(out)])
@@ -202,6 +222,11 @@ class TestMainExitCodes:
         lines = out.read_text().splitlines()
         assert lines[0] == "h_rad,h_over_pi,provenance"
         assert len(lines) == 12  # header + legacy 11 points
+
+    def test_testpoints_unwritable_output(self, tmp_path, capsys):
+        rc = main(["testpoints", "--out", str(tmp_path / "missing" / "pts.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numerical error: cannot write ")
 
     def test_map_sim_subcommand(self, tmp_path):
         out = tmp_path / "map.csv"

@@ -102,39 +102,39 @@ class TestMapEstimate:
     def test_noiseless_matched_filter(self):
         config = SignalConfig(K=20, snr=1.0)
         theta = 0.4 * math.pi
-        obs = generate(config, theta, _ZeroNoise())
-        got = map_estimate(config, VonMisesPrior(kappa=0.0), obs, grid_size=4096)
+        samples = generate(config, theta, _ZeroNoise())
+        got = map_estimate(config, VonMisesPrior(kappa=0.0), samples, grid_size=4096)
         assert abs(got - theta) <= 2.0 * math.pi / 4096
 
     def test_refinement_beats_grid(self):
         config = SignalConfig(K=20, snr=1.0)
         theta = 0.123456
-        obs = generate(config, theta, _ZeroNoise())
+        samples = generate(config, theta, _ZeroNoise())
         prior = VonMisesPrior(kappa=0.0)
-        coarse = map_estimate(config, prior, obs, grid_size=256, refine=False)
-        refined = map_estimate(config, prior, obs, grid_size=256, refine=True)
+        coarse = map_estimate(config, prior, samples, grid_size=256, refine=False)
+        refined = map_estimate(config, prior, samples, grid_size=256, refine=True)
         assert abs(refined - theta) < abs(coarse - theta)
         assert abs(refined - theta) < 1e-6
 
     def test_dominant_prior_pulls_to_location(self):
         prior = VonMisesPrior(mu=0.8, kappa=500.0)
         config = SignalConfig(K=20, snr=0.01)
-        obs = generate(config, -0.5, np.random.default_rng(4))
-        got = map_estimate(config, prior, obs)
+        samples = generate(config, -0.5, np.random.default_rng(4))
+        got = map_estimate(config, prior, samples)
         assert abs(got - 0.8) < 0.05
 
     def test_uniform_prior_equals_maximum_likelihood(self):
         config = SignalConfig(K=20, snr=1.0)
-        obs = generate(config, 0.3, np.random.default_rng(5))
-        flat = map_estimate(config, VonMisesPrior(mu=1.0, kappa=0.0), obs)
-        also_flat = map_estimate(config, VonMisesPrior(mu=-2.0, kappa=0.0), obs)
+        samples = generate(config, 0.3, np.random.default_rng(5))
+        flat = map_estimate(config, VonMisesPrior(mu=1.0, kappa=0.0), samples)
+        also_flat = map_estimate(config, VonMisesPrior(mu=-2.0, kappa=0.0), samples)
         assert flat == pytest.approx(also_flat, abs=1e-12)
 
     def test_grid_size_validated(self):
         config = SignalConfig(K=20, snr=1.0)
-        obs = generate(config, 0.0, np.random.default_rng(6))
+        samples = generate(config, 0.0, np.random.default_rng(6))
         with pytest.raises(ValueError):
-            map_estimate(config, VonMisesPrior(), obs, grid_size=32)
+            map_estimate(config, VonMisesPrior(), samples, grid_size=32)
 
 
 class TestRefinePeaks:
@@ -191,9 +191,8 @@ class TestMonteCarlo:
             for t in range(mc.trials):
                 rng = np.random.default_rng([mc.seed, t])
                 theta = float(prior.sample(rng)) if theta_fixed is None else theta_fixed
-                obs = generate(config, theta, rng)
                 assert truths[t] == theta
-                assert np.array_equal(samples[t], obs.samples)
+                assert np.array_equal(samples[t], generate(config, theta, rng))
 
     # one to four 32-bit seed words; the 100-bit seed makes five entropy words
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])

@@ -11,8 +11,6 @@ from circbound.numerics import (
     QuadratureError,
     QuadratureSpec,
     SingularMatrixError,
-    bessel_i0,
-    bessel_i1,
     dirichlet_kernel,
     integrate,
     normal_tail,
@@ -20,46 +18,53 @@ from circbound.numerics import (
     spd_solve,
 )
 
+from circbound.prior import VonMisesPrior
+
 from conftest import bessel_series_oracle, dirichlet_sum_oracle
 
 
 class TestBessel:
+    """I0 and I1 of the concentration, through the only library uses of scipy's
+    i0e and i1e: the prior's log normalizer ln(2 pi I0) and its ratio I1 / I0."""
+
+    @staticmethod
+    def i0(x):
+        return math.exp(VonMisesPrior(kappa=x).log_norm) / (2.0 * math.pi)
+
     def test_i0_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
+        assert VonMisesPrior(kappa=0.0).log_norm == math.log(2.0 * math.pi)
 
     def test_i1_at_zero(self):
-        assert bessel_i1(0.0) == 0.0
+        assert VonMisesPrior(kappa=0.0).bessel_ratio() == 0.0
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 10.0, 14.9, 15.0, 20.0, 100.0, 500.0, 600.0])
     def test_i0_vs_series_oracle(self, x):
-        assert bessel_i0(x) == pytest.approx(bessel_series_oracle(x, 0), rel=1e-12)
+        assert self.i0(x) == pytest.approx(bessel_series_oracle(x, 0), rel=1e-12)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 10.0, 14.9, 15.0, 20.0, 100.0, 500.0, 600.0])
     def test_i1_vs_series_oracle(self, x):
-        assert bessel_i1(x) == pytest.approx(bessel_series_oracle(x, 1), rel=1e-12)
+        want = bessel_series_oracle(x, 1) / bessel_series_oracle(x, 0)
+        assert VonMisesPrior(kappa=x).bessel_ratio() == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("x", [1e-6, 1e-5, 1e-4])
     def test_i1_small_argument_limit(self, x):
-        assert bessel_i1(x) == pytest.approx(x / 2.0, rel=1e-8)
+        assert VonMisesPrior(kappa=x).bessel_ratio() == pytest.approx(x / 2.0, rel=1e-8)
 
-    # the domain ends where I0 and I1 overflow double precision, near 714;
-    # larger kappa is handled through the scaled i0e/i1e
-    @pytest.mark.parametrize("bad", [-1.0, -1e-12, math.nan, math.inf, 720.0])
+    # the argument must be finite and >= 0; i0e and i1e leave no overflow limit
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, math.nan, math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
-            bessel_i0(bad)
-        with pytest.raises(DomainError):
-            bessel_i1(bad)
+            VonMisesPrior(kappa=bad)
 
     @given(st.floats(min_value=1e-3, max_value=100.0))
     @settings(max_examples=200, deadline=None)
     def test_ratio_in_unit_interval(self, x):
-        r = bessel_i1(x) / bessel_i0(x)
+        r = VonMisesPrior(kappa=x).bessel_ratio()
         assert 0.0 < r < 1.0
 
     def test_ratio_strictly_increasing(self):
         xs = np.linspace(0.01, 100.0, 500)
-        ratios = [bessel_i1(x) / bessel_i0(x) for x in xs]
+        ratios = [VonMisesPrior(kappa=float(x)).bessel_ratio() for x in xs]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 

@@ -1,14 +1,18 @@
-"""Von Mises prior: density, sampling, and variance surrogate."""
+"""Von Mises prior: normalizer, sampling, and variance surrogate.
+
+The density e^{kappa cos(theta - mu) - log_norm} is the one the bound's prior
+integrals use; the oracle density of conftest normalizes by the I0 series.
+"""
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from circbound.numerics import DomainError, bessel_i0, integrate
+from circbound.numerics import integrate
 from circbound.prior import UNIFORM_VARIANCE, VonMisesPrior
 
-from conftest import bessel_series_oracle
+from conftest import bessel_series_oracle, von_mises_pdf
 
 
 class TestConstruction:
@@ -24,64 +28,40 @@ class TestConstruction:
     @pytest.mark.parametrize("mu", [-math.pi / 2.0, 0.0, math.pi / 2.0])
     def test_pdf_normalizes(self, kappa, mu):
         prior = VonMisesPrior(mu=mu, kappa=kappa)
-        mass = integrate(prior.pdf_array, -math.pi, math.pi)
+        mass = integrate(lambda t: np.exp(kappa * np.cos(t - mu) - prior.log_norm), -math.pi, math.pi)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
 class TestPdf:
     def test_uniform_reduction(self):
         prior = VonMisesPrior(mu=0.0, kappa=0.0)
-        for theta in (-math.pi, -1.0, 0.0, 2.0):
-            assert prior.pdf(theta) == pytest.approx(1.0 / (2.0 * math.pi))
+        assert math.exp(-prior.log_norm) == pytest.approx(1.0 / (2.0 * math.pi))
 
     def test_peak_value_vs_normalization_oracle(self):
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         # normalize the unnormalized kernel by quadrature instead of I0
         kernel = lambda t: np.exp(2.0 * np.cos(t))
         norm = integrate(kernel, -math.pi, math.pi)
-        assert prior.pdf(0.0) == pytest.approx(math.exp(2.0) / norm, rel=1e-9)
-
-    def test_zero_outside_support(self):
-        prior = VonMisesPrior(mu=0.0, kappa=2.0)
-        assert prior.pdf(1.5 * math.pi) == 0.0
-        assert prior.pdf(-1.5 * math.pi) == 0.0
-
-    def test_reflection_symmetry_about_location(self):
-        prior = VonMisesPrior(mu=0.7, kappa=3.0)
-        for theta in np.linspace(-math.pi + 1.4, math.pi, 50):
-            mirrored = 2.0 * prior.mu - theta
-            if -math.pi <= mirrored <= math.pi:
-                assert prior.pdf(theta) == pytest.approx(prior.pdf(mirrored), rel=1e-12)
-
-    def test_pdf_array_matches_scalar(self):
-        prior = VonMisesPrior(mu=-0.4, kappa=1.5)
-        grid = np.linspace(-4.0, 4.0, 101)
-        vec = prior.pdf_array(grid)
-        assert np.allclose(vec, [prior.pdf(t) for t in grid])
+        assert math.exp(2.0 - prior.log_norm) == pytest.approx(math.exp(2.0) / norm, rel=1e-9)
 
 
 class TestLogPdf:
     def test_uniform_value(self):
         prior = VonMisesPrior(mu=0.0, kappa=0.0)
-        assert prior.log_pdf(0.0) == pytest.approx(-math.log(2.0 * math.pi))
+        assert -prior.log_norm == pytest.approx(-math.log(2.0 * math.pi))
 
     def test_concentrated_peak_value(self):
         prior = VonMisesPrior(mu=0.0, kappa=5.0)
         want = 5.0 - math.log(2.0 * math.pi * bessel_series_oracle(5.0, 0))
-        assert prior.log_pdf(0.0) == pytest.approx(want, rel=1e-12)
-
-    def test_outside_support_rejected(self):
-        prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        with pytest.raises(DomainError):
-            prior.log_pdf(3.5)
+        assert 5.0 - prior.log_norm == pytest.approx(want, rel=1e-12)
 
     def test_consistent_with_pdf(self):
         prior = VonMisesPrior(mu=0.9, kappa=2.5)
+        pdf = von_mises_pdf(prior)
         rng = np.random.default_rng(0)
         for theta in rng.uniform(-math.pi, math.pi, 100):
-            assert math.exp(prior.log_pdf(theta)) == pytest.approx(
-                prior.pdf(theta), rel=1e-12
-            )
+            log_pdf = prior.kappa * math.cos(theta - prior.mu) - prior.log_norm
+            assert math.exp(log_pdf) == pytest.approx(float(pdf(theta)), rel=1e-12)
 
 
 class TestSampling:
@@ -103,7 +83,7 @@ class TestSampling:
         edges = np.linspace(-math.pi, math.pi, 41)
         observed, _ = np.histogram(draws, bins=edges)
         expected = np.array([
-            integrate(prior.pdf_array, float(a), float(b))
+            integrate(von_mises_pdf(prior), float(a), float(b))
             for a, b in zip(edges[:-1], edges[1:])
         ]) * draws.size
         result = stats.chisquare(observed, expected * observed.sum() / expected.sum())

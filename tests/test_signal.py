@@ -1,15 +1,10 @@
-"""Observation model: generation and unit conversions."""
+"""Observation model: configuration and generation."""
 import math
 
 import numpy as np
 import pytest
 
-from circbound.signal_model import (
-    ObservationVector,
-    SignalConfig,
-    generate,
-    snr_from_cn0,
-)
+from circbound.signal_model import SignalConfig, generate
 
 
 class _ZeroNoise:
@@ -33,48 +28,25 @@ class TestConfig:
             SignalConfig(K=10, snr=1.0, sigma2=0.0)
 
 
-class TestUnitConversions:
-    def test_equal_bandwidth(self):
-        assert snr_from_cn0(30.0, 1000.0) == pytest.approx(1.0)
-
-    def test_low_cn0(self):
-        assert snr_from_cn0(10.0, 1000.0) == pytest.approx(0.01)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            cn0 = float(rng.uniform(5.0, 60.0))
-            bw = float(rng.uniform(10.0, 1e5))
-            snr = snr_from_cn0(cn0, bw)
-            assert 10.0 * math.log10(snr * bw) == pytest.approx(cn0)
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            snr_from_cn0(30.0, 0.0)
-        with pytest.raises(ValueError):
-            snr_from_cn0(30.0, -1.0)
-
-
 class TestGenerate:
     def test_noiseless_samples_exact(self):
         cfg = SignalConfig(K=8, snr=3.0, phi=math.pi / 6.0)
         theta = 0.4 * math.pi
-        obs = generate(cfg, theta, _ZeroNoise())
+        samples = generate(cfg, theta, _ZeroNoise())
         k = np.arange(8)
         want = cfg.amplitude * np.exp(1j * (theta * k + cfg.phi))
-        assert np.allclose(obs.samples, want, atol=1e-15)
-        assert obs.truth == theta
+        assert np.allclose(samples, want, atol=1e-15)
 
     def test_deterministic_given_seed(self):
         cfg = SignalConfig(K=16, snr=1.0)
-        a = generate(cfg, 0.1, np.random.default_rng(42)).samples
-        b = generate(cfg, 0.1, np.random.default_rng(42)).samples
+        a = generate(cfg, 0.1, np.random.default_rng(42))
+        b = generate(cfg, 0.1, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_stream_order_real_then_imaginary_draws(self):
         # one trial's stream: K real noise parts, then K imaginary parts
         cfg = SignalConfig(K=6, snr=0.7, phi=0.3, sigma2=2.0)
-        got = generate(cfg, 0.2, np.random.default_rng(3)).samples
+        got = generate(cfg, 0.2, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         re, im = rng.standard_normal(6), rng.standard_normal(6)
         clean = cfg.amplitude * np.exp(1j * (0.2 * np.arange(6) + cfg.phi))
@@ -83,25 +55,25 @@ class TestGenerate:
     def test_noise_variance(self):
         n = 1_000_000
         big = SignalConfig(K=n, snr=1.0, sigma2=1.0)
-        obs = generate(big, 0.0, np.random.default_rng(8))
+        samples = generate(big, 0.0, np.random.default_rng(8))
         k = np.arange(n)
-        resid = obs.samples - big.amplitude * np.exp(1j * 0.0 * k)
+        resid = samples - big.amplitude * np.exp(1j * 0.0 * k)
         var = float(np.mean(np.abs(resid) ** 2))
         assert var == pytest.approx(2.0, rel=0.01)
 
     def test_noise_whiteness(self):
         n = 1_000_000
         big = SignalConfig(K=n, snr=1.0)
-        obs = generate(big, 0.0, np.random.default_rng(9))
-        resid = obs.samples - big.amplitude
+        samples = generate(big, 0.0, np.random.default_rng(9))
+        resid = samples - big.amplitude
         lag1 = np.mean(resid[1:] * np.conj(resid[:-1]))
         assert abs(lag1) < 5.0 * 2.0 / math.sqrt(n)
 
     def test_empirical_snr(self):
         n = 1_000_000
         big = SignalConfig(K=n, snr=2.5)
-        obs = generate(big, 0.0, np.random.default_rng(10))
-        resid = obs.samples - big.amplitude
+        samples = generate(big, 0.0, np.random.default_rng(10))
+        resid = samples - big.amplitude
         snr_hat = big.amplitude**2 / float(np.mean(np.abs(resid) ** 2))
         assert snr_hat == pytest.approx(2.5, rel=0.02)
 

@@ -156,12 +156,6 @@ class TestBuild:
         assert pts.s == 0.3
         assert pts.with_exponent(0.7).s == 0.7
 
-    def test_drop_preserves_order(self):
-        pts = build(TestPointConfig(2, 9, 10), 20)
-        smaller = pts.drop(3)
-        assert len(smaller) == len(pts) - 1
-        assert np.all(np.diff(smaller.h) > 0.0)
-
 
 class TestSetValidation:
     def test_rejects_nonpositive(self):

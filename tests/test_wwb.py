@@ -3,27 +3,20 @@
 The strongest checks are against oracles derived from first principles:
 a Gaussian product-integral identity for the data exponents, direct-pdf
 adaptive quadrature for the prior integrals, and a Monte Carlo estimate of
-the defining score-product expectation for whole matrix entries.
+the defining score-product expectation for whole matrix entries. The
+exponents are read per score product from `_product_exponents`; whole
+entries come from `build_q` on one- and two-point sets.
 """
 import math
 
 import numpy as np
 import pytest
 
-from circbound.numerics import QuadratureSpec
+from circbound.numerics import DEFAULT_QUAD, QuadratureSpec
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, TestPointSet, build
-from circbound.wwb import (
-    build_q,
-    gamma_cross,
-    gamma_i,
-    mu_cross,
-    mu_i,
-    optimize_s,
-    q_element,
-    wwb_value,
-)
+from circbound.wwb import _product_exponents, build_q, optimize_s, wwb_value
 
 from conftest import (
     CROSS_LAYOUTS,
@@ -33,6 +26,34 @@ from conftest import (
 )
 
 TIGHT_QUAD = QuadratureSpec(node_count=64, rel_tol=1e-12)
+FLAT = VonMisesPrior()
+
+
+def mu_cross(term, s_i, s_j, h_i, h_j, K, snr):
+    """Data exponent of score product `term` (1..4)."""
+    return snr * float(_product_exponents(FLAT, K, s_i, s_j, h_i, h_j)[0][term - 1])
+
+
+def mu_i(s, h, K, snr):
+    """Data exponent of the single-point normalizer, the first product with s_j = 0."""
+    return mu_cross(1, s, 0.0, h, h, K, snr)
+
+
+def gamma_cross(term, prior, s_i, s_j, h_i, h_j, quad=DEFAULT_QUAD):
+    """Prior log-integral of score product `term` (1..4); -inf on empty support."""
+    return float(_product_exponents(prior, 1, s_i, s_j, h_i, h_j, quad)[1][term - 1])
+
+
+def gamma_i(prior, s, h, quad=DEFAULT_QUAD):
+    """Prior log-integral of the single-point normalizer."""
+    return gamma_cross(1, prior, s, 0.0, h, h, quad)
+
+
+def q_entry(h_a, h_b, s, prior, config):
+    """Entry (h_a, h_b) of the score matrix, from the set of those one or two points."""
+    h = sorted({float(h_a), float(h_b)})
+    q = build_q(prior, config, TestPointSet(h=np.array(h), provenance=("E",) * len(h), s=s))
+    return float(q[0, -1])
 
 
 class TestDataExponents:
@@ -65,12 +86,6 @@ class TestDataExponents:
     def test_equal_exponents_near_one_kill_term_four(self):
         got = mu_cross(4, 0.999, 0.999, 0.4 * math.pi, 0.2 * math.pi, 20, 1.0)
         assert abs(got) < 1e-2 * 1.0 * 20
-
-    def test_canonical_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            mu_cross(1, 0.5, 0.5, 0.1, 0.2, 20, 1.0)
-        with pytest.raises(ValueError):
-            mu_cross(5, 0.5, 0.5, 0.2, 0.1, 20, 1.0)
 
 
 class TestPriorExponents:
@@ -129,29 +144,28 @@ class TestPriorExponents:
         got = gamma_cross(2, VonMisesPrior(kappa=1.0), 0.5, 0.5, math.pi, math.pi)
         assert got == -math.inf
 
-    def test_gamma_cross_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            gamma_cross(1, VonMisesPrior(), 0.5, 0.5, 0.1, 0.2)
-
 
 class TestQMatrix:
     def test_symmetry_under_argument_swap(self):
+        # swapping the points maps products 1, 2, 3, 4 to 1, 3, 2, 4, and the
+        # entry combines them with signs +, -, -, +
         prior = VonMisesPrior(mu=0.2, kappa=1.5)
         config = SignalConfig(K=20, snr=0.5)
         rng = np.random.default_rng(55)
         for _ in range(50):
             h_a = float(rng.uniform(0.01, math.pi))
             h_b = float(rng.uniform(0.01, math.pi))
-            ab = q_element(h_a, h_b, 0.5, prior, config)
-            ba = q_element(h_b, h_a, 0.5, prior, config)
-            assert ab == pytest.approx(ba, rel=1e-10)
+            ab = _product_exponents(prior, config.K, 0.5, 0.5, h_a, h_b)
+            ba = _product_exponents(prior, config.K, 0.5, 0.5, h_b, h_a)
+            for x, y in zip(ab, ba):
+                assert x == pytest.approx(y[[0, 2, 1, 3]], rel=1e-10)
 
     def test_monte_carlo_oracle_uniform_prior(self):
         prior = VonMisesPrior(mu=0.0, kappa=0.0)
         config = SignalConfig(K=2, snr=1.0)
         h = 0.3 * math.pi
         est, se = q_element_mc_oracle(h, h, 0.5, prior, config, 1_000_000, 123)
-        exact = q_element(h, h, 0.5, prior, config)
+        exact = q_entry(h, h, 0.5, prior, config)
         assert abs(exact - est) <= 3.0 * se
 
     def test_monte_carlo_oracle_off_diagonal_concentrated(self):
@@ -160,7 +174,7 @@ class TestQMatrix:
         est, se = q_element_mc_oracle(
             0.45 * math.pi, 0.2 * math.pi, 0.5, prior, config, 1_000_000, 7
         )
-        exact = q_element(0.45 * math.pi, 0.2 * math.pi, 0.5, prior, config)
+        exact = q_entry(0.45 * math.pi, 0.2 * math.pi, 0.5, prior, config)
         assert abs(exact - est) <= 3.0 * se
 
     def test_monte_carlo_oracle_three_samples(self):
@@ -169,20 +183,20 @@ class TestQMatrix:
         est, se = q_element_mc_oracle(
             0.5 * math.pi, 0.5 * math.pi, 0.4, prior, config, 1_000_000, 99
         )
-        exact = q_element(0.5 * math.pi, 0.5 * math.pi, 0.4, prior, config)
+        exact = q_entry(0.5 * math.pi, 0.5 * math.pi, 0.4, prior, config)
         assert abs(exact - est) <= 3.0 * se
 
     def test_assembled_matrix_symmetric_positive_diagonal(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         config = SignalConfig(K=20, snr=1.0)
         points = build(TestPointConfig(2, 9, 10), 20)
-        qm = build_q(prior, config, points)
-        assert np.allclose(qm.q, qm.q.T, rtol=1e-9)
-        assert np.all(np.diag(qm.q) > 0.0)
+        q = build_q(prior, config, points)
+        assert np.allclose(q, q.T, rtol=1e-9)
+        assert np.all(np.diag(q) > 0.0)
 
 
 class TestArrayPath:
-    """build_q's broadcast assembly against the per-entry view q_element."""
+    """build_q's broadcast assembly against the entries of one- and two-point sets."""
 
     @staticmethod
     def _sets(K):
@@ -208,13 +222,13 @@ class TestArrayPath:
             prior = VonMisesPrior(mu=0.7, kappa=kappa)
             for points in self._sets(K):
                 for s in (0.1, 0.5, 0.9):
-                    qm = build_q(prior, config, points.with_exponent(s))
+                    q = build_q(prior, config, points.with_exponent(s))
                     h = points.h
                     for a in range(len(h)):
                         for b in range(a, len(h)):
-                            want = q_element(float(h[a]), float(h[b]), s, prior, config)
-                            assert qm.q[a, b] == pytest.approx(want, rel=1e-9)
-                            assert qm.q[b, a] == qm.q[a, b]
+                            want = q_entry(h[a], h[b], s, prior, config)
+                            assert q[a, b] == pytest.approx(want, rel=1e-9)
+                            assert q[b, a] == q[a, b]
 
     def test_overflow_wall_unchanged(self):
         # the residual exponent reaches about 1698 here (limit 700)
@@ -233,7 +247,8 @@ class TestArrayPath:
         )
         res = wwb_value(prior, config, points)
         assert len(res.dropped_points) == 1
-        reduced = wwb_value(prior, config, points.drop(res.dropped_points[0]))
+        keep = np.arange(len(points)) != res.dropped_points[0]
+        reduced = wwb_value(prior, config, TestPointSet(h=points.h[keep], provenance=("E",) * 3))
         assert reduced.dropped_points == ()
         assert res.mse_bound == pytest.approx(reduced.mse_bound, rel=1e-12)
 
@@ -245,7 +260,7 @@ class TestBoundValue:
         h = 0.3 * math.pi
         points = TestPointSet(h=np.array([h]), provenance=("E",), s=0.5)
         res = wwb_value(prior, config, points)
-        q11 = q_element(h, h, 0.5, prior, config)
+        q11 = build_q(prior, config, points)[0, 0]
         assert res.mse_bound == pytest.approx(h * h / q11, rel=1e-12)
 
     def test_value_is_positive_and_db_consistent(self):
