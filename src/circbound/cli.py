@@ -46,6 +46,10 @@ class GridPointError(RuntimeError):
     """Numerical failure at a specific grid point."""
 
 
+class WriteError(Exception):
+    """The output file cannot be written."""
+
+
 @dataclass
 class SweepSpec:
     snr_db: list[float]
@@ -129,7 +133,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     Points are numbered in k x kappa x mu x SNR order. The MAP trials at
     point i use the seed SeedSequence([spec.seed, i]), so a MAP row does not
-    depend on which other kinds the sweep evaluates.
+    depend on which other kinds the sweep evaluates. WWB is evaluated over
+    the whole SNR axis per (k, kappa, mu) first; a failure it stores is
+    raised when the loop reaches its grid point, so the first failure in
+    loop order is the one reported.
     """
     spec.validate()
     quad = QuadratureSpec(node_count=spec.quad_nodes)
@@ -146,13 +153,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         for kappa in spec.kappa_values:
             for mu in spec.mu_values:
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
-                for snr_db in spec.snr_db:
+                wwb_outcomes = _wwb_axis(spec, quad, prior, k, point_sets)
+                for snr_db, wwb_at_snr in zip(spec.snr_db, wwb_outcomes):
                     for kind in spec.bound_kinds:
                         where = f"kind={kind} K={k} kappa={kappa} mu={mu} snr_db={snr_db}"
                         try:
                             rows.extend(_eval_point(
-                                kind, spec, quad, prior, k, kappa, mu, snr_db,
-                                point_sets, point_index,
+                                kind, spec, prior, k, kappa, mu, snr_db,
+                                wwb_at_snr, point_index,
                             ))
                         except (QuadratureError, OverflowError, RuntimeError) as err:
                             raise GridPointError(f"numerical failure at {where}: {err}") from err
@@ -167,24 +175,40 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _eval_point(kind, spec, quad, prior, k, kappa, mu, snr_db, point_sets, point_index):
+def _wwb_axis(spec, quad, prior, k, point_sets) -> list[tuple]:
+    """WWB outcomes of every test-point set over the whole SNR axis, one tuple
+    per SNR of spec.snr_db: (trio, (s, result)) in row order, or (trio, error)
+    for an error that the grid point raises when the SNR loop reaches it."""
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
+    columns = []
+    for trio, points in point_sets.items():
+        for s in [None] if spec.maximize_s else spec.s_grid:
+            try:
+                if s is None:
+                    outcomes = wwb.optimize_s_axis(prior, k, points, snrs, spec.s_grid, quad)
+                else:
+                    outcomes = [res if isinstance(res, Exception) else (s, res) for res in
+                                wwb.wwb_axis(prior, k, points.with_exponent(s), snrs, quad)]
+            except (RuntimeError, ValueError) as err:
+                outcomes = [err] * len(snrs)
+            columns.append([(trio, outcome) for outcome in outcomes])
+    return list(zip(*columns)) or [()] * len(snrs)
+
+
+def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index):
     snr = 10.0 ** (snr_db / 10.0)
     rows = []
     if kind == "WWB":
-        config = SignalConfig(K=k, snr=snr)
-        for trio, points in point_sets.items():
-            if spec.maximize_s:
-                s_best, res = wwb.optimize_s(prior, config, points, spec.s_grid, quad)
-                results = [(s_best, res, {"s_grid": spec.s_grid})]
-            else:
-                results = [(s, wwb.wwb_value(prior, config, points.with_exponent(s), quad), {})
-                           for s in spec.s_grid]
-            for s, res, extra in results:
-                if res.dropped_points:
-                    extra["dropped_points"] = list(res.dropped_points)
-                if res.s_failed:
-                    extra["s_failed"] = [list(pair) for pair in res.s_failed]
-                rows.append(_row("WWB", snr_db, k, kappa, mu, s, trio, res.mse_bound, extra))
+        for _, outcome in wwb_at_snr:
+            if isinstance(outcome, Exception):
+                raise outcome
+        for trio, (s, res) in wwb_at_snr:
+            extra = {"s_grid": spec.s_grid} if spec.maximize_s else {}
+            if res.dropped_points:
+                extra["dropped_points"] = list(res.dropped_points)
+            if res.s_failed:
+                extra["s_failed"] = [list(pair) for pair in res.s_failed]
+            rows.append(_row("WWB", snr_db, k, kappa, mu, s, trio, res.mse_bound, extra))
     elif kind == "BCRB":
         rows.append(_row("BCRB", snr_db, k, kappa, mu, None, None,
                          benchmarks.bcrb(prior, k, snr), {}))
@@ -241,27 +265,7 @@ def _write(text: str, path: str) -> None:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as err:
-        raise RuntimeError(f"cannot write {path}: {err}") from err
-
-
-def parse_rows(text: str) -> list[dict]:
-    """Inverse of emit() for the CSV format."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for rec in reader:
-        rows.append({
-            "kind": rec["kind"],
-            "snr_db": float(rec["snr_db"]),
-            "k": int(rec["k"]),
-            "kappa": float(rec["kappa"]),
-            "mu_rad": float(rec["mu_rad"]),
-            "s": float(rec["s"]) if rec["s"] else None,
-            "trio": rec["trio"],
-            "value_rad2": float(rec["value_rad2"]),
-            "value_db": float(rec["value_db"]),
-            "extra": json.loads(rec["extra"]),
-        })
-    return rows
+        raise WriteError(f"cannot write {path}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +495,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (GridPointError, QuadratureError, OverflowError, RuntimeError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
+        return 3
+    except WriteError as err:
+        print(f"error: {err}", file=sys.stderr)
         return 3
 
 

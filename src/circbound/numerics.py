@@ -152,40 +152,50 @@ def regularized_lower_gamma(a: float, z: float) -> float:
 def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Solve M x = v for symmetric positive definite M via Cholesky.
 
-    The system is diagonally equilibrated first: valid score matrices have
-    diagonal entries spanning hundreds of orders of magnitude at high SNR, so
-    a raw largest-diagonal pivot test would flag healthy rows. After scaling,
-    a pivot below 1e-14 (of the unit scaled diagonal) signals genuine rank
-    deficiency; SingularMatrixError carries the offending index so the caller
-    can drop that row/column and retry.
+    `m` is one matrix (r, r) or a stack (n, r, r) of matrices that share `v`;
+    the result is x of shape (r,) or (n, r). A single matrix is solved as a
+    stack of one. The system is diagonally equilibrated first: valid score
+    matrices have diagonal entries spanning hundreds of orders of magnitude
+    at high SNR, so a raw largest-diagonal pivot test would flag healthy
+    rows. After scaling, a pivot below 1e-14 (of the unit scaled diagonal)
+    signals genuine rank deficiency; SingularMatrixError carries the
+    offending index, within the first failing matrix of a stack, so the
+    caller can drop that row/column and retry.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
-    scale = max(np.max(np.abs(m)), 1e-300)
-    if np.max(np.abs(m - m.T)) > 1e-9 * scale:
+    stack = m if m.ndim == 3 else m[None]
+    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
+    if np.any(np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2)) > 1e-9 * scale):
         raise DomainError("matrix is not symmetric within 1e-9 relative")
-    diag = np.diag(m)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        bad = int(np.argmin(np.where(np.isfinite(diag), diag, -np.inf)))
-        raise SingularMatrixError(bad, float(diag[bad]))
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    bad_rows = np.any((diag <= 0.0) | ~np.isfinite(diag), axis=1)
+    if np.any(bad_rows):
+        row_diag = diag[np.argmax(bad_rows)]
+        bad = int(np.argmin(np.where(np.isfinite(row_diag), row_diag, -np.inf)))
+        raise SingularMatrixError(bad, float(row_diag[bad]))
     d_scale = 1.0 / np.sqrt(diag)
-    ms = m * np.outer(d_scale, d_scale)
+    # m_ab * (d_a d_b), with d_a d_b rounded first as in m * np.outer(d, d)
+    ms = stack * (d_scale[:, :, None] * d_scale[:, None, :])
     low = _cholesky(ms)
     if low is None:
+        failing = next(a for a in ms if _cholesky(a) is None)
         # LAPACK reports no pivot index, but the largest leading block that
         # passes ends just before it (Sylvester's criterion): bisect for it
-        good, bad = 0, ms.shape[0]
+        good, bad = 0, failing.shape[0]
         while bad - good > 1:
             mid = (good + bad) // 2
-            good, bad = (mid, bad) if _cholesky(ms[:mid, :mid]) is not None else (good, mid)
-        row = np.linalg.solve(_cholesky(ms[:good, :good]), ms[:good, good])
-        raise SingularMatrixError(good, float(ms[good, good] - row @ row))
-    vs = v * d_scale
-    return np.linalg.solve(low.T, np.linalg.solve(low, vs)) * d_scale
+            good, bad = (mid, bad) if _cholesky(failing[:mid, :mid]) is not None else (good, mid)
+        row = np.linalg.solve(_cholesky(failing[:good, :good]), failing[:good, good])
+        raise SingularMatrixError(good, float(failing[good, good] - row @ row))
+    vs = (v * d_scale)[:, :, None]
+    x = np.linalg.solve(low.transpose(0, 2, 1), np.linalg.solve(low, vs))[:, :, 0] * d_scale
+    return x if m.ndim == 3 else x[0]
 
 
 def _cholesky(ms: np.ndarray) -> np.ndarray | None:
-    """LAPACK Cholesky factor of `ms`, or None when a pivot is at or below 1e-14.
+    """LAPACK Cholesky factor of `ms` (one matrix or a stack), or None when a
+    pivot is at or below 1e-14.
 
     LAPACK accepts tiny positive pivots, so the rule is applied to the
     factor's squared diagonal, which holds the pivots.
@@ -194,4 +204,4 @@ def _cholesky(ms: np.ndarray) -> np.ndarray | None:
         low = np.linalg.cholesky(ms)
     except np.linalg.LinAlgError:
         return None
-    return low if np.all(np.diag(low) ** 2 > 1e-14) else None
+    return low if np.all(np.diagonal(low, axis1=-2, axis2=-1) ** 2 > 1e-14) else None

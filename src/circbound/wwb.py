@@ -4,8 +4,10 @@ The four score products are laid out once, as (weights, offsets) in
 `_products`; their closed-form data exponents (Dirichlet-kernel sums) and
 their prior-only log integrals over the von Mises support derive from that
 table. The exponents of Q are snr * core + gamma: the data cores and the prior
-log-integrals gamma are computed once per test-point set, as arrays. On Q sit
-the scalar bound h Q^{-1} h^T and the grid search over the shared exponent s.
+log-integrals gamma are computed once per test-point set, as arrays, and the
+Q of a whole SNR axis is built and factored as one stack. On Q sit the scalar
+bound h Q^{-1} h^T and the grid search over the shared exponent s, per axis;
+the one-SNR functions are calls of the axis functions.
 """
 from __future__ import annotations
 
@@ -27,7 +29,10 @@ from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointSet
 
-__all__ = ["WwbResult", "build_q", "wwb_value", "optimize_s", "DEFAULT_S_GRID"]
+__all__ = [
+    "WwbResult", "build_q", "wwb_axis", "wwb_value", "optimize_s_axis", "optimize_s",
+    "DEFAULT_S_GRID",
+]
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
@@ -148,23 +153,29 @@ def _set_parts(
     return parts[0], parts[1]
 
 
-def _combine(core: np.ndarray, gamma: np.ndarray, snr: float) -> np.ndarray:
-    """Score-matrix entries from the exponents snr * core + gamma of their four products.
+def _combine(core: np.ndarray, gamma: np.ndarray, snr: np.ndarray) -> tuple[np.ndarray, list]:
+    """Score matrices, a stack (n, r, r), from the exponents snr * core + gamma
+    of their four products at each of the n SNRs; and per SNR None, or the
+    OverflowError of a largest exponent past _EXP_LIMIT, whose matrix is NaN.
 
     The products enter with signs +, -, -, + and share a factored-out maximum,
     so the ratio never overflows even when the exponents scale like K * SNR.
     An entry whose products all have empty support is 0.
     """
-    e = snr * core + gamma
-    m = np.max(e, axis=0)
-    if np.max(m) > _EXP_LIMIT:
-        raise OverflowError(
-            f"score-matrix exponent {np.max(m):.1f} exceeds {_EXP_LIMIT} after factoring"
-        )
+    e = snr[:, None, None, None] * core + gamma
+    m = np.max(e, axis=1)
+    peak = np.max(m, axis=(1, 2))
     live = m > -np.inf
     m = np.where(live, m, 0.0)
-    t = np.exp(e - m)
-    return np.where(live, np.exp(m) * (t[0] - t[1] - t[2] + t[3]), 0.0)
+    t = np.exp(e - m[:, None])
+    # the clip keeps exp finite for matrices past the limit, which become NaN
+    scale = np.exp(np.minimum(m, _EXP_LIMIT))
+    q = np.where(live, scale * (t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]), 0.0)
+    fits = ~(peak > _EXP_LIMIT)
+    q[~fits] = np.nan
+    return q, [None if ok else OverflowError(
+        f"score-matrix exponent {p:.1f} exceeds {_EXP_LIMIT} after factoring"
+    ) for ok, p in zip(fits, peak)]
 
 
 def build_q(
@@ -175,23 +186,23 @@ def build_q(
 ) -> np.ndarray:
     """The full symmetric score matrix of a test-point set at its exponent `points.s`."""
     core, gamma = _set_parts(config.K, tuple(points.h.tolist()), points.s, prior, quad)
-    return _combine(core, gamma, config.snr)
+    (q,), (error,) = _combine(core, gamma, np.array([config.snr]))
+    if error is not None:
+        raise error
+    return q
 
 
-def wwb_value(
-    prior: VonMisesPrior,
-    config: SignalConfig,
-    points: TestPointSet,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> WwbResult:
-    """Evaluate the bound h Q^{-1} h^T for a fixed test-point set.
+def _result(bound: float, dropped) -> WwbResult:
+    if bound <= 0.0:
+        raise RuntimeError(f"non-positive bound value {bound}; Q assembly invalid")
+    return WwbResult(mse_bound=bound, db=10.0 * math.log10(bound),
+                     dropped_points=tuple(sorted(dropped)))
 
-    Near-duplicate or redundant test points make Q numerically singular; the
-    offending point (smallest factorization pivot) is dropped by deleting its
-    row and column, and the solve retried, with drops recorded in the result.
-    """
-    q, h = build_q(prior, config, points, quad), points.h
-    index_map = list(range(len(points)))
+
+def _solve_dropping(q: np.ndarray, h: np.ndarray) -> WwbResult:
+    """The bound h Q^{-1} h^T of one score matrix, dropping the point of each
+    singular pivot (deleting its row and column) and retrying."""
+    index_map = list(range(h.size))
     dropped: list[int] = []
     while True:
         try:
@@ -203,14 +214,104 @@ def wwb_value(
             q = np.delete(np.delete(q, err.index, axis=0), err.index, axis=1)
             h = np.delete(h, err.index)
             continue
-        bound = float(h @ x)
-        if bound <= 0.0:
-            raise RuntimeError(f"non-positive bound value {bound}; Q assembly invalid")
-        return WwbResult(
-            mse_bound=bound,
-            db=10.0 * math.log10(bound),
-            dropped_points=tuple(sorted(dropped)),
+        return _result(float(h @ x), dropped)
+
+
+def wwb_axis(
+    prior: VonMisesPrior,
+    K: int,
+    points: TestPointSet,
+    snr,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> list[WwbResult | OverflowError | RuntimeError]:
+    """The bound h Q^{-1} h^T of a fixed test-point set at every linear SNR of
+    the sequence `snr`, or the error that SNR fails with.
+
+    The score matrices of the whole axis are built and solved as one stack.
+    Near-duplicate or redundant test points make Q numerically singular; then
+    every SNR is solved on its own, and its offending point (smallest
+    factorization pivot) is dropped by deleting its row and column and the
+    solve retried, with drops recorded in the result. An SNR holds an
+    OverflowError past the exponent limit and a RuntimeError when every point
+    drops or the bound is not positive; failures of the test-point set as a
+    whole, such as quadrature non-convergence, are raised.
+    """
+    core, gamma = _set_parts(K, tuple(points.h.tolist()), points.s, prior, quad)
+    q, out = _combine(core, gamma, np.asarray(snr, dtype=float))
+    h = points.h
+    fits = [i for i, error in enumerate(out) if error is None]
+    try:
+        x = spd_solve(q[fits], h) if fits else None
+    except SingularMatrixError:
+        # solved one SNR at a time, each drops the points it drops alone
+        x = None
+    for n, i in enumerate(fits):
+        try:
+            out[i] = _solve_dropping(q[i], h) if x is None else _result(float(h @ x[n]), ())
+        except RuntimeError as err:
+            out[i] = err
+    return out
+
+
+def _raised(outcome):
+    """A result of the axis functions, or its stored error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def wwb_value(
+    prior: VonMisesPrior,
+    config: SignalConfig,
+    points: TestPointSet,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> WwbResult:
+    """The bound h Q^{-1} h^T for a fixed test-point set: `wwb_axis` at the
+    one SNR of `config`, with its error raised."""
+    (res,) = wwb_axis(prior, config.K, points, [config.snr], quad)
+    return _raised(res)
+
+
+def optimize_s_axis(
+    prior: VonMisesPrior,
+    K: int,
+    points: TestPointSet,
+    snr,
+    s_grid=DEFAULT_S_GRID,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+) -> list[tuple[float, WwbResult] | RuntimeError]:
+    """Grid search over the shared exponent at every linear SNR of `snr`: per
+    SNR the maximizing (s, result), or the RuntimeError of every s failing.
+
+    Each s evaluates the whole axis through `wwb_axis`. Ties are broken
+    toward s = 0.5, then toward smaller s. A failing grid point is skipped
+    and recorded with its message in the result's `s_failed`.
+    """
+    s_grid = list(s_grid)
+    if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
+        raise ValueError("s_grid must be non-empty with all values in (0, 1)")
+    per_s = []
+    for s in s_grid:
+        try:
+            per_s.append(wwb_axis(prior, K, points.with_exponent(s), snr, quad))
+        except RuntimeError as err:
+            per_s.append([err] * len(snr))
+    return [_best_s(s_grid, outcomes) for outcomes in zip(*per_s)]
+
+
+def _best_s(s_grid: list[float], outcomes) -> tuple[float, WwbResult] | RuntimeError:
+    results = [(s, r) for s, r in zip(s_grid, outcomes) if isinstance(r, WwbResult)]
+    failed = [(s, str(r)) for s, r in zip(s_grid, outcomes) if not isinstance(r, WwbResult)]
+    if not results:
+        return RuntimeError(
+            "bound evaluation failed at every s grid point: "
+            + "; ".join(f"s={s}: {msg}" for s, msg in failed)
         )
+    best_val = max(r.mse_bound for _, r in results)
+    tied = [(s, r) for s, r in results if r.mse_bound >= best_val * (1.0 - 1e-12)]
+    tied.sort(key=lambda sr: (abs(sr[0] - 0.5), sr[0]))
+    s_best, res = tied[0]
+    return s_best, replace(res, s_failed=tuple(failed))
 
 
 def optimize_s(
@@ -220,29 +321,7 @@ def optimize_s(
     s_grid=DEFAULT_S_GRID,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> tuple[float, WwbResult]:
-    """Grid search over the shared exponent; returns the maximizing (s, result).
-
-    Ties are broken toward s = 0.5, then toward smaller s. A failing grid
-    point is skipped and recorded with its message in the result's
-    `s_failed`; all points failing raises.
-    """
-    s_grid = list(s_grid)
-    if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
-        raise ValueError("s_grid must be non-empty with all values in (0, 1)")
-    results: list[tuple[float, WwbResult]] = []
-    failed: list[tuple[float, str]] = []
-    for s in s_grid:
-        try:
-            results.append((s, wwb_value(prior, config, points.with_exponent(s), quad)))
-        except (RuntimeError, OverflowError) as err:
-            failed.append((s, str(err)))
-    if not results:
-        raise RuntimeError(
-            "bound evaluation failed at every s grid point: "
-            + "; ".join(f"s={s}: {msg}" for s, msg in failed)
-        )
-    best_val = max(r.mse_bound for _, r in results)
-    tied = [(s, r) for s, r in results if r.mse_bound >= best_val * (1.0 - 1e-12)]
-    tied.sort(key=lambda sr: (abs(sr[0] - 0.5), sr[0]))
-    s_best, res = tied[0]
-    return s_best, replace(res, s_failed=tuple(failed))
+    """Grid search over the shared exponent; returns the maximizing (s, result):
+    `optimize_s_axis` at the one SNR of `config`, raising when all s fail."""
+    (best,) = optimize_s_axis(prior, config.K, points, [config.snr], s_grid, quad)
+    return _raised(best)

@@ -1,4 +1,5 @@
-"""Shared independent oracles used across the test suite.
+"""Shared independent oracles used across the test suite, and a reader for
+the CLI's CSV output.
 
 Every oracle here is implemented from first principles (series, quadrature,
 direct sums, Monte Carlo expectations) so it cannot share a bug with the
@@ -6,6 +7,9 @@ library code it checks.
 """
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -144,3 +148,22 @@ def q_element_mc_oracle(
     est = float(prod.mean() / den)
     se = float(prod.std(ddof=1) / math.sqrt(trials) / den)
     return est, se
+
+
+def parse_rows(text: str) -> list[dict]:
+    """Rows of a CSV table written by cli.emit(), with its column types."""
+    rows = []
+    for rec in csv.DictReader(io.StringIO(text)):
+        rows.append({
+            "kind": rec["kind"],
+            "snr_db": float(rec["snr_db"]),
+            "k": int(rec["k"]),
+            "kappa": float(rec["kappa"]),
+            "mu_rad": float(rec["mu_rad"]),
+            "s": float(rec["s"]) if rec["s"] else None,
+            "trio": rec["trio"],
+            "value_rad2": float(rec["value_rad2"]),
+            "value_db": float(rec["value_db"]),
+            "extra": json.loads(rec["extra"]),
+        })
+    return rows

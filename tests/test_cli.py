@@ -11,11 +11,11 @@ from circbound.cli import (
     SweepSpec,
     emit,
     main,
-    parse_rows,
     run_sweep,
 )
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
+from conftest import parse_rows
 
 
 def _small_spec(**overrides):
@@ -143,6 +143,24 @@ class TestMainExitCodes:
         assert err.count("\n") == 1 and err.startswith("numerical error:")
         assert "s=0.3:" in err and "s=0.5:" in err
 
+    def test_axis_failure_reported_at_first_failing_point(self, capsys):
+        # WWB is evaluated over the whole SNR axis first; its failures are
+        # still reported in SNR-then-kind order
+        rc = main(["sweep", "--kinds", "WWB,ZZB", "--k", "20", "--kappa", "1",
+                   "--snr-db=0,20,25"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: numerical failure at kind=WWB K=20 ")
+        assert "snr_db=20.0: score-matrix exponent 2001.2 exceeds 700.0" in err
+
+    def test_s_grid_failure_follows_snr_order(self, capsys):
+        rc = main(["wwb", "--k", "20", "--kappa", "1", "--snr-db=25,20", "--s", "0.3,0.5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "snr_db=25.0: bound evaluation failed at every s grid point" in err
+        assert "s=0.3: score-matrix exponent 12397.7 exceeds" in err
+        assert "s=0.5: score-matrix exponent 6325.7 exceeds" in err
+
     def test_s_grid_partial_failure_recorded_in_row(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
         rc = main(["wwb", "--k", "60", "--kappa", "2", "--trio", "2,9,0", "--snr-db=6",
@@ -226,7 +244,13 @@ class TestMainExitCodes:
     def test_testpoints_unwritable_output(self, tmp_path, capsys):
         rc = main(["testpoints", "--out", str(tmp_path / "missing" / "pts.csv")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("numerical error: cannot write ")
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
+    @pytest.mark.parametrize("command", ["testpoints", "wwb"])
+    def test_unwritable_output_is_not_numerical(self, command, capsys):
+        rc = main([command, "--out", "/nonexistent/dir/x.csv"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: cannot write /nonexistent/dir/x.csv: ")
 
     def test_map_sim_subcommand(self, tmp_path):
         out = tmp_path / "map.csv"

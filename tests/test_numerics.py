@@ -290,3 +290,40 @@ class TestSpdSolve:
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(SingularMatrixError):
             spd_solve(m, np.array([1.0, 1.0]))
+
+    def test_one_matrix_stack_bit_identical(self):
+        # the single-matrix algorithm written with 2-D operations: equilibrate
+        # by np.outer, factor, two triangular solves of a 1-D right-hand side
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((6, 6))
+        spread = 10.0 ** np.arange(-5, 7, 2)
+        m = (a @ a.T + np.eye(6)) * np.outer(spread, spread)
+        v = rng.standard_normal(6)
+        d = 1.0 / np.sqrt(np.diag(m))
+        low = np.linalg.cholesky(m * np.outer(d, d))
+        want = np.linalg.solve(low.T, np.linalg.solve(low, v * d)) * d
+        assert np.array_equal(spd_solve(m, v), want)
+        assert np.array_equal(spd_solve(m[None], v)[0], want)
+
+    def test_stack_rows_equal_single_solves(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((7, 5, 5))
+        stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(5)
+        v = rng.standard_normal(5)
+        x = spd_solve(stack, v)
+        assert x.shape == (7, 5)
+        for m, row in zip(stack, x):
+            assert np.array_equal(spd_solve(m, v), row)
+
+    def test_stack_failure_reports_first_failing_matrix(self):
+        v = np.array([1.0, 1.0])
+        tiny_pivot = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        with pytest.raises(SingularMatrixError) as exc:
+            spd_solve(np.stack([np.eye(2), tiny_pivot, np.eye(2)]), v)
+        assert exc.value.index == 1
+        negative = np.array([[-1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as exc:
+            spd_solve(np.stack([np.eye(2), negative]), v)
+        assert exc.value.index == 0
+        with pytest.raises(DomainError):
+            spd_solve(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.3, 1.0]])]), v)

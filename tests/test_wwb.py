@@ -16,7 +16,14 @@ from circbound.numerics import DEFAULT_QUAD, QuadratureSpec
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, TestPointSet, build
-from circbound.wwb import _product_exponents, build_q, optimize_s, wwb_value
+from circbound.wwb import (
+    _product_exponents,
+    build_q,
+    optimize_s,
+    optimize_s_axis,
+    wwb_axis,
+    wwb_value,
+)
 
 from conftest import (
     CROSS_LAYOUTS,
@@ -344,3 +351,78 @@ class TestOptimizeS:
             optimize_s(prior, config, points, s_grid=[])
         with pytest.raises(ValueError):
             optimize_s(prior, config, points, s_grid=[0.0, 0.5])
+
+
+def _one_snr(call):
+    """A one-SNR result, or its error as (type, message)."""
+    try:
+        return call()
+    except (OverflowError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def _stored(outcome):
+    return (type(outcome), str(outcome)) if isinstance(outcome, Exception) else outcome
+
+
+class TestSnrAxis:
+    """The stacked SNR axis against one-SNR calls, which must agree bit for bit."""
+
+    SNR_DB = [-20.0, -12.5, -5.0, 0.0, 2.5, 5.0, 7.5, 10.0]
+
+    @staticmethod
+    def _sets():
+        h = 0.3 * math.pi
+        return [
+            TestPointSet(
+                h=np.array([0.001, 0.01, 0.25, 0.6, 1.0]) * math.pi,
+                provenance=("C", "C", "E", "E", "E"),
+            ),
+            # a near-duplicate pair forces a drop
+            TestPointSet(
+                h=np.array([0.1 * math.pi, h, h + 1e-13, 0.7 * math.pi]),
+                provenance=("E",) * 4,
+            ),
+        ]
+
+    @pytest.mark.parametrize("K", [5, 20, 60])
+    def test_axis_equals_one_snr_calls(self, K):
+        snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB]
+        dropped = 0
+        for kappa in (0.0, 2.0, 20.0):
+            for mu in (0.0, 0.7):
+                prior = VonMisesPrior(mu=mu, kappa=kappa)
+                for points in self._sets():
+                    for s in (0.1, 0.5, 0.9):
+                        pts = points.with_exponent(s)
+                        axis = wwb_axis(prior, K, pts, snrs)
+                        for snr, outcome in zip(snrs, axis):
+                            config = SignalConfig(K=K, snr=snr)
+                            one = _one_snr(lambda: wwb_value(prior, config, pts))
+                            assert _stored(outcome) == one
+                            dropped += bool(getattr(outcome, "dropped_points", ()))
+        assert dropped > 0
+
+    def test_optimize_axis_equals_one_snr_calls(self):
+        # at K=60 the upper SNRs fail at s=0.1 and 0.9, and +20 dB at every s
+        prior = VonMisesPrior(mu=0.0, kappa=2.0)
+        points = build(TestPointConfig(2, 9, 0), 60)
+        snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB + [20.0]]
+        axis = optimize_s_axis(prior, 60, points, snrs, [0.9, 0.1, 0.5])
+        failed = set()
+        for snr, outcome in zip(snrs, axis):
+            config = SignalConfig(K=60, snr=snr)
+            one = _one_snr(lambda: optimize_s(prior, config, points, [0.9, 0.1, 0.5]))
+            assert _stored(outcome) == one
+            failed.add(len(outcome[1].s_failed) if isinstance(outcome, tuple) else type(outcome))
+        assert failed == {0, 2, RuntimeError}
+
+    def test_overflow_stored_per_snr(self):
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+        points = build(TestPointConfig(2, 9, 10), 20)
+        snrs = [10.0 ** (v / 10.0) for v in (0.0, 20.0, 25.0)]
+        low, mid, high = wwb_axis(prior, 20, points, snrs)
+        assert low == wwb_value(prior, SignalConfig(K=20, snr=1.0), points)
+        assert isinstance(mid, OverflowError) and isinstance(high, OverflowError)
+        assert str(mid) == "score-matrix exponent 2001.2 exceeds 700.0 after factoring"
+        assert str(high) == "score-matrix exponent 6325.7 exceeds 700.0 after factoring"
