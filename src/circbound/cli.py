@@ -97,6 +97,11 @@ class SweepSpec:
             raise SpecError("bound_kinds", "empty list")
         if any(k not in KINDS for k in self.bound_kinds):
             raise SpecError("bound_kinds", f"kinds must be a subset of {KINDS}")
+        if "BCRB" in self.bound_kinds and 1 in self.k_values and 0 in self.kappa_values:
+            raise SpecError("kappa_values", "BCRB at K=1 needs kappa > 0: "
+                            "neither the data nor the prior carries information")
+        if "ZZB" in self.bound_kinds and any(k < 2 for k in self.k_values):
+            raise SpecError("k_values", "ZZB needs K >= 2")
         if not self.s_grid or any(not (0.0 < s < 1.0) for s in self.s_grid):
             raise SpecError("s_grid", "values must lie in (0, 1)")
         if not self.trios:
@@ -123,7 +128,7 @@ def _row(kind, snr_db, k, kappa, mu, s, trio, value, extra):
         "s": None if s is None else float(s),
         "trio": "" if trio is None else _trio_str(trio),
         "value_rad2": float(value),
-        "value_db": 10.0 * math.log10(value),
+        "value_db": 10.0 * math.log10(value) if value > 0.0 else -math.inf,
         "extra": extra or {},
     }
 

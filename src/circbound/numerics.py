@@ -152,15 +152,13 @@ def regularized_lower_gamma(a: float, z: float) -> float:
 def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Solve M x = v for symmetric positive definite M via Cholesky.
 
-    `m` is one matrix (r, r) or a stack (n, r, r) of matrices that share `v`;
-    the result is x of shape (r,) or (n, r). A single matrix is solved as a
-    stack of one. The system is diagonally equilibrated first: valid score
-    matrices have diagonal entries spanning hundreds of orders of magnitude
-    at high SNR, so a raw largest-diagonal pivot test would flag healthy
-    rows. After scaling, a pivot below 1e-14 (of the unit scaled diagonal)
-    signals genuine rank deficiency; SingularMatrixError carries the
-    offending index, within the first failing matrix of a stack, so the
-    caller can drop that row/column and retry.
+    `m` is one matrix (r, r) or a stack (n, r, r) of matrices; `v` is one
+    right-hand side (r,), shared by the stack, or one per matrix (n, r). The
+    result is x of shape (r,) or (n, r). A single matrix is solved as a stack
+    of one. A pivot at or below 1e-14 signals rank deficiency of a matrix
+    with unit diagonal, such as a correlation matrix; SingularMatrixError
+    carries the offending index, within the first failing matrix of a stack,
+    so the caller can drop that row/column and retry.
     """
     m = np.asarray(m, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -174,12 +172,9 @@ def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
         row_diag = diag[np.argmax(bad_rows)]
         bad = int(np.argmin(np.where(np.isfinite(row_diag), row_diag, -np.inf)))
         raise SingularMatrixError(bad, float(row_diag[bad]))
-    d_scale = 1.0 / np.sqrt(diag)
-    # m_ab * (d_a d_b), with d_a d_b rounded first as in m * np.outer(d, d)
-    ms = stack * (d_scale[:, :, None] * d_scale[:, None, :])
-    low = _cholesky(ms)
+    low = _cholesky(stack)
     if low is None:
-        failing = next(a for a in ms if _cholesky(a) is None)
+        failing = next(a for a in stack if _cholesky(a) is None)
         # LAPACK reports no pivot index, but the largest leading block that
         # passes ends just before it (Sylvester's criterion): bisect for it
         good, bad = 0, failing.shape[0]
@@ -188,8 +183,8 @@ def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
             good, bad = (mid, bad) if _cholesky(failing[:mid, :mid]) is not None else (good, mid)
         row = np.linalg.solve(_cholesky(failing[:good, :good]), failing[:good, good])
         raise SingularMatrixError(good, float(failing[good, good] - row @ row))
-    vs = (v * d_scale)[:, :, None]
-    x = np.linalg.solve(low.transpose(0, 2, 1), np.linalg.solve(low, vs))[:, :, 0] * d_scale
+    vs = np.broadcast_to(v, stack.shape[:2])[:, :, None]
+    x = np.linalg.solve(low.transpose(0, 2, 1), np.linalg.solve(low, vs))[:, :, 0]
     return x if m.ndim == 3 else x[0]
 
 

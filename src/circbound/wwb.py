@@ -5,9 +5,10 @@ The four score products are laid out once, as (weights, offsets) in
 their prior-only log integrals over the von Mises support derive from that
 table. The exponents of Q are snr * core + gamma: the data cores and the prior
 log-integrals gamma are computed once per test-point set, as arrays, and the
-Q of a whole SNR axis is built and factored as one stack. On Q sit the scalar
-bound h Q^{-1} h^T and the grid search over the shared exponent s, per axis;
-the one-SNR functions are calls of the axis functions.
+correlation matrices of Q over a whole SNR axis are formed in the exponent,
+built and factored as one stack. On them sit the scalar bound h Q^{-1} h^T
+and the grid search over the shared exponent s, per axis; the one-SNR
+functions are calls of the axis functions.
 """
 from __future__ import annotations
 
@@ -35,10 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
-
-# largest residual exponent tolerated after factoring out the maximum;
-# beyond this exp() overflows double precision
-_EXP_LIMIT = 700.0
 
 # test-point sets whose SNR-free parts are kept; a sweep revisits the few
 # sets of its current (kappa, mu) at every SNR
@@ -153,29 +150,27 @@ def _set_parts(
     return parts[0], parts[1]
 
 
-def _combine(core: np.ndarray, gamma: np.ndarray, snr: np.ndarray) -> tuple[np.ndarray, list]:
-    """Score matrices, a stack (n, r, r), from the exponents snr * core + gamma
-    of their four products at each of the n SNRs; and per SNR None, or the
-    OverflowError of a largest exponent past _EXP_LIMIT, whose matrix is NaN.
+def _combine(core: np.ndarray, gamma: np.ndarray, snr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Correlation matrices C, a stack (n, r, r), and half log-diagonals, (n, r),
+    of the score matrices whose four products have the exponents
+    snr * core + gamma at each of the n SNRs.
 
-    The products enter with signs +, -, -, + and share a factored-out maximum,
-    so the ratio never overflows even when the exponents scale like K * SNR.
-    An entry whose products all have empty support is 0.
+    Q_ab = C_ab exp(half_a + half_b) with half_a = 1/2 log Q_aa. The products
+    enter with signs +, -, -, + and share a factored-out maximum m, and C_ab
+    takes the exponent m - (half_a + half_b): |C_ab| <= 1, so nothing
+    overflows even when the exponents scale like K * SNR. An entry whose
+    products all have empty support is 0; a non-positive diagonal entry
+    leaves a NaN on C's diagonal.
     """
     e = snr[:, None, None, None] * core + gamma
     m = np.max(e, axis=1)
-    peak = np.max(m, axis=(1, 2))
-    live = m > -np.inf
-    m = np.where(live, m, 0.0)
-    t = np.exp(e - m[:, None])
-    # the clip keeps exp finite for matrices past the limit, which become NaN
-    scale = np.exp(np.minimum(m, _EXP_LIMIT))
-    q = np.where(live, scale * (t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]), 0.0)
-    fits = ~(peak > _EXP_LIMIT)
-    q[~fits] = np.nan
-    return q, [None if ok else OverflowError(
-        f"score-matrix exponent {p:.1f} exceeds {_EXP_LIMIT} after factoring"
-    ) for ok, p in zip(fits, peak)]
+    t = np.exp(e - np.where(m > -np.inf, m, 0.0)[:, None])
+    diff = t[:, 0] - t[:, 1] - t[:, 2] + t[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = 0.5 * (np.diagonal(m, axis1=1, axis2=2)
+                      + np.log(np.diagonal(diff, axis1=1, axis2=2)))
+        c = np.exp(m - (half[:, :, None] + half[:, None, :])) * diff
+    return c, half
 
 
 def build_q(
@@ -186,35 +181,34 @@ def build_q(
 ) -> np.ndarray:
     """The full symmetric score matrix of a test-point set at its exponent `points.s`."""
     core, gamma = _set_parts(config.K, tuple(points.h.tolist()), points.s, prior, quad)
-    (q,), (error,) = _combine(core, gamma, np.array([config.snr]))
-    if error is not None:
-        raise error
-    return q
+    (c,), (half,) = _combine(core, gamma, np.array([config.snr]))
+    return c * np.exp(half[:, None] + half[None, :])
 
 
 def _result(bound: float, dropped) -> WwbResult:
-    if bound <= 0.0:
-        raise RuntimeError(f"non-positive bound value {bound}; Q assembly invalid")
+    # a bound below the smallest normal double has lost digits or is 0
+    if not bound >= np.finfo(float).tiny:
+        raise RuntimeError(f"bound value {bound:.3g} underflows double precision")
     return WwbResult(mse_bound=bound, db=10.0 * math.log10(bound),
                      dropped_points=tuple(sorted(dropped)))
 
 
-def _solve_dropping(q: np.ndarray, h: np.ndarray) -> WwbResult:
-    """The bound h Q^{-1} h^T of one score matrix, dropping the point of each
-    singular pivot (deleting its row and column) and retrying."""
-    index_map = list(range(h.size))
+def _solve_dropping(c: np.ndarray, g: np.ndarray) -> WwbResult:
+    """The bound g C^{-1} g^T of one correlation matrix, dropping the point of
+    each singular pivot (deleting its row and column) and retrying."""
+    index_map = list(range(g.size))
     dropped: list[int] = []
     while True:
         try:
-            x = spd_solve(q, h)
+            x = spd_solve(c, g)
         except SingularMatrixError as err:
             dropped.append(index_map.pop(err.index))
             if not index_map:
                 raise RuntimeError("all test points dropped; bound undefined") from err
-            q = np.delete(np.delete(q, err.index, axis=0), err.index, axis=1)
-            h = np.delete(h, err.index)
+            c = np.delete(np.delete(c, err.index, axis=0), err.index, axis=1)
+            g = np.delete(g, err.index)
             continue
-        return _result(float(h @ x), dropped)
+        return _result(float(g @ x), dropped)
 
 
 def wwb_axis(
@@ -223,33 +217,35 @@ def wwb_axis(
     points: TestPointSet,
     snr,
     quad: QuadratureSpec = DEFAULT_QUAD,
-) -> list[WwbResult | OverflowError | RuntimeError]:
+) -> list[WwbResult | RuntimeError]:
     """The bound h Q^{-1} h^T of a fixed test-point set at every linear SNR of
     the sequence `snr`, or the error that SNR fails with.
 
-    The score matrices of the whole axis are built and solved as one stack.
-    Near-duplicate or redundant test points make Q numerically singular; then
-    every SNR is solved on its own, and its offending point (smallest
-    factorization pivot) is dropped by deleting its row and column and the
-    solve retried, with drops recorded in the result. An SNR holds an
-    OverflowError past the exponent limit and a RuntimeError when every point
-    drops or the bound is not positive; failures of the test-point set as a
-    whole, such as quadrature non-convergence, are raised.
+    The bound is solved as g C^{-1} g^T, with C the correlation matrix of Q
+    and g_a = h_a / sqrt(Q_aa), and the matrices of the whole axis are
+    solved as one stack. Near-duplicate or redundant test points make C
+    numerically singular; then every SNR is solved on its own, and its
+    offending point (smallest factorization pivot) is dropped by deleting its
+    row and column and the solve retried, with drops recorded in the result.
+    An SNR holds a RuntimeError when every point drops or the bound
+    underflows; failures of the test-point set as a whole, such as
+    quadrature non-convergence, are raised.
     """
     core, gamma = _set_parts(K, tuple(points.h.tolist()), points.s, prior, quad)
-    q, out = _combine(core, gamma, np.asarray(snr, dtype=float))
-    h = points.h
-    fits = [i for i, error in enumerate(out) if error is None]
+    c, half = _combine(core, gamma, np.asarray(snr, dtype=float))
+    g = points.h * np.exp(-half)
     try:
-        x = spd_solve(q[fits], h) if fits else None
+        x = spd_solve(c, g)
     except SingularMatrixError:
         # solved one SNR at a time, each drops the points it drops alone
         x = None
-    for n, i in enumerate(fits):
+    out: list[WwbResult | RuntimeError] = []
+    for i in range(len(g)):
         try:
-            out[i] = _solve_dropping(q[i], h) if x is None else _result(float(h @ x[n]), ())
+            out.append(_result(float(g[i] @ x[i]), ()) if x is not None
+                       else _solve_dropping(c[i], g[i]))
         except RuntimeError as err:
-            out[i] = err
+            out.append(err)
     return out
 
 

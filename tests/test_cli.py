@@ -135,7 +135,7 @@ class TestMainExitCodes:
         assert "numerical" in capsys.readouterr().err
 
     def test_s_grid_failure_names_grid_point(self, capsys):
-        rc = main(["wwb", "--snr-db=25", "--s", "0.3,0.5"])
+        rc = main(["wwb", "--k", "200", "--snr-db=25", "--s", "0.3,0.5"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "snr_db=25.0" in err
@@ -146,30 +146,30 @@ class TestMainExitCodes:
     def test_axis_failure_reported_at_first_failing_point(self, capsys):
         # WWB is evaluated over the whole SNR axis first; its failures are
         # still reported in SNR-then-kind order
-        rc = main(["sweep", "--kinds", "WWB,ZZB", "--k", "20", "--kappa", "1",
-                   "--snr-db=0,20,25"])
+        rc = main(["sweep", "--kinds", "WWB,ZZB", "--k", "200", "--kappa", "1",
+                   "--snr-db=0,18,20"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical error: numerical failure at kind=WWB K=20 ")
-        assert "snr_db=20.0: score-matrix exponent 2001.2 exceeds 700.0" in err
+        assert err.startswith("numerical error: numerical failure at kind=WWB K=200 ")
+        assert "snr_db=18.0: bound value 0 underflows double precision" in err
 
     def test_s_grid_failure_follows_snr_order(self, capsys):
-        rc = main(["wwb", "--k", "20", "--kappa", "1", "--snr-db=25,20", "--s", "0.3,0.5"])
+        rc = main(["wwb", "--k", "200", "--kappa", "1", "--snr-db=20,18", "--s", "0.3,0.5"])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "snr_db=25.0: bound evaluation failed at every s grid point" in err
-        assert "s=0.3: score-matrix exponent 12397.7 exceeds" in err
-        assert "s=0.5: score-matrix exponent 6325.7 exceeds" in err
+        assert "snr_db=20.0: bound evaluation failed at every s grid point" in err
+        assert "s=0.3: bound value 0 underflows double precision" in err
+        assert "s=0.5: bound value 0 underflows double precision" in err
 
     def test_s_grid_partial_failure_recorded_in_row(self, tmp_path, capsys):
         out = tmp_path / "w.csv"
-        rc = main(["wwb", "--k", "60", "--kappa", "2", "--trio", "2,9,0", "--snr-db=6",
+        rc = main(["wwb", "--k", "60", "--kappa", "2", "--trio", "2,9,0", "--snr-db=30",
                    "--s", "0.1,0.5", "--out", str(out)])
         assert rc == 0
         (row,) = parse_rows(out.read_text())
         assert row["s"] == 0.5
         ((s_failed, message),) = row["extra"]["s_failed"]
-        assert s_failed == 0.1 and "exceeds" in message
+        assert s_failed == 0.1 and "underflows double precision" in message
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("k", ["2", "3"])
@@ -222,6 +222,37 @@ class TestMainExitCodes:
         assert rc == 0
         (row,) = parse_rows(out.read_text())
         assert math.isfinite(row["value_rad2"]) and row["value_rad2"] > 0.0
+
+    def test_wwb_past_former_exponent_limit(self, tmp_path):
+        # +20 dB at K=20 and kappa=600 at 0 dB once stopped at an exponent
+        # limit; the bound stays below BCRB at +20 dB
+        out = tmp_path / "w.csv"
+        assert main(["wwb", "--k", "20", "--kappa", "1", "--snr-db=20", "--out", str(out)]) == 0
+        (row,) = parse_rows(out.read_text())
+        assert 0.0 < row["value_rad2"] < 2.0242896687801695e-06
+        assert main(["wwb", "--k", "20", "--kappa", "600", "--snr-db=0", "--out", str(out)]) == 0
+        (row,) = parse_rows(out.read_text())
+        assert math.isfinite(row["value_db"])
+
+    @pytest.mark.parametrize("argv", [
+        ["bcrb", "--k", "1", "--kappa", "0"],
+        ["sweep", "--kinds", "BCRB,MAP", "--k", "1,20", "--kappa", "0,1", "--snr-db=0"],
+    ])
+    def test_bcrb_without_information_names_kappa(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid kappa_values:") and "K=1" in err
+
+    def test_zzb_single_sample_names_k(self, capsys):
+        assert main(["zzb", "--k", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid k_values:")
+
+    def test_map_sim_point_mass_prior_has_zero_error(self, tmp_path):
+        # at kappa=1e300 every truth and every estimate is mu
+        out = tmp_path / "map.csv"
+        assert main(["map-sim", "--kappa", "1e300", "--trials", "10", "--out", str(out)]) == 0
+        (row,) = parse_rows(out.read_text())
+        assert row["value_rad2"] == 0.0 and row["value_db"] == -math.inf
 
     def test_wwb_s_grid_reports_maximizing_exponent(self, tmp_path):
         out = tmp_path / "w.csv"

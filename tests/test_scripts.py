@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from circbound.cli import FIGURE_PRESETS
+from conftest import parse_rows
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -36,3 +37,7 @@ def test_reproduce_figures_writes_every_preset(tmp_path):
     assert len(written) == 6
     for path in tmp_path.iterdir():
         assert "nan" not in path.read_text()
+    # figure 6 runs its preset axis to the top, +10 dB, at every K and s
+    fig6 = parse_rows((tmp_path / "figure_06.csv").read_text())
+    assert max(r["snr_db"] for r in fig6) == 10.0
+    assert len(fig6) == 31 * 3 * 2

@@ -8,6 +8,7 @@ exponents are read per score product from `_product_exponents`; whole
 entries come from `build_q` on one- and two-point sets.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, TestPointSet, build
 from circbound.wwb import (
+    WwbResult,
     _product_exponents,
     build_q,
     optimize_s,
@@ -201,6 +203,15 @@ class TestQMatrix:
         assert np.allclose(q, q.T, rtol=1e-9)
         assert np.all(np.diag(q) > 0.0)
 
+    def test_build_q_exactly_symmetric(self):
+        config = SignalConfig(K=20, snr=1.0)
+        for kappa, trio, s in [
+            (1.0, (2, 9, 10), 0.5), (20.0, (2, 9, 0), 0.1), (0.0, (2, 3, 2), 0.9),
+        ]:
+            q = build_q(VonMisesPrior(mu=0.7, kappa=kappa), config,
+                        build(TestPointConfig(*trio), 20).with_exponent(s))
+            assert np.array_equal(q, q.T)
+
 
 class TestArrayPath:
     """build_q's broadcast assembly against the entries of one- and two-point sets."""
@@ -236,13 +247,6 @@ class TestArrayPath:
                             want = q_entry(h[a], h[b], s, prior, config)
                             assert q[a, b] == pytest.approx(want, rel=1e-9)
                             assert q[b, a] == q[a, b]
-
-    def test_overflow_wall_unchanged(self):
-        # the residual exponent reaches about 1698 here (limit 700)
-        prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        config = SignalConfig(K=20, snr=100.0)
-        with pytest.raises(OverflowError):
-            build_q(prior, config, build(TestPointConfig(2, 9, 10), 20))
 
     def test_drop_matches_reduced_set(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
@@ -332,14 +336,14 @@ class TestOptimizeS:
         assert s_best == 0.5
 
     def test_failed_exponents_recorded(self):
-        # at K=60 and +6 dB, s=0.1 hits the overflow wall and s=0.5 does not
+        # at K=60 and +30 dB, the s=0.1 bound underflows and the s=0.5 one does not
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
-        config = SignalConfig(K=60, snr=10.0 ** 0.6)
+        config = SignalConfig(K=60, snr=1000.0)
         points = build(TestPointConfig(2, 9, 0), 60)
         s_best, res = optimize_s(prior, config, points, s_grid=[0.1, 0.5])
         assert s_best == 0.5
         assert [s for s, _ in res.s_failed] == [0.1]
-        assert "exceeds" in res.s_failed[0][1]
+        assert "underflows double precision" in res.s_failed[0][1]
         _, clean = optimize_s(prior, config, points, s_grid=[0.5])
         assert clean.s_failed == ()
 
@@ -357,7 +361,7 @@ def _one_snr(call):
     """A one-SNR result, or its error as (type, message)."""
     try:
         return call()
-    except (OverflowError, RuntimeError) as err:
+    except RuntimeError as err:
         return type(err), str(err)
 
 
@@ -404,25 +408,52 @@ class TestSnrAxis:
         assert dropped > 0
 
     def test_optimize_axis_equals_one_snr_calls(self):
-        # at K=60 the upper SNRs fail at s=0.1 and 0.9, and +20 dB at every s
+        # at K=200 the bound underflows at s=0.1 and 0.9 at +15 dB, and at
+        # every s at +20 dB
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
-        points = build(TestPointConfig(2, 9, 0), 60)
-        snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB + [20.0]]
-        axis = optimize_s_axis(prior, 60, points, snrs, [0.9, 0.1, 0.5])
+        points = build(TestPointConfig(2, 9, 0), 200)
+        snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB + [15.0, 20.0]]
+        axis = optimize_s_axis(prior, 200, points, snrs, [0.9, 0.1, 0.5])
         failed = set()
         for snr, outcome in zip(snrs, axis):
-            config = SignalConfig(K=60, snr=snr)
+            config = SignalConfig(K=200, snr=snr)
             one = _one_snr(lambda: optimize_s(prior, config, points, [0.9, 0.1, 0.5]))
             assert _stored(outcome) == one
             failed.add(len(outcome[1].s_failed) if isinstance(outcome, tuple) else type(outcome))
         assert failed == {0, 2, RuntimeError}
 
-    def test_overflow_stored_per_snr(self):
+    def test_underflow_stored_per_snr(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        points = build(TestPointConfig(2, 9, 10), 20)
-        snrs = [10.0 ** (v / 10.0) for v in (0.0, 20.0, 25.0)]
-        low, mid, high = wwb_axis(prior, 20, points, snrs)
-        assert low == wwb_value(prior, SignalConfig(K=20, snr=1.0), points)
-        assert isinstance(mid, OverflowError) and isinstance(high, OverflowError)
-        assert str(mid) == "score-matrix exponent 2001.2 exceeds 700.0 after factoring"
-        assert str(high) == "score-matrix exponent 6325.7 exceeds 700.0 after factoring"
+        points = build(TestPointConfig(2, 9, 10), 200)
+        snrs = [10.0 ** (v / 10.0) for v in (0.0, 18.0, 20.0)]
+        low, mid, high = wwb_axis(prior, 200, points, snrs)
+        assert low == wwb_value(prior, SignalConfig(K=200, snr=1.0), points)
+        assert isinstance(mid, RuntimeError) and isinstance(high, RuntimeError)
+        assert str(mid) == "bound value 0 underflows double precision"
+        assert str(high) == "bound value 0 underflows double precision"
+
+    def test_subnormal_bound_is_underflow(self):
+        # at K=60, s=0.1, +28 dB the bound is about 8e-313: representable
+        # only with lost digits, so it is reported as an underflow too
+        prior = VonMisesPrior(mu=0.0, kappa=2.0)
+        points = build(TestPointConfig(2, 9, 10), 60).with_exponent(0.1)
+        (outcome,) = wwb_axis(prior, 60, points, [10.0 ** 2.8])
+        assert isinstance(outcome, RuntimeError)
+        assert re.fullmatch(r"bound value [1-9][.0-9]*e-3[01]\d underflows double precision",
+                            str(outcome))
+
+    @pytest.mark.parametrize("K, s_values", [
+        (20, (0.1, 0.5, 0.9)), (40, (0.1, 0.5, 0.9)), (60, (0.5,)),
+    ])
+    def test_finite_over_advertised_snr_range(self, K, s_values):
+        # the correlation-matrix assembly has no exponent limit: every SNR of
+        # the CLI's [-45, 30] dB range gives a finite, positive bound
+        snr_db = np.arange(-45.0, 31.0)
+        points = build(TestPointConfig(2, 9, 10), K)
+        for kappa in (0.0, 2.0, 20.0):
+            for s in s_values:
+                axis = wwb_axis(VonMisesPrior(kappa=kappa), K, points.with_exponent(s),
+                                10.0 ** (snr_db / 10.0))
+                for outcome in axis:
+                    assert isinstance(outcome, WwbResult)
+                    assert math.isfinite(outcome.db) and outcome.mse_bound > 0.0
