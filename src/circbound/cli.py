@@ -110,6 +110,8 @@ class SweepSpec:
             raise SpecError("trials", "must be >= 1")
         if self.seed < 0:
             raise SpecError("seed", "must be >= 0")
+        if self.quad_nodes < 16:
+            raise SpecError("quad_nodes", "must be >= 16")
         if self.output_format not in ("csv", "json"):
             raise SpecError("output_format", "must be csv or json")
 
@@ -336,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", default="0", help="master seed for all randomness")
     common.add_argument("--out", "-o", default="-", help="output path, '-' for stdout")
     common.add_argument("--format", default="csv", choices=("csv", "json"))
-    common.add_argument("--quad-nodes", default="32", help="quadrature panel count")
+    common.add_argument("--quad-nodes", default="32",
+                        help="panel floor of each prior integral's x8 doubling budget")
     common.add_argument("--f-int", default=None, help="integration rate in Hz for unit columns")
     common.add_argument("--config-file", default=None, help="flat key=value file; flags override")
 

@@ -86,52 +86,76 @@ def dirichlet_kernel(h, K: int):
     return float(out) if h.ndim == 0 else out
 
 
-# entries of a batched integral evaluated together, which bounds its node
-# arrays at _BLOCK_ROWS x 8 node_count x _GL_ORDER doubles
-_BLOCK_ROWS = 64
+# nodes of one flattened pass of a batched integral: entries are evaluated
+# together until their nodes reach it (an entry with more is evaluated
+# alone); it bounds the node-sized temporaries of a pass at 64 KiB each
+_CHUNK_NODES = 8192
 
 
-def _composite_gl(f, a: np.ndarray, b: np.ndarray, rows: np.ndarray, panels: int) -> np.ndarray:
-    # node positions on [0, 1], all panels at once: shape (panels * order,)
-    u = ((np.arange(panels)[:, None] + 0.5 + 0.5 * _GL_NODES) / panels).ravel()
-    width = b[rows] - a[rows]
-    theta = a[rows, None] + width[:, None] * u
-    vals = f(theta, rows).reshape(rows.size, panels, _GL_ORDER)
-    return 0.5 * width / panels * np.sum(vals @ _GL_WEIGHTS, axis=1)
+def _composite_gl(f, a, b, rows: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    # one row of _GL_ORDER nodes per panel; entry i owns panels[i] consecutive rows
+    starts = np.cumsum(panels) - panels
+    width = (b[rows] - a[rows]) / panels
+    step = np.repeat(width, panels)
+    index = np.arange(starts[-1] + panels[-1]) - np.repeat(starts, panels)
+    left = np.repeat(a[rows], panels) + step * index
+    theta = left[:, None] + step[:, None] * (0.5 + 0.5 * _GL_NODES)
+    vals = f(theta.ravel(), np.repeat(rows, panels * _GL_ORDER)).reshape(theta.shape)
+    return 0.5 * width * np.add.reduceat(vals @ _GL_WEIGHTS, starts)
 
 
-def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
+def _panel_sums(f, a, b, rows: np.ndarray, panels: np.ndarray) -> np.ndarray:
+    """The composite rule of every entry in `rows` at its own panel count, in
+    flat passes of at most _CHUNK_NODES nodes."""
+    out = np.empty(rows.size)
+    nodes = panels * _GL_ORDER
+    ends = np.cumsum(nodes)
+    lo = 0
+    while lo < rows.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - nodes[lo] + _CHUNK_NODES, "right")))
+        out[lo:hi] = _composite_gl(f, a, b, rows[lo:hi], panels[lo:hi])
+        lo = hi
+    return out
+
+
+def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panels=None):
     """Composite Gauss-Legendre integral of `f` over [a, b].
 
     With scalar limits `f` must accept an ndarray of abscissae and the result
     is a float. With 1-D array limits every entry is its own integral and the
-    result is an array: `f(theta, rows)` gets one row of abscissae per entry
-    in the index array `rows`. Each entry converges on its own: when one
-    node-count doubling changes it by less than `rel_tol` relatively; two
-    further doublings are tried before signalling QuadratureError.
+    result is an array: `f(theta, rows)` gets a flat array of abscissae and
+    the equally long array of the entries they belong to. `panels` gives each
+    entry its starting panel count (default `spec.node_count`). Each entry
+    converges on its own, when one doubling of its panels changes it by at
+    most `rel_tol` relatively; an entry still moving once its panels reach
+    8 * max(node_count, start) signals QuadratureError.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a > b):
         raise DomainError(f"integration interval requires a <= b, got [{a}, {b}]")
     if a.ndim == 0:
-        return float(integrate(lambda t, _: f(t.ravel()).reshape(t.shape), a[None], b[None], spec)[0])
+        return float(integrate(lambda t, _: f(t), a[None], b[None], spec)[0])
+    start = np.full(a.shape, spec.node_count) if panels is None else np.asarray(panels)
+    if start.shape != a.shape or not np.issubdtype(start.dtype, np.integer) or np.any(start < 1):
+        raise DomainError(f"starting panels must be positive integers, one per entry, got {start}")
     out = np.zeros(a.shape)
-    live = np.flatnonzero(a < b)
-    for start in range(0, live.size, _BLOCK_ROWS):
-        rows = live[start:start + _BLOCK_ROWS]
-        panels = spec.node_count
-        prev = _composite_gl(f, a, b, rows, panels)
-        while rows.size and panels < 8 * spec.node_count:
-            panels *= 2
-            cur = _composite_gl(f, a, b, rows, panels)
-            done = np.abs(cur - prev) <= spec.rel_tol * np.maximum(np.abs(cur), 1e-300)
-            out[rows[done]] = cur[done]
-            rows, prev = rows[~done], cur[~done]
-        if rows.size:
+    rows = np.flatnonzero(a < b)
+    panels = start[rows]
+    limit = 8 * np.maximum(spec.node_count, panels)
+    prev = _panel_sums(f, a, b, rows, panels)
+    while rows.size:
+        panels = 2 * panels
+        cur = _panel_sums(f, a, b, rows, panels)
+        done = np.abs(cur - prev) <= spec.rel_tol * np.maximum(np.abs(cur), 1e-300)
+        out[rows[done]] = cur[done]
+        spent = ~done & (panels >= limit)
+        if np.any(spent):
+            i = np.argmax(spent)
             raise QuadratureError(
-                f"integral on [{a[rows[0]]}, {b[rows[0]]}] did not converge to "
-                f"rel_tol={spec.rel_tol} after {panels} panels"
+                f"integral on [{a[rows[i]]}, {b[rows[i]]}] did not converge to "
+                f"rel_tol={spec.rel_tol} after {panels[i]} panels"
             )
+        rows, panels, limit, prev = rows[~done], panels[~done], limit[~done], cur[~done]
     return out
 
 

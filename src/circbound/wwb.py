@@ -90,7 +90,10 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
 
     A flat array, -inf on empty intervals. The exponent kappa |z| cos(theta - mu
     + arg z) takes one cosine per node; its maximum over the interval is
-    factored out for stability at large kappa.
+    factored out for stability at large kappa. Each integral starts from
+    half the panels its length and curvature ask for, ceil(4 + L sqrt(amp))
+    with amp = kappa |z|, so its first doubling reaches them; the start is
+    capped at 8 node_count, the most panels a start at node_count reaches.
     """
     z, lo, hi = np.ravel(z), np.ravel(lo), np.ravel(hi)
     out = np.full(z.shape, -np.inf)
@@ -102,11 +105,16 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
     x_lo, x_hi = lo + phase, hi + phase
     peak_inside = 2.0 * math.pi * np.ceil(x_lo / (2.0 * math.pi)) <= x_hi
     shift = amp * np.where(peak_inside, 1.0, np.maximum(np.cos(x_lo), np.cos(x_hi)))
+    start = np.minimum(np.ceil(0.5 * (4.0 + (hi - lo) * np.sqrt(amp))), 8 * quad.node_count)
 
     def f(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return np.exp(amp[rows, None] * np.cos(theta + phase[rows, None]) - shift[rows, None])
+        # in place, so a pass holds few node-sized temporaries
+        x = np.cos(theta + phase[rows])
+        x *= amp[rows]
+        x -= shift[rows]
+        return np.exp(x, out=x)
 
-    out[live] = shift + np.log(integrate(f, lo, hi, quad)) - prior.log_norm
+    out[live] = shift + np.log(integrate(f, lo, hi, quad, start.astype(int))) - prior.log_norm
     return out
 
 

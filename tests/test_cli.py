@@ -184,7 +184,7 @@ class TestMainExitCodes:
         rc = main(["wwb", "--k", "2", "--trio", "2,0,10", "--out", str(out)])
         assert rc == 0
         (row,) = parse_rows(out.read_text())
-        assert row["value_rad2"] == 0.5171918780647794
+        assert row["value_rad2"] == 0.51719187806478
 
     def test_map_sim_theta_outside_circle(self, capsys):
         rc = main(["map-sim", "--theta", "3.5", "--trials", "5"])
@@ -210,6 +210,15 @@ class TestMainExitCodes:
     def test_integer_flags_name_field(self, argv, field, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid {field}: expected an integer")
+
+    @pytest.mark.parametrize("argv", [
+        ["wwb", "--quad-nodes", "8"],
+        ["bcrb", "--quad-nodes", "15"],
+        ["sweep", "--kinds", "WWB,ZZB", "--snr-db=0", "--quad-nodes", "0"],
+    ])
+    def test_quad_nodes_below_floor_names_field(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: invalid quad_nodes:")
 
     @pytest.mark.parametrize("kappa", ["nan", "inf"])
     def test_non_finite_kappa_rejected(self, kappa, capsys):

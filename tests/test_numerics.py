@@ -173,9 +173,11 @@ class TestIntegrate:
         nodes = {}
 
         def f(theta, rows):
-            for row in rows:
-                nodes[int(row)] = max(nodes.get(int(row), 0), theta.shape[1])
-            return np.cos(freq[rows, None] * theta) + 2.0
+            assert theta.shape == rows.shape
+            for row, count in enumerate(np.bincount(rows)):
+                if count:
+                    nodes[row] = max(nodes.get(row, 0), int(count))
+            return np.cos(freq[rows] * theta) + 2.0
 
         got = integrate(f, a, b)
         for i in range(4):
@@ -186,6 +188,73 @@ class TestIntegrate:
     def test_batched_reversed_interval_rejected(self):
         with pytest.raises(DomainError):
             integrate(lambda t, rows: np.cos(t), np.array([0.0, 1.0]), np.array([1.0, 0.5]))
+
+    @staticmethod
+    def _peaked(amp, phase):
+        # the prior integrands of the WWB: a cosine exponent of amplitude amp
+        return lambda theta, rows: np.exp(amp[rows] * (np.cos(theta + phase[rows]) - 1.0))
+
+    def test_per_entry_starts_match_fixed_start(self):
+        rng = np.random.default_rng(12)
+        n = 500
+        amp = rng.uniform(0.0, 60.0, n)
+        phase = rng.uniform(-math.pi, math.pi, n)
+        a = rng.uniform(-math.pi, math.pi, n)
+        b = np.minimum(a + rng.uniform(0.0, 2.0 * math.pi, n), math.pi)
+        start = np.ceil(0.5 * (4.0 + (b - a) * np.sqrt(amp))).astype(int)
+        f = self._peaked(amp, phase)
+        np.testing.assert_allclose(integrate(f, a, b, panels=start), integrate(f, a, b),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_small_start_doubles_until_converged(self):
+        # one panel cannot resolve cos(400 t); the entry doubles to the 128
+        # panels the fixed start also ends at
+        nodes = []
+
+        def f(theta, rows):
+            nodes.append(theta.size)
+            return np.cos(400.0 * theta) + 2.0
+
+        got = integrate(f, np.array([0.0]), np.array([1.0]), panels=np.array([1]))
+        want = integrate(lambda t: np.cos(400.0 * t) + 2.0, 0.0, 1.0)
+        assert got[0] == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert nodes == [2**p * 8 for p in range(8)]
+
+    def test_passes_bounded_by_node_count(self):
+        # 100 entries of 256 nodes need four passes of at most 8,192 nodes;
+        # the entry of 4,096 panels exceeds that alone and is a pass of its own
+        calls = []
+
+        def f(theta, rows):
+            calls.append((theta.size, np.unique(rows).size))
+            return np.exp(np.cos(theta))
+
+        a, b = np.zeros(101), np.ones(101)
+        start = np.array([32] * 50 + [4096] + [32] * 50)
+        got = integrate(f, a, b, panels=start)
+        assert got == pytest.approx(np.full(101, integrate(lambda t: np.exp(np.cos(t)), 0.0, 1.0)),
+                                    rel=1e-14)
+        assert all(size <= 8192 or entries == 1 for size, entries in calls)
+        assert (4096 * 8, 1) in calls and len(calls) > 8
+
+    @pytest.mark.parametrize("start, panels", [(2, 256), (100, 800)])
+    def test_nonconvergent_entry_names_its_interval(self, start, panels):
+        # entry 1 oscillates too fast for any budget; the budget is
+        # 8 * max(node_count, start) panels
+        freq = np.array([1.0, 5.0e4])
+        f = lambda theta, rows: np.cos(freq[rows] * theta)
+        with pytest.raises(QuadratureError, match=rf"\[0\.25, 0\.75\].* after {panels} panels"):
+            integrate(f, np.array([0.0, 0.25]), np.array([1.0, 0.75]), panels=np.array([start, start]))
+
+    def test_per_entry_starts_keep_interval_rules(self):
+        f = lambda theta, rows: np.cos(theta)
+        got = integrate(f, np.array([0.0, 1.0]), np.array([0.5, 1.0]), panels=np.array([3, 3]))
+        assert got[1] == 0.0 and got[0] == pytest.approx(math.sin(0.5), rel=1e-14)
+        with pytest.raises(DomainError):
+            integrate(f, np.array([0.0, 1.0]), np.array([1.0, 0.5]), panels=np.array([3, 3]))
+        for bad in (np.array([3, 0]), np.array([3]), np.array([3.0, 3.0])):
+            with pytest.raises(DomainError):
+                integrate(f, np.array([0.0, 1.0]), np.array([0.5, 2.0]), panels=bad)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -13,13 +13,16 @@ import re
 import numpy as np
 import pytest
 
-from circbound.numerics import DEFAULT_QUAD, QuadratureSpec
+from circbound import wwb
+from circbound.numerics import DEFAULT_QUAD, QuadratureError, QuadratureSpec, integrate
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, TestPointSet, build
 from circbound.wwb import (
     WwbResult,
+    _log_integrals,
     _product_exponents,
+    _set_parts,
     build_q,
     optimize_s,
     optimize_s_axis,
@@ -105,11 +108,47 @@ class TestPriorExponents:
         assert gamma_i(prior, 0.5, h) == pytest.approx(want, abs=1e-10)
         assert want == pytest.approx(math.log(0.95), abs=1e-12)
 
-    def test_gamma_i_node_doubling_stability(self):
+    def test_gamma_i_matches_tight_quadrature(self):
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
-        coarse = gamma_i(prior, 0.5, 0.3 * math.pi, QuadratureSpec(node_count=32))
-        fine = gamma_i(prior, 0.5, 0.3 * math.pi, QuadratureSpec(node_count=64))
-        assert coarse == pytest.approx(fine, abs=1e-9)
+        got = gamma_i(prior, 0.5, 0.3 * math.pi)
+        assert got == pytest.approx(gamma_i(prior, 0.5, 0.3 * math.pi, TIGHT_QUAD), abs=1e-12)
+
+    def test_sampled_gammas_vs_direct_pdf_quadrature(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            term = int(rng.integers(1, 5))
+            prior = VonMisesPrior(mu=float(rng.uniform(-math.pi, math.pi)),
+                                  kappa=float(rng.uniform(0.0, 20.0)))
+            si, sj = (float(v) for v in rng.uniform(0.05, 0.95, 2))
+            h_j = float(rng.uniform(1e-3, math.pi))
+            h_i = float(rng.uniform(h_j, math.pi))
+            want = prior_power_integral_oracle(prior, *CROSS_LAYOUTS[term](si, sj, h_i, h_j))
+            assert gamma_cross(term, prior, si, sj, h_i, h_j) == pytest.approx(want, abs=1e-12)
+
+    def test_start_capped_at_fixed_start_maximum(self):
+        # (4 + 2 pi sqrt(kappa)) / 2 would ask for 9,936 starting panels;
+        # capped at 8 node_count = 256 the budget ends at 2048 panels
+        prior = VonMisesPrior(mu=0.0, kappa=1e7)
+        with pytest.raises(QuadratureError, match="after 2048 panels"):
+            _log_integrals(prior, np.array([1.0]), np.array([-math.pi]), np.array([math.pi]),
+                           DEFAULT_QUAD)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 20.0, 100.0, 600.0])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_set_converges_wherever_fixed_starts_do(self, kappa, s, monkeypatch):
+        # every integral starting at node_count panels, as the fixed-start
+        # rule does, is the reference the sized starts must converge with
+        prior = VonMisesPrior(mu=0.0, kappa=kappa)
+        h = tuple(build(TestPointConfig(2, 9, 10), 20).h.tolist())
+        _, gamma = _set_parts.__wrapped__(20, h, s, prior, DEFAULT_QUAD)
+        monkeypatch.setattr(wwb, "integrate", lambda f, a, b, spec, panels: integrate(f, a, b, spec))
+        try:
+            _, fixed = _set_parts.__wrapped__(20, h, s, prior, DEFAULT_QUAD)
+        except QuadratureError:
+            return
+        finite = np.isfinite(fixed)
+        assert np.array_equal(finite, np.isfinite(gamma))
+        np.testing.assert_allclose(gamma[finite], fixed[finite], rtol=0.0, atol=1e-12)
 
     def test_gamma_i_vs_direct_pdf_quadrature(self):
         for kappa, mu, s, h in [
