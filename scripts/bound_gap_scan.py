@@ -17,11 +17,7 @@ import math
 
 import numpy as np
 
-from circbound.benchmarks import zzb
-from circbound.prior import VonMisesPrior
-from circbound.signal_model import SignalConfig
-from circbound.testpoints import TestPointConfig, build
-from circbound.wwb import wwb_value
+from circbound.cli import SweepSpec, run_sweep
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -33,18 +29,20 @@ def run(argv: list[str] | None = None) -> int:
     ap.add_argument("--step", type=float, default=0.25)
     args = ap.parse_args(argv)
 
-    prior = VonMisesPrior(mu=0.0, kappa=args.kappa)
     grid = np.arange(args.snr_min, args.snr_max + 1e-9, args.step)
+    ks = [int(v) for v in args.k.split(",")]
+    # WWB at the default trio (2,9,10) and s = 0.5; rows come back sorted by
+    # kind, K and SNR
+    rows = run_sweep(SweepSpec(snr_db=grid.tolist(), k_values=ks, kappa_values=[args.kappa],
+                               mu_values=[0.0], bound_kinds=["WWB", "ZZB"]))
 
-    for K in (int(v) for v in args.k.split(",")):
-        points = build(TestPointConfig(c_count=2, s_count=9, e_count=10), K)
+    for K in ks:
+        wwb, zzb = ([r["value_rad2"] for r in rows if r["kind"] == kind and r["k"] == K]
+                    for kind in ("WWB", "ZZB"))
         print(f"\nK={K}, kappa={args.kappa}")
         print(f"{'snr_db':>8} {'wwb_db':>10} {'zzb_db':>10} {'gap_rmse_db':>12}")
         gaps = []
-        for snr_db in grid:
-            config = SignalConfig(K=K, snr=10.0 ** (snr_db / 10.0))
-            w = wwb_value(prior, config, points).mse_bound
-            z = zzb(prior, config.K, config.snr)
+        for snr_db, w, z in zip(grid, wwb, zzb):
             gap = 5.0 * math.log10(w / z)
             gaps.append(gap)
             print(f"{snr_db:8.2f} {5 * math.log10(w):10.3f}"

@@ -17,12 +17,12 @@ import math
 
 import numpy as np
 
-from circbound.benchmarks import bcrb, zzb
-from circbound.mapsim import McConfig, run_monte_carlo
-from circbound.prior import VonMisesPrior
-from circbound.signal_model import SignalConfig
-from circbound.testpoints import TestPointConfig, build
-from circbound.wwb import wwb_value
+from circbound.cli import SweepSpec, run_sweep
+
+
+def _db(value: float) -> float:
+    """RMSE in dB of a mean squared error."""
+    return 5.0 * math.log10(value)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -37,23 +37,23 @@ def run(argv: list[str] | None = None) -> int:
     ap.add_argument("--step", type=float, default=2.0)
     args = ap.parse_args(argv)
 
-    prior = VonMisesPrior(mu=args.mu, kappa=args.kappa)
-    points = build(TestPointConfig(c_count=2, s_count=9, e_count=10), args.k)
     grid = np.arange(args.snr_min, args.snr_max + 1e-9, args.step)
+    # WWB at the default trio (2,9,10) and s = 0.5; the MAP trials at the
+    # i-th SNR are seeded from SeedSequence([seed, i]), as in `circbound map-sim`
+    kinds = ["MAP", "WWB", "ZZB", "BCRB"]
+    rows = run_sweep(SweepSpec(snr_db=grid.tolist(), k_values=[args.k],
+                               kappa_values=[args.kappa], mu_values=[args.mu],
+                               bound_kinds=kinds, trials=args.trials, seed=args.seed))
+    columns = [[r for r in rows if r["kind"] == kind] for kind in kinds]
 
     print(f"{'snr_db':>8} {'map_rmse_db':>12} {'+/-':>6} {'wwb_db':>8}"
           f" {'zzb_db':>8} {'bcrb_db':>8} {'outliers':>9}")
-    for snr_db in grid:
-        config = SignalConfig(K=args.k, snr=10.0 ** (snr_db / 10.0))
-        result = run_monte_carlo(config, prior, McConfig(trials=args.trials, seed=args.seed))
-        se = result.mse_se
-        se_db = 5.0 * (math.log10(result.mse + se) - math.log10(result.mse))
-        w = wwb_value(prior, config, points).mse_bound
-        z = zzb(prior, config.K, config.snr)
-        b = bcrb(prior, config.K, config.snr)
-        print(f"{snr_db:8.1f} {result.rmse_db:12.3f} {se_db:6.3f}"
-              f" {5 * math.log10(w):8.3f} {5 * math.log10(z):8.3f}"
-              f" {5 * math.log10(b):8.3f} {result.outlier_fraction:9.4f}")
+    for snr_db, mc, w, z, b in zip(grid, *columns):
+        mse, se = mc["value_rad2"], mc["extra"]["mse_se"]
+        se_db = 5.0 * (math.log10(mse + se) - math.log10(mse))
+        print(f"{snr_db:8.1f} {_db(mse):12.3f} {se_db:6.3f}"
+              f" {_db(w['value_rad2']):8.3f} {_db(z['value_rad2']):8.3f}"
+              f" {_db(b['value_rad2']):8.3f} {mc['extra']['outlier_fraction']:9.4f}")
     return 0
 
 

@@ -3,18 +3,18 @@ Ziv-Zakai) on circular frequency estimation error under a von Mises prior,
 with a MAP Monte Carlo validation harness."""
 
 from .benchmarks import bcrb, fisher_information, zzb
-from .mapsim import McConfig, McResult, map_estimate, run_monte_carlo, wrap_error
+from .mapsim import McConfig, McResult, run_monte_carlo, wrap_error
 from .numerics import QuadratureSpec
 from .prior import VonMisesPrior
-from .signal_model import SignalConfig, generate
+from .signal_model import SignalConfig
 from .testpoints import TestPointConfig, TestPointSet, build, even_points, sidelobe_points
 from .wwb import WwbResult, optimize_s, wwb_value
 
 __all__ = [
     "bcrb", "fisher_information", "zzb",
-    "McConfig", "McResult", "map_estimate", "run_monte_carlo", "wrap_error",
+    "McConfig", "McResult", "run_monte_carlo", "wrap_error",
     "QuadratureSpec", "VonMisesPrior",
-    "SignalConfig", "generate",
+    "SignalConfig",
     "TestPointConfig", "TestPointSet", "build", "even_points", "sidelobe_points",
     "WwbResult", "optimize_s", "wwb_value",
 ]

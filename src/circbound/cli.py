@@ -230,7 +230,8 @@ def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index
                                      theta_fixed=spec.theta, wrap=spec.wrap)
         rows.append(_row("MAP", snr_db, k, kappa, mu, None, None, res.mse,
                          {"trials": res.trials_used,
-                          "outlier_fraction": res.outlier_fraction}))
+                          "outlier_fraction": res.outlier_fraction,
+                          "mse_se": res.mse_se}))
     return rows
 
 
@@ -302,7 +303,9 @@ def _snr_axis(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise SpecError("snr_db", "step must be > 0")
-        n = int(round((stop - start) / step))
+        # the last point is the largest start + i step not past stop; the
+        # slack absorbs rounding of (stop - start) / step on exact multiples
+        n = math.floor((stop - start) / step + 1e-9)
         return [start + i * step for i in range(n + 1)]
     return _floats(text)
 

@@ -18,7 +18,7 @@ import numpy as np
 from .prior import VonMisesPrior, wrap_angle
 from .signal_model import SignalConfig, synthesize
 
-__all__ = ["McConfig", "McResult", "map_estimate", "wrap_error", "run_monte_carlo"]
+__all__ = ["McConfig", "McResult", "wrap_error", "run_monte_carlo"]
 
 _NEWTON_STEPS = 4
 _TRIAL_CHUNK = 1024  # fixed chunk size keeps batched results order-independent
@@ -57,7 +57,6 @@ class McConfig:
 @dataclass(frozen=True)
 class McResult:
     mse: float
-    rmse_db: float
     trials_used: int
     outlier_fraction: float
     mse_se: float  # std(err^2)/sqrt(N); inf for a single trial
@@ -135,19 +134,6 @@ def _estimate_batch(
     if refine:
         peaks = _refine_peaks(config, prior, samples, peaks, 2.0 * math.pi / grid_size)
     return peaks
-
-
-def map_estimate(
-    config: SignalConfig,
-    prior: VonMisesPrior,
-    samples: np.ndarray,
-    grid_size: int = 4096,
-    refine: bool = True,
-) -> float:
-    """MAP frequency estimate from K complex samples: grid search, then Newton refinement."""
-    if grid_size < 64:
-        raise ValueError(f"grid_size must be >= 64, got {grid_size}")
-    return float(_estimate_batch(config, prior, np.asarray(samples)[None, :], grid_size, refine)[0])
 
 
 def _hasher(const: int, mult: int):
@@ -244,7 +230,6 @@ def run_monte_carlo(
     mse = float(np.mean(sq))
     return McResult(
         mse=mse,
-        rmse_db=10.0 * math.log10(mse) if mse > 0.0 else -math.inf,
         trials_used=mc.trials,
         outlier_fraction=float(np.mean(np.abs(errors) > 0.5 * math.pi)),
         mse_se=float(np.std(sq, ddof=1) / math.sqrt(mc.trials)) if mc.trials > 1 else math.inf,

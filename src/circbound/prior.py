@@ -1,6 +1,6 @@
 """Von Mises prior on the normalized circular frequency.
 
-Log normalizer, sampling, Bessel ratio, and the variance surrogate used by the
+Log normalizer, Bessel ratio, and the variance surrogate used by the
 Ziv-Zakai closed form.
 """
 from __future__ import annotations
@@ -43,14 +43,6 @@ class VonMisesPrior:
     def log_norm(self) -> float:
         """ln(2 pi I0(kappa)), the log normalizing constant; ln I0 = ln i0e(kappa) + kappa."""
         return math.log(2.0 * math.pi * float(i0e(self.kappa))) + self.kappa
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw from the prior; uniform on [-pi, pi] when kappa = 0.
-
-        Uses the Best-Fisher rejection sampler (numpy's Generator.vonmises);
-        results are wrapped into [-pi, pi].
-        """
-        return wrap_angle(rng.vonmises(self.mu, self.kappa, size=size))
 
     def bessel_ratio(self) -> float:
         """I1(kappa) / I0(kappa), in [0, 1)."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SignalConfig", "synthesize", "generate"]
+__all__ = ["SignalConfig", "synthesize"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,3 @@ def synthesize(config: SignalConfig, thetas: np.ndarray, normals: np.ndarray) ->
     clean = config.amplitude * np.exp(1j * (thetas[:, None] * np.arange(config.K) + config.phi))
     return clean + math.sqrt(config.sigma2) * (normals[:, 0] + 1j * normals[:, 1])
 
-
-def generate(config: SignalConfig, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw the K complex samples of one observation at frequency `theta`."""
-    normals = rng.standard_normal((1, 2, config.K))
-    return synthesize(config, np.array([theta], dtype=float), normals)[0]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .numerics import (
     DEFAULT_QUAD,
+    QuadratureError,
     QuadratureSpec,
     SingularMatrixError,
     dirichlet_kernel,
@@ -94,6 +95,8 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
     half the panels its length and curvature ask for, ceil(4 + L sqrt(amp))
     with amp = kappa |z|, so its first doubling reaches them; the start is
     capped at 8 node_count, the most panels a start at node_count reaches.
+    The scaled integrand peaks at exactly 1 on its interval, so a zero sum
+    means every node missed the peak: that raises QuadratureError.
     """
     z, lo, hi = np.ravel(z), np.ravel(lo), np.ravel(hi)
     out = np.full(z.shape, -np.inf)
@@ -114,7 +117,12 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
         x -= shift[rows]
         return np.exp(x, out=x)
 
-    out[live] = shift + np.log(integrate(f, lo, hi, quad, start.astype(int))) - prior.log_norm
+    sums = integrate(f, lo, hi, quad, start.astype(int))
+    if not np.all(sums > 0.0):
+        i = np.argmin(sums > 0.0)
+        raise QuadratureError(f"integral on [{lo[i]}, {hi[i]}] underflows at every quadrature "
+                              "node: its peak is narrower than the node spacing")
+    out[live] = shift + np.log(sums) - prior.log_norm
     return out
 
 

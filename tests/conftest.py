@@ -1,9 +1,11 @@
-"""Shared independent oracles used across the test suite, and a reader for
-the CLI's CSV output.
+"""Shared independent oracles used across the test suite, single-observation
+helpers for the MAP Monte Carlo, and a reader for the CLI's CSV output.
 
 Every oracle here is implemented from first principles (series, quadrature,
 direct sums, Monte Carlo expectations) so it cannot share a bug with the
-library code it checks.
+library code it checks. The single-observation helpers are the batch
+routines of the library applied to one row, so per-trial references can be
+written without a per-observation API in the library.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ import math
 
 import numpy as np
 
-from circbound.prior import VonMisesPrior
-from circbound.signal_model import SignalConfig
+from circbound import mapsim
+from circbound.prior import VonMisesPrior, wrap_angle
+from circbound.signal_model import SignalConfig, synthesize
 
 
 def bessel_series_oracle(x: float, order: int) -> float:
@@ -122,7 +125,7 @@ def q_element_mc_oracle(
     """
     rng = np.random.default_rng(seed)
     K, A = config.K, config.amplitude
-    theta = prior.sample(rng, trials)
+    theta = wrap_angle(rng.vonmises(prior.mu, prior.kappa, trials))
     k = np.arange(K)
     clean = A * np.exp(1j * np.outer(theta, k))
     noise = rng.standard_normal((trials, K)) + 1j * rng.standard_normal((trials, K))
@@ -148,6 +151,27 @@ def q_element_mc_oracle(
     est = float(prod.mean() / den)
     se = float(prod.std(ddof=1) / math.sqrt(trials) / den)
     return est, se
+
+
+def observe(config: SignalConfig, theta: float, rng) -> np.ndarray:
+    """One observation's K complex samples at frequency `theta`, drawing K real
+    and then K imaginary noise parts from `rng`; the draws of one Monte Carlo
+    trial after its theta."""
+    normals = rng.standard_normal((1, 2, config.K))
+    return synthesize(config, np.array([theta], dtype=float), normals)[0]
+
+
+def draw_theta(prior: VonMisesPrior, rng) -> float:
+    """One frequency from the prior, wrapped into [-pi, pi]; the first draw
+    of one Monte Carlo trial."""
+    return float(wrap_angle(rng.vonmises(prior.mu, prior.kappa)))
+
+
+def estimate_one(config: SignalConfig, prior: VonMisesPrior, samples,
+                 grid_size: int = 4096, refine: bool = True) -> float:
+    """MAP estimate from one observation: grid search, then refinement."""
+    return float(mapsim._estimate_batch(config, prior, np.asarray(samples)[None, :],
+                                        grid_size, refine)[0])
 
 
 def parse_rows(text: str) -> list[dict]:

@@ -174,7 +174,7 @@ def test_07_no_information_floor():
         floor_db = 10.0 * math.log10(prior.variance())
         w = wwb_value(prior, config, build(TestPointConfig(2, 9, 10), 20)).db
         z = 10.0 * math.log10(zzb(prior, 20, snr))
-        m = run_monte_carlo(config, prior, McConfig(trials=10_000, seed=17)).rmse_db
+        m = 10.0 * math.log10(run_monte_carlo(config, prior, McConfig(trials=10_000, seed=17)).mse)
         offsets.extend(abs(v - floor_db) for v in (w, z, m))
     worst = max(offsets)
     ok = worst < 1.5

@@ -1,6 +1,7 @@
 """Command-line surface: sweeps, presets, serialization, exit codes."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from circbound import mapsim
 from circbound.cli import (
     SpecError,
     SweepSpec,
+    _snr_axis,
     emit,
     main,
     run_sweep,
@@ -72,12 +74,32 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert rows[0]["extra"]["trials"] == 50
         assert 0.0 <= rows[0]["extra"]["outlier_fraction"] <= 1.0
+        assert 0.0 < rows[0]["extra"]["mse_se"] < math.inf
 
     def test_hz_conversion(self):
         spec = _small_spec(f_int_hz=1000.0)
         for row in run_sweep(spec):
             want = math.sqrt(row["value_rad2"]) * 1000.0 / (2.0 * math.pi)
             assert row["extra"]["rmse_hz"] == pytest.approx(want)
+
+
+class TestSnrAxis:
+    @pytest.mark.parametrize("axis, want", [
+        ("0:11:4", [0.0, 4.0, 8.0]),
+        ("0:30:4", [0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0]),
+    ])
+    def test_stops_at_stop(self, axis, want, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["sweep", "--kinds", "BCRB", f"--snr-db={axis}", "--out", str(out)]) == 0
+        assert [r["snr_db"] for r in parse_rows(out.read_text())] == want
+
+    # the figure presets' axis and both phases of a 0.5 dB benchmark axis
+    @pytest.mark.parametrize("start, stop, step", [
+        (-20.0, 10.0, 1.0), (-20.0, 10.0, 0.5), (-19.75, 10.25, 0.5),
+    ])
+    def test_exact_multiples_keep_every_point(self, start, stop, step):
+        n = round((stop - start) / step)
+        assert _snr_axis(f"{start!r}:{stop!r}:{step!r}") == [start + i * step for i in range(n + 1)]
 
 
 class TestEmit:
@@ -256,6 +278,16 @@ class TestMainExitCodes:
         assert main(["zzb", "--k", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid k_values:")
 
+    def test_prior_integral_underflow_is_a_quadrature_failure(self, capsys):
+        # at kappa=1e300 the prior integrands are narrower than the node spacing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["wwb", "--k", "20", "--kappa", "1e300", "--snr-db=0"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: numerical failure at kind=WWB K=20 ")
+        assert "underflows at every quadrature node" in err
+
     def test_map_sim_point_mass_prior_has_zero_error(self, tmp_path):
         # at kappa=1e300 every truth and every estimate is mu
         out = tmp_path / "map.csv"
@@ -313,7 +345,17 @@ class TestMainExitCodes:
             mapsim.McConfig(trials=40, refine=False, seed=seed),
             theta_fixed=0.4, wrap=False,
         )
-        assert parse_rows(out.read_text())[0]["value_rad2"] == want.mse
+        (row,) = parse_rows(out.read_text())
+        assert row["value_rad2"] == want.mse
+        assert row["extra"] == {"trials": 40, "outlier_fraction": want.outlier_fraction,
+                                "mse_se": want.mse_se}
+
+    def test_single_trial_standard_error_is_infinite(self, tmp_path):
+        out = tmp_path / "map.csv"
+        assert main(["map-sim", "--trials", "1", "--out", str(out)]) == 0
+        assert '""mse_se"": Infinity' in out.read_text()
+        (row,) = parse_rows(out.read_text())
+        assert row["extra"]["mse_se"] == math.inf
 
 
 class TestDeterminism:

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from circbound import mapsim
 from circbound.benchmarks import bcrb
-from circbound.mapsim import (
-    McConfig,
-    map_estimate,
-    run_monte_carlo,
-    wrap_error,
-)
+from circbound.mapsim import McConfig, run_monte_carlo, wrap_error
 from circbound.prior import VonMisesPrior
-from circbound.signal_model import SignalConfig, generate
+from circbound.signal_model import SignalConfig
+
+from conftest import draw_theta, estimate_one, observe
 
 
 class _ZeroNoise:
@@ -102,39 +99,33 @@ class TestMapEstimate:
     def test_noiseless_matched_filter(self):
         config = SignalConfig(K=20, snr=1.0)
         theta = 0.4 * math.pi
-        samples = generate(config, theta, _ZeroNoise())
-        got = map_estimate(config, VonMisesPrior(kappa=0.0), samples, grid_size=4096)
+        samples = observe(config, theta, _ZeroNoise())
+        got = estimate_one(config, VonMisesPrior(kappa=0.0), samples, grid_size=4096)
         assert abs(got - theta) <= 2.0 * math.pi / 4096
 
     def test_refinement_beats_grid(self):
         config = SignalConfig(K=20, snr=1.0)
         theta = 0.123456
-        samples = generate(config, theta, _ZeroNoise())
+        samples = observe(config, theta, _ZeroNoise())
         prior = VonMisesPrior(kappa=0.0)
-        coarse = map_estimate(config, prior, samples, grid_size=256, refine=False)
-        refined = map_estimate(config, prior, samples, grid_size=256, refine=True)
+        coarse = estimate_one(config, prior, samples, grid_size=256, refine=False)
+        refined = estimate_one(config, prior, samples, grid_size=256, refine=True)
         assert abs(refined - theta) < abs(coarse - theta)
         assert abs(refined - theta) < 1e-6
 
     def test_dominant_prior_pulls_to_location(self):
         prior = VonMisesPrior(mu=0.8, kappa=500.0)
         config = SignalConfig(K=20, snr=0.01)
-        samples = generate(config, -0.5, np.random.default_rng(4))
-        got = map_estimate(config, prior, samples)
+        samples = observe(config, -0.5, np.random.default_rng(4))
+        got = estimate_one(config, prior, samples)
         assert abs(got - 0.8) < 0.05
 
     def test_uniform_prior_equals_maximum_likelihood(self):
         config = SignalConfig(K=20, snr=1.0)
-        samples = generate(config, 0.3, np.random.default_rng(5))
-        flat = map_estimate(config, VonMisesPrior(mu=1.0, kappa=0.0), samples)
-        also_flat = map_estimate(config, VonMisesPrior(mu=-2.0, kappa=0.0), samples)
+        samples = observe(config, 0.3, np.random.default_rng(5))
+        flat = estimate_one(config, VonMisesPrior(mu=1.0, kappa=0.0), samples)
+        also_flat = estimate_one(config, VonMisesPrior(mu=-2.0, kappa=0.0), samples)
         assert flat == pytest.approx(also_flat, abs=1e-12)
-
-    def test_grid_size_validated(self):
-        config = SignalConfig(K=20, snr=1.0)
-        samples = generate(config, 0.0, np.random.default_rng(6))
-        with pytest.raises(ValueError):
-            map_estimate(config, VonMisesPrior(), samples, grid_size=32)
 
 
 class TestRefinePeaks:
@@ -190,9 +181,9 @@ class TestMonteCarlo:
             truths, samples = mapsim._trials(config, prior, mc, theta_fixed)
             for t in range(mc.trials):
                 rng = np.random.default_rng([mc.seed, t])
-                theta = float(prior.sample(rng)) if theta_fixed is None else theta_fixed
+                theta = draw_theta(prior, rng) if theta_fixed is None else theta_fixed
                 assert truths[t] == theta
-                assert np.array_equal(samples[t], generate(config, theta, rng))
+                assert np.array_equal(samples[t], observe(config, theta, rng))
 
     # one to four 32-bit seed words; the 100-bit seed makes five entropy words
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
@@ -255,8 +246,8 @@ class TestMonteCarlo:
         sq = []
         for t in range(mc.trials):
             rng = np.random.default_rng([mc.seed, t])
-            theta = float(prior.sample(rng))
-            est = map_estimate(config, prior, generate(config, theta, rng))
+            theta = draw_theta(prior, rng)
+            est = estimate_one(config, prior, observe(config, theta, rng))
             sq.append(float(wrap_error(est, theta)) ** 2)
         res = run_monte_carlo(config, prior, mc)
         assert res.mse == pytest.approx(np.mean(sq), rel=1e-9)
@@ -267,14 +258,14 @@ class TestMonteCarlo:
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         res = run_monte_carlo(config, prior, McConfig(trials=2000, seed=1))
         want_db = 10.0 * math.log10(bcrb(prior, 20, 10.0))
-        assert abs(res.rmse_db - want_db) < 1.0
+        assert abs(10.0 * math.log10(res.mse) - want_db) < 1.0
 
     def test_no_information_floor(self):
         config = SignalConfig(K=20, snr=0.01)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         res = run_monte_carlo(config, prior, McConfig(trials=2000, seed=2))
         floor_db = 10.0 * math.log10(prior.variance())
-        assert abs(res.rmse_db - floor_db) < 1.5
+        assert abs(10.0 * math.log10(res.mse) - floor_db) < 1.5
 
     def test_outlier_fraction_declines_with_snr(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)

@@ -2,6 +2,8 @@
 
 The density e^{kappa cos(theta - mu) - log_norm} is the one the bound's prior
 integrals use; the oracle density of conftest normalizes by the I0 series.
+The prior is sampled only by the MAP Monte Carlo, so the sampling checks run
+on the truths that `mapsim._trials` draws.
 """
 import math
 
@@ -9,8 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from circbound import mapsim
+from circbound.mapsim import McConfig
 from circbound.numerics import integrate
 from circbound.prior import UNIFORM_VARIANCE, VonMisesPrior
+from circbound.signal_model import SignalConfig
 
 from conftest import bessel_series_oracle, von_mises_pdf
 
@@ -64,22 +69,29 @@ class TestLogPdf:
             assert math.exp(log_pdf) == pytest.approx(float(pdf(theta)), rel=1e-12)
 
 
+def _draws(prior: VonMisesPrior, seed: int, trials: int) -> np.ndarray:
+    """The true frequencies of `trials` Monte Carlo trials at master seed `seed`."""
+    truths, _ = mapsim._trials(SignalConfig(K=1, snr=1.0), prior,
+                               McConfig(trials=trials, seed=seed), None)
+    return truths
+
+
 class TestSampling:
     def test_uniform_case_ks(self):
         prior = VonMisesPrior(mu=0.0, kappa=0.0)
-        draws = prior.sample(np.random.default_rng(11), 100_000)
+        draws = _draws(prior, 11, 100_000)
         result = stats.kstest(draws, stats.uniform(-math.pi, 2.0 * math.pi).cdf)
         assert result.pvalue > 0.01
 
     def test_concentrated_circular_mean(self):
         prior = VonMisesPrior(mu=0.0, kappa=20.0)
-        draws = prior.sample(np.random.default_rng(12), 100_000)
+        draws = _draws(prior, 12, 100_000)
         mean_angle = math.atan2(np.mean(np.sin(draws)), np.mean(np.cos(draws)))
         assert abs(mean_angle) < 0.02
 
     def test_histogram_chi_square(self):
         prior = VonMisesPrior(mu=math.pi / 2.0, kappa=2.0)
-        draws = prior.sample(np.random.default_rng(13), 100_000)
+        draws = _draws(prior, 13, 100_000)
         edges = np.linspace(-math.pi, math.pi, 41)
         observed, _ = np.histogram(draws, bins=edges)
         expected = np.array([
@@ -91,13 +103,13 @@ class TestSampling:
 
     def test_all_draws_in_support(self):
         prior = VonMisesPrior(mu=math.pi, kappa=4.0)
-        draws = prior.sample(np.random.default_rng(14), 10_000)
+        draws = _draws(prior, 14, 10_000)
         assert np.all(draws >= -math.pi) and np.all(draws <= math.pi)
 
     def test_deterministic_given_seed(self):
         prior = VonMisesPrior(mu=0.3, kappa=1.0)
-        a = prior.sample(np.random.default_rng(7), 100)
-        b = prior.sample(np.random.default_rng(7), 100)
+        a = _draws(prior, 7, 100)
+        b = _draws(prior, 7, 100)
         assert np.array_equal(a, b)
 
 

@@ -1,10 +1,13 @@
-"""Smoke runs of the experiment scripts on small grids."""
+"""Smoke runs of the experiment scripts on small grids, and checks that they
+format rows of the one sweep loop."""
+import ast
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from circbound.cli import FIGURE_PRESETS
+from circbound.cli import FIGURE_PRESETS, main
 from conftest import parse_rows
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -41,3 +44,46 @@ def test_reproduce_figures_writes_every_preset(tmp_path):
     fig6 = parse_rows((tmp_path / "figure_06.csv").read_text())
     assert max(r["snr_db"] for r in fig6) == 10.0
     assert len(fig6) == 31 * 3 * 2
+
+
+def _table(name, argv, capsys) -> list[list[str]]:
+    """The whitespace-split body rows of a script's one-table output."""
+    assert _load(name).run(argv) == 0
+    return [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+def test_map_column_on_the_bounds_rmse_scale(capsys):
+    # at +10 dB the MAP estimator is efficient: its RMSE meets the BCRB
+    ((snr, map_db, _, _, _, bcrb_db, _),) = _table(
+        "map_vs_bounds", ["--snr-min", "10", "--snr-max", "10", "--trials", "2000"], capsys)
+    assert snr == "10.0"
+    assert abs(float(map_db) - float(bcrb_db)) < 0.3
+
+
+def test_map_column_matches_map_sim_rows(tmp_path, capsys):
+    common = ["--k", "24", "--kappa", "2", "--trials", "60", "--seed", "5"]
+    table = _table("map_vs_bounds", common + ["--snr-min", "-20", "--step", "15"], capsys)
+    out = tmp_path / "map.csv"
+    assert main(["map-sim", "--snr-db=-20,-5,10", *common, "--out", str(out)]) == 0
+    rows = parse_rows(out.read_text())
+    assert len(table) == len(rows) == 3
+    for (snr, map_db, se_db, *_, outliers), row in zip(table, rows):
+        mse, se = row["value_rad2"], row["extra"]["mse_se"]
+        assert float(snr) == row["snr_db"]
+        assert map_db == f"{5.0 * math.log10(mse):.3f}"
+        assert se_db == f"{5.0 * (math.log10(mse + se) - math.log10(mse)):.3f}"
+        assert outliers == f"{row['extra']['outlier_fraction']:.4f}"
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_scripts_import_only_the_cli(path):
+    # a script that imports a library module directly has its own sweep loop
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "circbound":
+            imported.update(f"circbound.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert {m for m in imported if m.split(".")[0] == "circbound"} == {"circbound.cli"}

@@ -1,10 +1,12 @@
-"""Observation model: configuration and generation."""
+"""Observation model: configuration and synthesis of one observation."""
 import math
 
 import numpy as np
 import pytest
 
-from circbound.signal_model import SignalConfig, generate
+from circbound.signal_model import SignalConfig
+
+from conftest import observe
 
 
 class _ZeroNoise:
@@ -32,21 +34,21 @@ class TestGenerate:
     def test_noiseless_samples_exact(self):
         cfg = SignalConfig(K=8, snr=3.0, phi=math.pi / 6.0)
         theta = 0.4 * math.pi
-        samples = generate(cfg, theta, _ZeroNoise())
+        samples = observe(cfg, theta, _ZeroNoise())
         k = np.arange(8)
         want = cfg.amplitude * np.exp(1j * (theta * k + cfg.phi))
         assert np.allclose(samples, want, atol=1e-15)
 
     def test_deterministic_given_seed(self):
         cfg = SignalConfig(K=16, snr=1.0)
-        a = generate(cfg, 0.1, np.random.default_rng(42))
-        b = generate(cfg, 0.1, np.random.default_rng(42))
+        a = observe(cfg, 0.1, np.random.default_rng(42))
+        b = observe(cfg, 0.1, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_stream_order_real_then_imaginary_draws(self):
         # one trial's stream: K real noise parts, then K imaginary parts
         cfg = SignalConfig(K=6, snr=0.7, phi=0.3, sigma2=2.0)
-        got = generate(cfg, 0.2, np.random.default_rng(3))
+        got = observe(cfg, 0.2, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         re, im = rng.standard_normal(6), rng.standard_normal(6)
         clean = cfg.amplitude * np.exp(1j * (0.2 * np.arange(6) + cfg.phi))
@@ -55,7 +57,7 @@ class TestGenerate:
     def test_noise_variance(self):
         n = 1_000_000
         big = SignalConfig(K=n, snr=1.0, sigma2=1.0)
-        samples = generate(big, 0.0, np.random.default_rng(8))
+        samples = observe(big, 0.0, np.random.default_rng(8))
         k = np.arange(n)
         resid = samples - big.amplitude * np.exp(1j * 0.0 * k)
         var = float(np.mean(np.abs(resid) ** 2))
@@ -64,7 +66,7 @@ class TestGenerate:
     def test_noise_whiteness(self):
         n = 1_000_000
         big = SignalConfig(K=n, snr=1.0)
-        samples = generate(big, 0.0, np.random.default_rng(9))
+        samples = observe(big, 0.0, np.random.default_rng(9))
         resid = samples - big.amplitude
         lag1 = np.mean(resid[1:] * np.conj(resid[:-1]))
         assert abs(lag1) < 5.0 * 2.0 / math.sqrt(n)
@@ -72,11 +74,11 @@ class TestGenerate:
     def test_empirical_snr(self):
         n = 1_000_000
         big = SignalConfig(K=n, snr=2.5)
-        samples = generate(big, 0.0, np.random.default_rng(10))
+        samples = observe(big, 0.0, np.random.default_rng(10))
         resid = samples - big.amplitude
         snr_hat = big.amplitude**2 / float(np.mean(np.abs(resid) ** 2))
         assert snr_hat == pytest.approx(2.5, rel=0.02)
 
     def test_frequency_outside_circle_rejected(self):
         with pytest.raises(ValueError):
-            generate(SignalConfig(K=4, snr=1.0), 3.5, np.random.default_rng(0))
+            observe(SignalConfig(K=4, snr=1.0), 3.5, np.random.default_rng(0))
