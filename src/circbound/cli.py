@@ -112,6 +112,10 @@ class SweepSpec:
             raise SpecError("seed", "must be >= 0")
         if self.quad_nodes < 16:
             raise SpecError("quad_nodes", "must be >= 16")
+        if not math.isfinite(self.phi):
+            raise SpecError("phi", "must be finite")
+        if self.f_int_hz is not None and not 0.0 < self.f_int_hz < math.inf:
+            raise SpecError("f_int_hz", "must be finite and > 0")
         if self.output_format not in ("csv", "json"):
             raise SpecError("output_format", "must be csv or json")
 
@@ -279,8 +283,15 @@ def _write(text: str, path: str) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _float(text: str, fieldname: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise SpecError(fieldname, f"expected a number, got {text!r}") from None
+
+
+def _floats(text: str, fieldname: str) -> list[float]:
+    return [_float(v, fieldname) for v in text.split(",") if v.strip() != ""]
 
 
 def _int(text: str, fieldname: str) -> int:
@@ -300,14 +311,16 @@ def _snr_axis(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise SpecError("snr_db", f"expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_float(p, "snr_db") for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise SpecError("snr_db", f"start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise SpecError("snr_db", "step must be > 0")
         # the last point is the largest start + i step not past stop; the
         # slack absorbs rounding of (stop - start) / step on exact multiples
         n = math.floor((stop - start) / step + 1e-9)
         return [start + i * step for i in range(n + 1)]
-    return _floats(text)
+    return _floats(text, "snr_db")
 
 
 def _trio(text: str) -> tuple[int, int, int]:
@@ -435,16 +448,16 @@ def _make_spec(args) -> SweepSpec:
     return SweepSpec(
         snr_db=_snr_axis(args.snr_db if args.snr_db is not None else _FIGURE_SNR),
         k_values=_ints(pick(args.k, "k", "20"), "k_values"),
-        kappa_values=_floats(pick(args.kappa, "kappa", "1")),
-        mu_values=_floats(pick(args.mu, "mu", "0")),
+        kappa_values=_floats(pick(args.kappa, "kappa", "1"), "kappa_values"),
+        mu_values=_floats(pick(args.mu, "mu", "0"), "mu_values"),
         bound_kinds=[k.strip().upper() for k in kinds],
         trios=trios,
-        s_grid=_floats(pick(args.s, "s", "0.5")),
+        s_grid=_floats(pick(args.s, "s", "0.5"), "s_grid"),
         seed=_int(args.seed, "seed"),
         trials=_int(args.trials, "trials"),
         mc_grid_size=_int(args.grid_size, "grid_size"),
         quad_nodes=_int(args.quad_nodes, "quad_nodes"),
-        f_int_hz=float(args.f_int) if args.f_int else None,
+        f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int else None,
         output_path=args.out,
         output_format=args.format,
     )
@@ -452,26 +465,26 @@ def _make_spec(args) -> SweepSpec:
 
 def _single_point_spec(args, kind: str) -> SweepSpec:
     spec = SweepSpec(
-        snr_db=_floats(args.snr_db),
+        snr_db=_floats(args.snr_db, "snr_db"),
         k_values=_ints(args.k, "k_values"),
-        kappa_values=_floats(args.kappa),
-        mu_values=_floats(args.mu),
+        kappa_values=_floats(args.kappa, "kappa_values"),
+        mu_values=_floats(args.mu, "mu_values"),
         bound_kinds=[kind],
         quad_nodes=_int(args.quad_nodes, "quad_nodes"),
         seed=_int(args.seed, "seed"),
-        f_int_hz=float(args.f_int) if args.f_int else None,
+        f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int else None,
         output_path=args.out,
         output_format=args.format,
     )
     if kind == "WWB":
         spec.trios = [_trio(args.trio)]
-        spec.s_grid = _floats(args.s)
+        spec.s_grid = _floats(args.s, "s_grid")
         spec.maximize_s = len(spec.s_grid) > 1
     if kind == "MAP":
         spec.trials = _int(args.trials, "trials")
         spec.mc_grid_size = _int(args.grid_size, "grid_size")
-        spec.phi = float(args.phi)
-        spec.theta = float(args.theta) if args.theta is not None else None
+        spec.phi = _float(args.phi, "phi")
+        spec.theta = _float(args.theta, "theta") if args.theta is not None else None
         spec.refine = not args.no_refine
         spec.wrap = not args.linear_error
     return spec

@@ -1,4 +1,4 @@
-"""Dirichlet kernel, quadrature, and small linear algebra shared by the bound modules.
+"""Dirichlet kernel, quadrature, and the inverse quadratic form shared by the bound modules.
 
 Everything here is pure and thread-safe.
 """
@@ -15,12 +15,11 @@ __all__ = [
     "DEFAULT_QUAD",
     "DomainError",
     "QuadratureError",
-    "SingularMatrixError",
     "dirichlet_kernel",
     "integrate",
+    "inverse_form",
     "normal_tail",
     "regularized_lower_gamma",
-    "spd_solve",
 ]
 
 
@@ -30,15 +29,6 @@ class DomainError(ValueError):
 
 class QuadratureError(RuntimeError):
     """Composite quadrature failed to converge under node doubling."""
-
-
-class SingularMatrixError(RuntimeError):
-    """Symmetric factorization hit a pivot below the conditioning threshold."""
-
-    def __init__(self, index: int, pivot: float):
-        super().__init__(f"numerically singular matrix: pivot {pivot:.3e} at index {index}")
-        self.index = index
-        self.pivot = pivot
 
 
 @dataclass(frozen=True)
@@ -173,54 +163,41 @@ def regularized_lower_gamma(a: float, z: float) -> float:
     return float(gammainc(a, z))
 
 
-def spd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve M x = v for symmetric positive definite M via Cholesky.
+def inverse_form(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g C^{-1} g^T of every symmetric matrix of the stack `c` (n, r, r), over
+    the points it keeps, and the (n, r) mask of kept points.
 
-    `m` is one matrix (r, r) or a stack (n, r, r) of matrices; `v` is one
-    right-hand side (r,), shared by the stack, or one per matrix (n, r). The
-    result is x of shape (r,) or (n, r). A single matrix is solved as a stack
-    of one. A pivot at or below 1e-14 signals rank deficiency of a matrix
-    with unit diagonal, such as a correlation matrix; SingularMatrixError
-    carries the offending index, within the first failing matrix of a stack,
-    so the caller can drop that row/column and retry.
+    `g` is one row (r,), shared by the stack, or one per matrix (n, r). The
+    bordered matrices [[C, g^T], [g, 0]] are eliminated a column at a time:
+    a pivot at or below 1e-14, or not finite, marks rank deficiency of a
+    matrix with unit diagonal, such as a correlation matrix, and its column
+    is skipped, which equals deleting that point's row and column. Every
+    kept pivot subtracts its scaled column's outer product from the
+    trailing block, which leaves -g C^{-1} g^T in the corner. The
+    operations are elementwise across the stack, so no matrix's result
+    depends on the others.
     """
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    stack = m if m.ndim == 3 else m[None]
-    scale = np.maximum(np.max(np.abs(stack), axis=(1, 2)), 1e-300)
-    if np.any(np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2)) > 1e-9 * scale):
-        raise DomainError("matrix is not symmetric within 1e-9 relative")
-    diag = np.diagonal(stack, axis1=1, axis2=2)
-    bad_rows = np.any((diag <= 0.0) | ~np.isfinite(diag), axis=1)
-    if np.any(bad_rows):
-        row_diag = diag[np.argmax(bad_rows)]
-        bad = int(np.argmin(np.where(np.isfinite(row_diag), row_diag, -np.inf)))
-        raise SingularMatrixError(bad, float(row_diag[bad]))
-    low = _cholesky(stack)
-    if low is None:
-        failing = next(a for a in stack if _cholesky(a) is None)
-        # LAPACK reports no pivot index, but the largest leading block that
-        # passes ends just before it (Sylvester's criterion): bisect for it
-        good, bad = 0, failing.shape[0]
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            good, bad = (mid, bad) if _cholesky(failing[:mid, :mid]) is not None else (good, mid)
-        row = np.linalg.solve(_cholesky(failing[:good, :good]), failing[:good, good])
-        raise SingularMatrixError(good, float(failing[good, good] - row @ row))
-    vs = np.broadcast_to(v, stack.shape[:2])[:, :, None]
-    x = np.linalg.solve(low.transpose(0, 2, 1), np.linalg.solve(low, vs))[:, :, 0]
-    return x if m.ndim == 3 else x[0]
-
-
-def _cholesky(ms: np.ndarray) -> np.ndarray | None:
-    """LAPACK Cholesky factor of `ms` (one matrix or a stack), or None when a
-    pivot is at or below 1e-14.
-
-    LAPACK accepts tiny positive pivots, so the rule is applied to the
-    factor's squared diagonal, which holds the pivots.
-    """
-    try:
-        low = np.linalg.cholesky(ms)
-    except np.linalg.LinAlgError:
-        return None
-    return low if np.all(np.diagonal(low, axis1=-2, axis2=-1) ** 2 > 1e-14) else None
+    c = np.asarray(c, dtype=float)
+    n, r = c.shape[0], c.shape[-1]
+    # the stack is the last, contiguous axis of the bordered matrices
+    a = np.zeros((r + 1, r + 1, n))
+    a[:r, :r] = c.transpose(1, 2, 0)
+    a[r, :r] = a[:r, r] = np.broadcast_to(g, (n, r)).T
+    kept = []
+    # a point whose score-matrix diagonal is not positive has NaN or inf in
+    # its row and column of C; its pivot is skipped, which removes them
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(np.max(np.abs(c), axis=(1, 2)), 1e-300)
+        if np.any(np.max(np.abs(c - c.transpose(0, 2, 1)), axis=(1, 2)) > 1e-9 * scale):
+            raise DomainError("matrix is not symmetric within 1e-9 relative")
+        for j in range(r):
+            pivot = a[j, j]
+            keep = np.isfinite(pivot) & (pivot > 1e-14)
+            kept.append(keep)
+            # scaled by the reciprocal root, as LAPACK's Cholesky scales its
+            # columns, so the near-zero pivots of near-duplicate points round alike
+            inv_root = 1.0 / np.sqrt(np.where(keep, pivot, 1.0))
+            col = np.where(keep, a[j + 1:, j] * inv_root, 0.0)
+            a[j + 1:, j + 1:] -= col[:, None] * col
+    # subtracted from +0, so a form that underflows or keeps no point is +0, not -0
+    return 0.0 - a[r, r], np.array(kept).T

@@ -5,10 +5,10 @@ The four score products are laid out once, as (weights, offsets) in
 their prior-only log integrals over the von Mises support derive from that
 table. The exponents of Q are snr * core + gamma: the data cores and the prior
 log-integrals gamma are computed once per test-point set, as arrays, and the
-correlation matrices of Q over a whole SNR axis are formed in the exponent,
-built and factored as one stack. On them sit the scalar bound h Q^{-1} h^T
-and the grid search over the shared exponent s, per axis; the one-SNR
-functions are calls of the axis functions.
+correlation matrices of Q over a whole SNR axis are formed in the exponent
+and eliminated as one stack, which drops the points of singular pivots. On
+them sit the scalar bound h Q^{-1} h^T and the grid search over the shared
+exponent s, per axis; the one-SNR functions are calls of the axis functions.
 """
 from __future__ import annotations
 
@@ -22,10 +22,9 @@ from .numerics import (
     DEFAULT_QUAD,
     QuadratureError,
     QuadratureSpec,
-    SingularMatrixError,
     dirichlet_kernel,
     integrate,
-    spd_solve,
+    inverse_form,
 )
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
@@ -201,30 +200,29 @@ def build_q(
     return c * np.exp(half[:, None] + half[None, :])
 
 
-def _result(bound: float, dropped) -> WwbResult:
+def _outcome(bound: float, keep: list[bool]) -> WwbResult | RuntimeError:
+    """The result of a bound over the kept points, or the error it fails with."""
+    dropped = tuple(i for i, kept_i in enumerate(keep) if not kept_i)
+    if len(dropped) == len(keep):
+        return RuntimeError("all test points dropped; bound undefined")
     # a bound below the smallest normal double has lost digits or is 0
     if not bound >= np.finfo(float).tiny:
-        raise RuntimeError(f"bound value {bound:.3g} underflows double precision")
+        return RuntimeError(f"bound value {bound:.3g} underflows double precision")
     return WwbResult(mse_bound=bound, db=10.0 * math.log10(bound),
-                     dropped_points=tuple(sorted(dropped)))
+                     dropped_points=dropped)
 
 
-def _solve_dropping(c: np.ndarray, g: np.ndarray) -> WwbResult:
-    """The bound g C^{-1} g^T of one correlation matrix, dropping the point of
-    each singular pivot (deleting its row and column) and retrying."""
-    index_map = list(range(g.size))
-    dropped: list[int] = []
-    while True:
-        try:
-            x = spd_solve(c, g)
-        except SingularMatrixError as err:
-            dropped.append(index_map.pop(err.index))
-            if not index_map:
-                raise RuntimeError("all test points dropped; bound undefined") from err
-            c = np.delete(np.delete(c, err.index, axis=0), err.index, axis=1)
-            g = np.delete(g, err.index)
-            continue
-        return _result(float(g @ x), dropped)
+def _scaled_axis(prior, K, points, snr, quad) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation matrices C (n, r, r) and the scaled points g (n, r) of
+    the score matrices of `points` at the n linear SNRs of `snr`."""
+    core, gamma = _set_parts(K, tuple(points.h.tolist()), points.s, prior, quad)
+    c, half = _combine(core, gamma, np.asarray(snr, dtype=float))
+    return c, points.h * np.exp(-half)
+
+
+def _solved(c: np.ndarray, g: np.ndarray) -> list[WwbResult | RuntimeError]:
+    values, kept = inverse_form(c, g)
+    return [_outcome(value, keep) for value, keep in zip(values.tolist(), kept.tolist())]
 
 
 def wwb_axis(
@@ -238,31 +236,15 @@ def wwb_axis(
     the sequence `snr`, or the error that SNR fails with.
 
     The bound is solved as g C^{-1} g^T, with C the correlation matrix of Q
-    and g_a = h_a / sqrt(Q_aa), and the matrices of the whole axis are
-    solved as one stack. Near-duplicate or redundant test points make C
-    numerically singular; then every SNR is solved on its own, and its
-    offending point (smallest factorization pivot) is dropped by deleting its
-    row and column and the solve retried, with drops recorded in the result.
-    An SNR holds a RuntimeError when every point drops or the bound
-    underflows; failures of the test-point set as a whole, such as
-    quadrature non-convergence, are raised.
+    and g_a = h_a / sqrt(Q_aa), by one elimination over the stack of the
+    whole axis. Near-duplicate or redundant test points make C numerically
+    singular; each SNR drops the points whose pivots fail, as if their rows
+    and columns were deleted, and records them in its result. An SNR holds
+    a RuntimeError when every point drops or the bound underflows; failures
+    of the test-point set as a whole, such as quadrature non-convergence,
+    are raised.
     """
-    core, gamma = _set_parts(K, tuple(points.h.tolist()), points.s, prior, quad)
-    c, half = _combine(core, gamma, np.asarray(snr, dtype=float))
-    g = points.h * np.exp(-half)
-    try:
-        x = spd_solve(c, g)
-    except SingularMatrixError:
-        # solved one SNR at a time, each drops the points it drops alone
-        x = None
-    out: list[WwbResult | RuntimeError] = []
-    for i in range(len(g)):
-        try:
-            out.append(_result(float(g[i] @ x[i]), ()) if x is not None
-                       else _solve_dropping(c[i], g[i]))
-        except RuntimeError as err:
-            out.append(err)
-    return out
+    return _solved(*_scaled_axis(prior, K, points, snr, quad))
 
 
 def _raised(outcome):
@@ -295,19 +277,23 @@ def optimize_s_axis(
     """Grid search over the shared exponent at every linear SNR of `snr`: per
     SNR the maximizing (s, result), or the RuntimeError of every s failing.
 
-    Each s evaluates the whole axis through `wwb_axis`. Ties are broken
-    toward s = 0.5, then toward smaller s. A failing grid point is skipped
-    and recorded with its message in the result's `s_failed`.
+    The axes of every s whose score matrices build are eliminated as one
+    stack, so each equals its `wwb_axis`. Ties are broken toward s = 0.5,
+    then toward smaller s. A failing grid point is skipped and recorded with
+    its message in the result's `s_failed`.
     """
     s_grid = list(s_grid)
     if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
         raise ValueError("s_grid must be non-empty with all values in (0, 1)")
-    per_s = []
+    axes, failed = [], []
     for s in s_grid:
         try:
-            per_s.append(wwb_axis(prior, K, points.with_exponent(s), snr, quad))
+            axes.append(_scaled_axis(prior, K, points.with_exponent(s), snr, quad))
+            failed.append(None)
         except RuntimeError as err:
-            per_s.append([err] * len(snr))
+            failed.append([err] * len(snr))
+    solved = iter(_solved(*(np.concatenate(parts) for parts in zip(*axes))) if axes else ())
+    per_s = [[next(solved) for _ in snr] if errs is None else errs for errs in failed]
     return [_best_s(s_grid, outcomes) for outcomes in zip(*per_s)]
 
 

@@ -206,7 +206,7 @@ class TestMainExitCodes:
         rc = main(["wwb", "--k", "2", "--trio", "2,0,10", "--out", str(out)])
         assert rc == 0
         (row,) = parse_rows(out.read_text())
-        assert row["value_rad2"] == 0.51719187806478
+        assert row["value_rad2"] == 0.5171918780647798
 
     def test_map_sim_theta_outside_circle(self, capsys):
         rc = main(["map-sim", "--theta", "3.5", "--trials", "5"])
@@ -232,6 +232,35 @@ class TestMainExitCodes:
     def test_integer_flags_name_field(self, argv, field, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: invalid {field}: expected an integer")
+
+    @pytest.mark.parametrize("argv, field", [
+        (["wwb", "--kappa", "abc"], "kappa_values"),
+        (["sweep", "--mu", "0,x"], "mu_values"),
+        (["sweep", "--snr-db=0:x:1"], "snr_db"),
+        (["bcrb", "--snr-db", "1,2dB"], "snr_db"),
+        (["map-sim", "--phi", "x"], "phi"),
+        (["map-sim", "--theta", "x"], "theta"),
+        (["wwb", "--s", "x"], "s_grid"),
+        (["wwb", "--f-int", "abc"], "f_int_hz"),
+    ])
+    def test_float_flags_name_field(self, argv, field, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid {field}: expected a number")
+
+    @pytest.mark.parametrize("axis", ["0:inf:1", "nan:10:1", "0:10:inf"])
+    def test_non_finite_snr_axis_names_field(self, axis, capsys):
+        assert main(["sweep", f"--snr-db={axis}"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid snr_db: start, stop and step must be finite")
+
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_rejected(self, phi, capsys):
+        assert main(["map-sim", f"--phi={phi}", "--trials", "50"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid phi: must be finite")
+
+    @pytest.mark.parametrize("f_int", ["-5", "0", "nan", "inf"])
+    def test_f_int_must_be_finite_and_positive(self, f_int, capsys):
+        assert main(["wwb", f"--f-int={f_int}"]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid f_int_hz: must be finite and > 0")
 
     @pytest.mark.parametrize("argv", [
         ["wwb", "--quad-nodes", "8"],

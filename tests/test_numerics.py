@@ -10,12 +10,11 @@ from circbound.numerics import (
     DomainError,
     QuadratureError,
     QuadratureSpec,
-    SingularMatrixError,
     dirichlet_kernel,
     integrate,
+    inverse_form,
     normal_tail,
     regularized_lower_gamma,
-    spd_solve,
 )
 
 from circbound.prior import VonMisesPrior
@@ -309,87 +308,143 @@ class TestRegularizedLowerGamma:
             regularized_lower_gamma(1.5, -0.1)
 
 
+def _eliminate(c, g):
+    """The bordered elimination of one matrix written with Python floats:
+    (g C^{-1} g^T over the kept points, kept indices)."""
+    r = len(g)
+    a = [[float(x) for x in row] + [float(gv)] for row, gv in zip(c, g)]
+    a.append([float(gv) for gv in g] + [0.0])
+    kept = []
+    for j in range(r):
+        pivot = a[j][j]
+        if not (math.isfinite(pivot) and pivot > 1e-14):
+            continue
+        kept.append(j)
+        inv_root = 1.0 / math.sqrt(pivot)
+        col = [a[i][j] * inv_root for i in range(j + 1, r + 1)]
+        for p, i in enumerate(range(j + 1, r + 1)):
+            for q, k in enumerate(range(j + 1, r + 1)):
+                a[i][k] -= col[p] * col[q]
+    return 0.0 - a[r][r], kept
+
+
+def _correlation(rng, r):
+    a = rng.standard_normal((r, r + 2))
+    m = a @ a.T
+    d = 1.0 / np.sqrt(np.diag(m))
+    return m * d[:, None] * d[None, :]
+
+
 class TestSpdSolve:
+    """`inverse_form`, the SPD solve of the bound: g C^{-1} g^T over the kept points."""
+
     def test_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(spd_solve(np.eye(3), v), v)
+        values, kept = inverse_form(np.eye(3)[None], v)
+        assert values == pytest.approx([v @ v])
+        assert kept.all()
 
     def test_scaled_identity(self):
         v = np.array([4.0, 8.0])
-        assert np.allclose(spd_solve(2.0 * np.eye(2), v), v / 2.0)
+        values, kept = inverse_form(2.0 * np.eye(2)[None], v)
+        assert values == pytest.approx([v @ v / 2.0])
+        assert kept.all()
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((5, 5))
         m = a @ a.T + 5.0 * np.eye(5)
         v = rng.standard_normal(5)
-        x = spd_solve(m, v)
-        assert np.linalg.norm(m @ x - v) <= 1e-8 * np.linalg.norm(v)
+        values, kept = inverse_form(m[None], v)
+        assert values[0] == pytest.approx(v @ np.linalg.solve(m, v), rel=1e-12)
+        assert kept.all()
 
     def test_singular_matrix_reports_index(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(SingularMatrixError) as exc:
-            spd_solve(m, np.array([1.0, 1.0]))
-        assert exc.value.index == 1
+        values, kept = inverse_form(m[None], np.array([1.0, 1.0]))
+        assert kept.tolist() == [[True, False]]
+        assert values[0] == 1.0
 
     def test_tiny_positive_pivot_reports_index(self):
-        # LAPACK factors this matrix; its second pivot, about 1.1e-15, is
-        # below the 1e-14 rule
+        # the second pivot, about 1.1e-15, is positive but below the 1e-14 rule
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-        with pytest.raises(SingularMatrixError) as exc:
-            spd_solve(m, np.array([1.0, 1.0]))
-        assert exc.value.index == 1
+        values, kept = inverse_form(m[None], np.array([1.0, 1.0]))
+        assert kept.tolist() == [[True, False]]
+        assert values[0] == 1.0
 
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.3, 1.0]])
         with pytest.raises(DomainError):
-            spd_solve(m, np.array([1.0, 1.0]))
+            inverse_form(m[None], np.array([1.0, 1.0]))
 
-    def test_nonpositive_diagonal_rejected(self):
-        m = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(SingularMatrixError):
-            spd_solve(m, np.array([1.0, 1.0]))
+    def test_nonpositive_or_nan_diagonal_dropped(self):
+        # a non-positive score-matrix diagonal leaves NaN in its point's row
+        # and column of the correlation matrix
+        tail = np.array([[1.0, 0.5], [0.5, 1.0]])
+        want, _ = inverse_form(tail[None], np.array([1.0, 2.0]))
+        for bad in (0.0, -1.0, math.nan):
+            m = np.zeros((3, 3))
+            m[0, 0], m[1:, 1:] = bad, tail
+            if math.isnan(bad):
+                m[0, 1:] = m[1:, 0] = math.nan
+            values, kept = inverse_form(m[None], np.array([bad, 1.0, 2.0]))
+            assert kept.tolist() == [[False, True, True]]
+            assert values[0] == want[0]
 
     def test_one_matrix_stack_bit_identical(self):
-        # the single-matrix algorithm written with 2-D operations: factor,
-        # two triangular solves of a 1-D right-hand side
         rng = np.random.default_rng(11)
-        a = rng.standard_normal((6, 6))
-        m = a @ a.T + np.eye(6)
+        m = _correlation(rng, 6)
         v = rng.standard_normal(6)
-        low = np.linalg.cholesky(m)
-        want = np.linalg.solve(low.T, np.linalg.solve(low, v))
-        assert np.array_equal(spd_solve(m, v), want)
-        assert np.array_equal(spd_solve(m[None], v)[0], want)
+        values, kept = inverse_form(m[None], v)
+        want, want_kept = _eliminate(m, v)
+        assert values[0] == want
+        assert np.flatnonzero(kept[0]).tolist() == want_kept == list(range(6))
 
     def test_stack_rows_equal_single_solves(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((7, 5, 5))
         stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(5)
+        stack[3, 4] = stack[3, 3]
+        stack[3, :, 4] = stack[3, :, 3]
         v = rng.standard_normal(5)
-        x = spd_solve(stack, v)
-        assert x.shape == (7, 5)
-        for m, row in zip(stack, x):
-            assert np.array_equal(spd_solve(m, v), row)
+        values, kept = inverse_form(stack, v)
+        assert values.shape == (7,) and kept.shape == (7, 5)
+        assert kept[3].tolist() == [True] * 4 + [False]
+        for m, value, row in zip(stack, values, kept):
+            one, one_kept = inverse_form(m[None], v)
+            assert one[0] == value
+            assert np.array_equal(one_kept[0], row)
 
     def test_stack_rows_with_own_right_hand_sides(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((4, 5, 5))
         stack = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(5)
         v = rng.standard_normal((4, 5))
-        x = spd_solve(stack, v)
-        for m, rhs, row in zip(stack, v, x):
-            assert np.array_equal(spd_solve(m, rhs), row)
+        values, _ = inverse_form(stack, v)
+        for m, rhs, value in zip(stack, v, values):
+            assert inverse_form(m[None], rhs)[0][0] == value
 
-    def test_stack_failure_reports_first_failing_matrix(self):
+    def test_stack_rows_drop_their_own_points(self):
         v = np.array([1.0, 1.0])
         tiny_pivot = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-        with pytest.raises(SingularMatrixError) as exc:
-            spd_solve(np.stack([np.eye(2), tiny_pivot, np.eye(2)]), v)
-        assert exc.value.index == 1
+        _, kept = inverse_form(np.stack([np.eye(2), tiny_pivot, np.eye(2)]), v)
+        assert kept.tolist() == [[True, True], [True, False], [True, True]]
         negative = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(SingularMatrixError) as exc:
-            spd_solve(np.stack([np.eye(2), negative]), v)
-        assert exc.value.index == 0
+        values, kept = inverse_form(np.stack([np.eye(2), negative]), v)
+        assert kept.tolist() == [[True, True], [False, True]]
+        assert values.tolist() == [2.0, 1.0]
         with pytest.raises(DomainError):
-            spd_solve(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.3, 1.0]])]), v)
+            inverse_form(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.3, 1.0]])]), v)
+
+    @pytest.mark.parametrize("at", [2, 3, 5])
+    def test_planted_duplicate_equals_reduced_matrix(self, at):
+        # a copy of point 1 inserted at index `at` pivots on rounding noise,
+        # is skipped, and leaves every other column as it was
+        rng = np.random.default_rng(14)
+        m = _correlation(rng, 5)
+        v = rng.standard_normal(5)
+        order = np.insert(np.arange(5), at, 1)
+        values, kept = inverse_form(m[order][:, order][None], v[order])
+        want, _ = inverse_form(m[None], v)
+        assert np.flatnonzero(~kept[0]).tolist() == [at]
+        assert values[0] == want[0]

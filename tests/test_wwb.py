@@ -9,6 +9,7 @@ entries come from `build_q` on one- and two-point sets.
 """
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,6 +446,18 @@ class TestSnrAxis:
                             assert _stored(outcome) == one
                             dropped += bool(getattr(outcome, "dropped_points", ()))
         assert dropped > 0
+
+    def test_optimize_axis_equals_wwb_axis_at_chosen_s(self):
+        # every s of the grid is eliminated in one stack, drops included
+        snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB]
+        s_grid = [0.1, 0.5, 0.9]
+        for kappa in (0.0, 2.0):
+            prior = VonMisesPrior(mu=0.7, kappa=kappa)
+            for points in self._sets():
+                per_s = {s: wwb_axis(prior, 20, points.with_exponent(s), snrs) for s in s_grid}
+                axis = optimize_s_axis(prior, 20, points, snrs, s_grid)
+                for i, (s_best, res) in enumerate(axis):
+                    assert replace(res, s_failed=()) == per_s[s_best][i]
 
     def test_optimize_axis_equals_one_snr_calls(self):
         # at K=200 the bound underflows at s=0.1 and 0.9 at +15 dB, and at
