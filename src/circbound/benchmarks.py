@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import normal_tail, regularized_lower_gamma
+from .numerics import gamma_p_3_2, normal_tail
 from .prior import VonMisesPrior
 
 __all__ = ["fisher_information", "bcrb", "zzb"]
@@ -35,6 +35,6 @@ def zzb(prior: VonMisesPrior, K: int, snr: float) -> float:
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     ks = K * snr
-    asymptotic = regularized_lower_gamma(1.5, 0.5 * ks) / fisher_information(K, snr)
+    asymptotic = gamma_p_3_2(0.5 * ks) / fisher_information(K, snr)
     floor = prior.variance() * 2.0 * normal_tail(math.sqrt(ks))
     return asymptotic + floor

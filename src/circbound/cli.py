@@ -87,8 +87,8 @@ class SweepSpec:
             raise SpecError("k_values", "K must be >= 1")
         if not self.kappa_values:
             raise SpecError("kappa_values", "empty list")
-        if any(k < 0 for k in self.kappa_values):
-            raise SpecError("kappa_values", "kappa must be >= 0")
+        if any(not 0.0 <= k < math.inf for k in self.kappa_values):
+            raise SpecError("kappa_values", "kappa must be finite and >= 0")
         if not self.mu_values:
             raise SpecError("mu_values", "empty list")
         if any(not (-math.pi <= m <= math.pi) for m in self.mu_values):
@@ -410,15 +410,20 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> argp
     args = parser.parse_args(argv)
     if args.config_file:
         overrides = {}
-        with open(args.config_file) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise SpecError("config_file", f"expected key=value, got {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                overrides[key.replace("-", "_")] = value
+        try:
+            with open(args.config_file) as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as err:
+            why = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+            raise SpecError("config_file", f"cannot read {args.config_file}: {why}") from None
+        for raw in lines:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise SpecError("config_file", f"expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            overrides[key.replace("-", "_")] = value
         # flags given explicitly on the command line win over the file
         explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
         for key, value in overrides.items():

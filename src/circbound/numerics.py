@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 __all__ = [
     "QuadratureSpec",
@@ -16,10 +15,10 @@ __all__ = [
     "DomainError",
     "QuadratureError",
     "dirichlet_kernel",
+    "gamma_p_3_2",
     "integrate",
     "inverse_form",
     "normal_tail",
-    "regularized_lower_gamma",
 ]
 
 
@@ -154,13 +153,18 @@ def normal_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def regularized_lower_gamma(a: float, z: float) -> float:
-    """(1/Gamma(a)) * integral_0^z e^{-v} v^{a-1} dv."""
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be > 0, got {a}")
+def gamma_p_3_2(z: float) -> float:
+    """P(3/2, z) = (1/Gamma(3/2)) * integral_0^z e^{-v} v^{1/2} dv, the regularized
+    lower incomplete gamma function: erf(sqrt z) - 2 sqrt(z/pi) e^-z, or below
+    z = 0.5, where that difference cancels, its series
+    z^{3/2} e^-z / Gamma(5/2) * sum_n z^n / ((5/2)(7/2)...(n + 3/2))."""
     if z < 0.0:
         raise DomainError(f"upper limit must be >= 0, got {z}")
-    return float(gammainc(a, z))
+    if z >= 0.5:
+        z = min(z, 1e3)  # P rounds to 1 long before; the cap keeps z = inf off inf * 0
+        return math.erf(math.sqrt(z)) - 2.0 * math.sqrt(z / math.pi) * math.exp(-z)
+    series = 1.0 + float(np.sum(np.cumprod(z / (np.arange(1, 21) + 1.5))))
+    return 4.0 / (3.0 * math.sqrt(math.pi)) * z * math.sqrt(z) * math.exp(-z) * series
 
 
 def inverse_form(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -271,10 +271,17 @@ class TestMainExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: invalid quad_nodes:")
 
-    @pytest.mark.parametrize("kappa", ["nan", "inf"])
-    def test_non_finite_kappa_rejected(self, kappa, capsys):
-        assert main(["bcrb", f"--kappa={kappa}"]) == 2
-        assert capsys.readouterr().err.startswith("error: kappa must be finite")
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["bcrb", "--kappa=nan"], id="nan"),
+        pytest.param(["bcrb", "--kappa=inf"], id="inf"),
+        pytest.param(["wwb", "--kappa=-inf"], id="wwb-minus-inf"),
+        pytest.param(["sweep", "--kinds", "WWB,ZZB,BCRB,MAP", "--snr-db=0", "--kappa=1,inf"],
+                     id="sweep"),
+    ])
+    def test_non_finite_kappa_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid kappa_values: kappa must be finite and >= 0")
 
     def test_large_kappa_accepted(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -444,6 +451,17 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa 2\n")
         assert main(["bcrb", "--config-file", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("name", ["missing", "directory", "binary"])
+    def test_unreadable_file_rejected(self, name, tmp_path, capsys):
+        path = tmp_path / name
+        if name == "directory":
+            path.mkdir()
+        elif name == "binary":
+            path.write_bytes(b"\xff\xfe kappa = 2\n")
+        assert main(["bcrb", "--config-file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid config_file: cannot read {path}: ")
 
 
 class TestFigurePresets:

@@ -11,10 +11,10 @@ from circbound.numerics import (
     QuadratureError,
     QuadratureSpec,
     dirichlet_kernel,
+    gamma_p_3_2,
     integrate,
     inverse_form,
     normal_tail,
-    regularized_lower_gamma,
 )
 
 from circbound.prior import VonMisesPrior
@@ -23,8 +23,8 @@ from conftest import bessel_series_oracle, dirichlet_sum_oracle
 
 
 class TestBessel:
-    """I0 and I1 of the concentration, through the only library uses of scipy's
-    i0e and i1e: the prior's log normalizer ln(2 pi I0) and its ratio I1 / I0."""
+    """I0 and I1 of the concentration, through the prior's own scaled pair
+    (e^-kappa I0, e^-kappa I1): its log normalizer ln(2 pi I0) and its ratio I1 / I0."""
 
     @staticmethod
     def i0(x):
@@ -65,6 +65,27 @@ class TestBessel:
         xs = np.linspace(0.01, 100.0, 500)
         ratios = [VonMisesPrior(kappa=float(x)).bessel_ratio() for x in xs]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+
+# the trapezoid rule's last argument, the Hankel series' first, and the
+# arguments around them
+_SERIES_SWITCH = [9999.0, 1e4, float(np.nextafter(1e4, 2e4)), 1.0001e4]
+
+
+class TestScaledBesselVsScipy:
+    """The prior's (e^-kappa I0, e^-kappa I1) against scipy's i0e and i1e."""
+
+    @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-10, *np.logspace(-4, 6, 41), *_SERIES_SWITCH,
+                                   1e100, 1.7e308])
+    def test_pair_matches_scipy(self, x):
+        from scipy.special import i0e, i1e
+
+        got0, got1 = VonMisesPrior(kappa=float(x)).scaled_bessel
+        assert got0 == pytest.approx(float(i0e(x)), rel=1e-13, abs=0.0)
+        assert got1 == pytest.approx(float(i1e(x)), rel=1e-13, abs=0.0)
+
+    def test_log_norm_finite_at_largest_kappa(self):
+        assert math.isfinite(VonMisesPrior(kappa=1.7e308).log_norm)
 
 
 class TestDirichletKernel:
@@ -281,10 +302,11 @@ class TestNormalTail:
 
 class TestRegularizedLowerGamma:
     def test_at_zero(self):
-        assert regularized_lower_gamma(1.5, 0.0) == 0.0
+        assert gamma_p_3_2(0.0) == 0.0
 
     def test_total_mass(self):
-        assert regularized_lower_gamma(1.5, 60.0) == pytest.approx(1.0, abs=1e-10)
+        assert gamma_p_3_2(60.0) == pytest.approx(1.0, abs=1e-10)
+        assert gamma_p_3_2(math.inf) == 1.0
 
     def test_vs_quadrature_oracle(self):
         from scipy.integrate import quad
@@ -294,18 +316,24 @@ class TestRegularizedLowerGamma:
         val, _ = quad(lambda t: math.exp(-t) * math.sqrt(t), 0.0, 1.0,
                       epsabs=1e-13, epsrel=1e-12)
         want = val / (math.sqrt(math.pi) / 2.0)
-        assert regularized_lower_gamma(1.5, 1.0) == pytest.approx(want, rel=1e-9)
+        assert gamma_p_3_2(1.0) == pytest.approx(want, rel=1e-9)
 
     def test_monotone_in_upper_limit(self):
         zs = np.linspace(0.0, 30.0, 200)
-        vals = [regularized_lower_gamma(1.5, z) for z in zs]
+        vals = [gamma_p_3_2(z) for z in zs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    # the series below z = 0.5, the closed form from there on
+    @pytest.mark.parametrize("z", [0.0, *np.logspace(-8, 3, 45), 0.4999, 0.5, 0.5001])
+    def test_vs_scipy(self, z):
+        from scipy.special import gammainc
+
+        want = float(gammainc(1.5, z))
+        assert gamma_p_3_2(float(z)) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            regularized_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            regularized_lower_gamma(1.5, -0.1)
+            gamma_p_3_2(-0.1)
 
 
 def _eliminate(c, g):

@@ -129,6 +129,10 @@ class TestVariance:
     def test_uniform_value(self):
         assert VonMisesPrior(kappa=0.0).variance() == UNIFORM_VARIANCE
 
+    def test_subnormal_concentration_clamped(self):
+        # I1/I0 = kappa/2 rounds to 0 here, and -2 ln 0 would be a domain error
+        assert VonMisesPrior(kappa=5e-324).variance() == UNIFORM_VARIANCE
+
     def test_concentrated_value(self):
         prior = VonMisesPrior(kappa=20.0)
         want = -2.0 * math.log(
