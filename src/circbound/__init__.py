@@ -8,7 +8,7 @@ from .numerics import QuadratureSpec
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointConfig, TestPointSet, build, even_points, sidelobe_points
-from .wwb import WwbResult, optimize_s, wwb_value
+from .wwb import WwbResult, wwb_value
 
 __all__ = [
     "bcrb", "fisher_information", "zzb",
@@ -16,7 +16,7 @@ __all__ = [
     "QuadratureSpec", "VonMisesPrior",
     "SignalConfig",
     "TestPointConfig", "TestPointSet", "build", "even_points", "sidelobe_points",
-    "WwbResult", "optimize_s", "wwb_value",
+    "WwbResult", "wwb_value",
 ]
 
 __version__ = "0.1.0"

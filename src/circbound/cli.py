@@ -1,4 +1,4 @@
-"""Command-line front end: single-point bound evaluation, parameter sweeps,
+"""Command-line front end: parameter sweeps, of one bound kind or several,
 figure-style presets, and CSV/JSON emission.
 
 The math core works in normalized radians per sample; Hz enters only through
@@ -30,8 +30,6 @@ CSV_COLUMNS = [
 ]
 
 KINDS = ("WWB", "BCRB", "ZZB", "MAP")
-# the bound kind each single-kind subcommand evaluates
-_COMMAND_KINDS = {"wwb": "WWB", "bcrb": "BCRB", "zzb": "ZZB", "map-sim": "MAP"}
 
 
 class SpecError(ValueError):
@@ -350,90 +348,96 @@ FIGURE_PRESETS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", default="0", help="master seed for all randomness")
-    common.add_argument("--out", "-o", default="-", help="output path, '-' for stdout")
-    common.add_argument("--format", default="csv", choices=("csv", "json"))
-    common.add_argument("--quad-nodes", default="32",
-                        help="panel floor of each prior integral's x8 doubling budget")
-    common.add_argument("--f-int", default=None, help="integration rate in Hz for unit columns")
-    common.add_argument("--config-file", default=None, help="flat key=value file; flags override")
+    # the flags of every subcommand
+    io_flags = argparse.ArgumentParser(add_help=False)
+    io_flags.add_argument("--out", "-o", default="-", help="output path, '-' for stdout")
+    io_flags.add_argument("--config-file", default=None,
+                          help="flat key=value file of flags; the command line wins")
 
-    # the single-point axes of wwb, bcrb, zzb and map-sim
-    point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--snr-db", default="0", help="dB value or comma list")
-    point.add_argument("--k", default="20")
-    point.add_argument("--kappa", default="1")
-    point.add_argument("--mu", default="0")
+    # every flag of a sweep. wwb, bcrb, zzb and map-sim are sweeps of their
+    # one kind; the defaults that depend on the command are chosen in
+    # _make_spec, because subparsers share the parent's actions
+    sweep_flags = argparse.ArgumentParser(add_help=False, parents=[io_flags])
+    sweep_flags.add_argument("--seed", default="0", help="master seed for all randomness")
+    sweep_flags.add_argument("--format", default="csv", choices=("csv", "json"))
+    sweep_flags.add_argument("--quad-nodes", default="32",
+                             help="panel floor of each prior integral's x8 doubling budget")
+    sweep_flags.add_argument("--f-int", default=None, help="integration rate in Hz for unit columns")
+    sweep_flags.add_argument("--snr-db", default=None,
+                             help="start:stop:step or comma list (default 0, sweep -20:10:1)")
+    sweep_flags.add_argument("--k", default=None)
+    sweep_flags.add_argument("--kappa", default=None)
+    sweep_flags.add_argument("--mu", default=None)
+    sweep_flags.add_argument("--trio", default=None, help="C,S,E test point counts")
+    sweep_flags.add_argument("--s", default=None,
+                             help="exponent value or comma grid (wwb: grid -> maximize)")
+    sweep_flags.add_argument("--trials", default="10000")
+    sweep_flags.add_argument("--grid-size", default="4096")
+    sweep_flags.add_argument("--phi", default="0")
+    sweep_flags.add_argument("--theta", default=None, help="fix the true frequency instead of sampling")
+    sweep_flags.add_argument("--no-refine", action="store_true")
+    sweep_flags.add_argument("--linear-error", action="store_true",
+                             help="score estimate - truth without circular wrapping")
 
     parser = argparse.ArgumentParser(
         prog="circbound",
         description="Bayesian lower bounds on circular frequency estimation error",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, text in (("wwb", "evaluate the analytic bound"), ("bcrb", "evaluate the BCRB"),
+                       ("zzb", "evaluate the ZZB"), ("map-sim", "Monte Carlo MAP estimator MSE")):
+        sub.add_parser(name, parents=[sweep_flags], help=text)
 
-    p = sub.add_parser("wwb", parents=[common, point], help="evaluate the analytic bound")
-    p.add_argument("--trio", default="2,9,10", help="C,S,E test point counts")
-    p.add_argument("--s", default="0.5", help="exponent value or comma grid (grid -> maximize)")
-
-    for name in ("bcrb", "zzb"):
-        sub.add_parser(name, parents=[common, point], help=f"evaluate the {name.upper()}")
-
-    p = sub.add_parser("map-sim", parents=[common, point], help="Monte Carlo MAP estimator MSE")
-    p.add_argument("--phi", default="0")
-    p.add_argument("--trials", default="10000")
-    p.add_argument("--grid-size", default="4096")
-    p.add_argument("--no-refine", action="store_true")
-    p.add_argument("--linear-error", action="store_true",
-                   help="score estimate - truth without circular wrapping")
-    p.add_argument("--theta", default=None, help="fix the true frequency instead of sampling")
-
-    p = sub.add_parser("testpoints", parents=[common], help="print a test point set")
+    p = sub.add_parser("testpoints", parents=[io_flags], help="print a test point set")
     p.add_argument("--k", default="20")
     p.add_argument("--config", default="2,9,10", help="C,S,E counts")
 
-    p = sub.add_parser("sweep", parents=[common], help="grid sweep / figure presets")
+    p = sub.add_parser("sweep", parents=[sweep_flags], help="grid sweep / figure presets")
     p.add_argument("--figure", default=None, type=int, choices=sorted(FIGURE_PRESETS))
-    p.add_argument("--snr-db", default=None, help="start:stop:step or comma list")
-    p.add_argument("--k", default=None)
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--mu", default=None)
     p.add_argument("--kinds", default=None, help="comma subset of WWB,BCRB,ZZB,MAP")
-    p.add_argument("--trio", default=None)
-    p.add_argument("--s", default=None)
-    p.add_argument("--trials", default="10000")
-    p.add_argument("--grid-size", default="4096")
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line. The key=value lines of a --config-file become
+    flags placed before the command line's own, so the command line wins."""
+    parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.config_file:
-        overrides = {}
-        try:
-            with open(args.config_file) as fh:
-                lines = fh.readlines()
-        except (OSError, UnicodeDecodeError) as err:
-            why = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
-            raise SpecError("config_file", f"cannot read {args.config_file}: {why}") from None
-        for raw in lines:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise SpecError("config_file", f"expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            overrides[key.replace("-", "_")] = value
-        # flags given explicitly on the command line win over the file
-        explicit = {a.lstrip("-").replace("-", "_").split("=")[0] for a in argv if a.startswith("--")}
-        for key, value in overrides.items():
-            if key not in explicit and hasattr(args, key):
-                setattr(args, key, value)
-    return args
+    if not args.config_file:
+        return args
+    try:
+        with open(args.config_file) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        why = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+        raise SpecError("config_file", f"cannot read {args.config_file}: {why}") from None
+    flags = []
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SpecError("config_file", f"expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest in ("command", "config_file") or dest not in vars(args):
+            raise SpecError("config_file", f"unknown key {key!r}")
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            flags.append(f"{flag}={value}")
+        elif value not in ("true", "false"):  # a switch
+            raise SpecError("config_file", f"{key} must be true or false, got {value!r}")
+        elif value == "true":
+            flags.append(flag)
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def _make_spec(args) -> SweepSpec:
-    preset = FIGURE_PRESETS.get(args.figure, {}) if args.figure else {}
+    """The sweep of a command line. wwb, bcrb, zzb and map-sim sweep their one
+    kind at 0 dB unless --snr-db says otherwise, and wwb maximizes the bound
+    over an s grid of several values."""
+    sweep = args.command == "sweep"
+    preset = FIGURE_PRESETS.get(args.figure, {}) if sweep else {}
 
     def pick(flag_value, preset_key, fallback):
         if flag_value is not None:
@@ -446,53 +450,34 @@ def _make_spec(args) -> SweepSpec:
             )
         return value
 
-    kinds = pick(args.kinds, "kinds", "WWB").split(",")
+    # a one-kind command names its kind: wwb, bcrb, zzb, map(-sim)
+    kinds = pick(args.kinds, "kinds", "WWB").split(",") if sweep else [args.command.split("-")[0]]
     trios = [_trio(args.trio)] if args.trio is not None else [
         _trio(t) for t in preset.get("trios", ["2,9,10"])
     ]
+    snr_default = _FIGURE_SNR if sweep else "0"
+    s_grid = _floats(pick(args.s, "s", "0.5"), "s_grid")
     return SweepSpec(
-        snr_db=_snr_axis(args.snr_db if args.snr_db is not None else _FIGURE_SNR),
+        snr_db=_snr_axis(args.snr_db if args.snr_db is not None else snr_default),
         k_values=_ints(pick(args.k, "k", "20"), "k_values"),
         kappa_values=_floats(pick(args.kappa, "kappa", "1"), "kappa_values"),
         mu_values=_floats(pick(args.mu, "mu", "0"), "mu_values"),
         bound_kinds=[k.strip().upper() for k in kinds],
         trios=trios,
-        s_grid=_floats(pick(args.s, "s", "0.5"), "s_grid"),
+        s_grid=s_grid,
+        maximize_s=args.command == "wwb" and len(s_grid) > 1,
         seed=_int(args.seed, "seed"),
         trials=_int(args.trials, "trials"),
         mc_grid_size=_int(args.grid_size, "grid_size"),
+        phi=_float(args.phi, "phi"),
+        theta=_float(args.theta, "theta") if args.theta is not None else None,
+        refine=not args.no_refine,
+        wrap=not args.linear_error,
         quad_nodes=_int(args.quad_nodes, "quad_nodes"),
         f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int else None,
         output_path=args.out,
         output_format=args.format,
     )
-
-
-def _single_point_spec(args, kind: str) -> SweepSpec:
-    spec = SweepSpec(
-        snr_db=_floats(args.snr_db, "snr_db"),
-        k_values=_ints(args.k, "k_values"),
-        kappa_values=_floats(args.kappa, "kappa_values"),
-        mu_values=_floats(args.mu, "mu_values"),
-        bound_kinds=[kind],
-        quad_nodes=_int(args.quad_nodes, "quad_nodes"),
-        seed=_int(args.seed, "seed"),
-        f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int else None,
-        output_path=args.out,
-        output_format=args.format,
-    )
-    if kind == "WWB":
-        spec.trios = [_trio(args.trio)]
-        spec.s_grid = _floats(args.s, "s_grid")
-        spec.maximize_s = len(spec.s_grid) > 1
-    if kind == "MAP":
-        spec.trials = _int(args.trials, "trials")
-        spec.mc_grid_size = _int(args.grid_size, "grid_size")
-        spec.phi = _float(args.phi, "phi")
-        spec.theta = _float(args.theta, "theta") if args.theta is not None else None
-        spec.refine = not args.no_refine
-        spec.wrap = not args.linear_error
-    return spec
 
 
 def _cmd_testpoints(args) -> int:
@@ -508,15 +493,11 @@ def _cmd_testpoints(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = _apply_config_file(list(sys.argv[1:] if argv is None else argv), parser)
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         if args.command == "testpoints":
             return _cmd_testpoints(args)
-        if args.command == "sweep":
-            spec = _make_spec(args)
-        else:
-            spec = _single_point_spec(args, _COMMAND_KINDS[args.command])
+        spec = _make_spec(args)
         emit(run_sweep(spec), spec.output_format, spec.output_path)
         return 0
     except (SpecError, ValueError) as err:

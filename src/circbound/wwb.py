@@ -7,8 +7,8 @@ table. The exponents of Q are snr * core + gamma: the data cores and the prior
 log-integrals gamma are computed once per test-point set, as arrays, and the
 correlation matrices of Q over a whole SNR axis are formed in the exponent
 and eliminated as one stack, which drops the points of singular pivots. On
-them sit the scalar bound h Q^{-1} h^T and the grid search over the shared
-exponent s, per axis; the one-SNR functions are calls of the axis functions.
+them sit the bound h Q^{-1} h^T and the grid search over the shared exponent
+s, each over a whole SNR axis; `wwb_value` is the bound at one SNR.
 """
 from __future__ import annotations
 
@@ -30,10 +30,7 @@ from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointSet
 
-__all__ = [
-    "WwbResult", "build_q", "wwb_axis", "wwb_value", "optimize_s_axis", "optimize_s",
-    "DEFAULT_S_GRID",
-]
+__all__ = ["WwbResult", "wwb_axis", "wwb_value", "optimize_s_axis", "DEFAULT_S_GRID"]
 
 DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 
@@ -47,7 +44,7 @@ class WwbResult:
     mse_bound: float
     db: float
     dropped_points: tuple[int, ...]
-    # (s, message) for every exponent of an optimize_s grid that failed
+    # (s, message) for every exponent of an optimize_s_axis grid that failed
     s_failed: tuple[tuple[float, str], ...] = ()
 
 
@@ -188,18 +185,6 @@ def _combine(core: np.ndarray, gamma: np.ndarray, snr: np.ndarray) -> tuple[np.n
     return c, half
 
 
-def build_q(
-    prior: VonMisesPrior,
-    config: SignalConfig,
-    points: TestPointSet,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> np.ndarray:
-    """The full symmetric score matrix of a test-point set at its exponent `points.s`."""
-    core, gamma = _set_parts(config.K, tuple(points.h.tolist()), points.s, prior, quad)
-    (c,), (half,) = _combine(core, gamma, np.array([config.snr]))
-    return c * np.exp(half[:, None] + half[None, :])
-
-
 def _outcome(bound: float, keep: list[bool]) -> WwbResult | RuntimeError:
     """The result of a bound over the kept points, or the error it fails with."""
     dropped = tuple(i for i, kept_i in enumerate(keep) if not kept_i)
@@ -247,13 +232,6 @@ def wwb_axis(
     return _solved(*_scaled_axis(prior, K, points, snr, quad))
 
 
-def _raised(outcome):
-    """A result of the axis functions, or its stored error raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def wwb_value(
     prior: VonMisesPrior,
     config: SignalConfig,
@@ -263,7 +241,9 @@ def wwb_value(
     """The bound h Q^{-1} h^T for a fixed test-point set: `wwb_axis` at the
     one SNR of `config`, with its error raised."""
     (res,) = wwb_axis(prior, config.K, points, [config.snr], quad)
-    return _raised(res)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def optimize_s_axis(
@@ -310,16 +290,3 @@ def _best_s(s_grid: list[float], outcomes) -> tuple[float, WwbResult] | RuntimeE
     tied.sort(key=lambda sr: (abs(sr[0] - 0.5), sr[0]))
     s_best, res = tied[0]
     return s_best, replace(res, s_failed=tuple(failed))
-
-
-def optimize_s(
-    prior: VonMisesPrior,
-    config: SignalConfig,
-    points: TestPointSet,
-    s_grid=DEFAULT_S_GRID,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> tuple[float, WwbResult]:
-    """Grid search over the shared exponent; returns the maximizing (s, result):
-    `optimize_s_axis` at the one SNR of `config`, raising when all s fail."""
-    (best,) = optimize_s_axis(prior, config.K, points, [config.snr], s_grid, quad)
-    return _raised(best)

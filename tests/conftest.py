@@ -5,7 +5,9 @@ Every oracle here is implemented from first principles (series, quadrature,
 direct sums, Monte Carlo expectations) so it cannot share a bug with the
 library code it checks. The single-observation helpers are the batch
 routines of the library applied to one row, so per-trial references can be
-written without a per-observation API in the library.
+written without a per-observation API in the library; `build_q` is the
+library's array path at one SNR, so the oracles can check whole score
+matrices.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import math
 
 import numpy as np
 
-from circbound import mapsim
+from circbound import mapsim, wwb
+from circbound.numerics import DEFAULT_QUAD
 from circbound.prior import VonMisesPrior, wrap_angle
 from circbound.signal_model import SignalConfig, synthesize
 
@@ -172,6 +175,14 @@ def estimate_one(config: SignalConfig, prior: VonMisesPrior, samples,
     """MAP estimate from one observation: grid search, then refinement."""
     return float(mapsim._estimate_batch(config, prior, np.asarray(samples)[None, :],
                                         grid_size, refine)[0])
+
+
+def build_q(prior: VonMisesPrior, config: SignalConfig, points, quad=DEFAULT_QUAD) -> np.ndarray:
+    """The full symmetric score matrix of a test-point set at its exponent
+    `points.s` and the SNR of `config`: Q_ab = C_ab exp(half_a + half_b)."""
+    core, gamma = wwb._set_parts(config.K, tuple(points.h.tolist()), points.s, prior, quad)
+    (c,), (half,) = wwb._combine(core, gamma, np.array([config.snr]))
+    return c * np.exp(half[:, None] + half[None, :])
 
 
 def parse_rows(text: str) -> list[dict]:

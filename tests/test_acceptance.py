@@ -17,9 +17,9 @@ from circbound.numerics import QuadratureSpec
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, build, sidelobe_points
-from circbound.wwb import optimize_s, wwb_value
+from circbound.wwb import optimize_s_axis, wwb_value
 
-from conftest import q_element_mc_oracle
+from conftest import build_q, q_element_mc_oracle
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -34,11 +34,11 @@ def test_01_exponent_optimality_and_symmetry():
     start = time.monotonic()
     prior = VonMisesPrior(mu=0.0, kappa=2.0)
     points = build(TestPointConfig(2, 9, 0), 20)
-    winners, sym_errs = [], []
-    for snr_db in (-15.0, -10.0, -5.0, 0.0, 5.0):
-        config = SignalConfig(K=20, snr=10.0 ** (snr_db / 10.0))
-        s_best, _ = optimize_s(prior, config, points)
-        winners.append(s_best)
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-15.0, -10.0, -5.0, 0.0, 5.0)]
+    winners = [s_best for s_best, _ in optimize_s_axis(prior, 20, points, snrs)]
+    sym_errs = []
+    for snr in snrs:
+        config = SignalConfig(K=20, snr=snr)
         for s in (0.1, 0.2, 0.3, 0.4):
             lo = wwb_value(prior, config, points.with_exponent(s)).mse_bound
             hi = wwb_value(prior, config, points.with_exponent(1.0 - s)).mse_bound
@@ -205,7 +205,7 @@ def test_08_bound_validity_on_reference_grid():
 def test_09_oracle_suites():
     from circbound.numerics import dirichlet_kernel, integrate
     from circbound.testpoints import TestPointSet
-    from circbound.wwb import _product_exponents, build_q
+    from circbound.wwb import _product_exponents
 
     from conftest import (
         CROSS_LAYOUTS,

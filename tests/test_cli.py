@@ -10,6 +10,8 @@ from circbound import mapsim
 from circbound.cli import (
     SpecError,
     SweepSpec,
+    _make_spec,
+    _parse_args,
     _snr_axis,
     emit,
     main,
@@ -349,6 +351,15 @@ class TestMainExitCodes:
         assert lines[0] == "h_rad,h_over_pi,provenance"
         assert len(lines) == 12  # header + legacy 11 points
 
+    @pytest.mark.parametrize("flags", [
+        ["--format", "json"], ["--seed", "-4"], ["--quad-nodes", "3"], ["--f-int=-1"],
+    ])
+    def test_testpoints_rejects_flags_it_does_not_use(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["testpoints", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_testpoints_unwritable_output(self, tmp_path, capsys):
         rc = main(["testpoints", "--out", str(tmp_path / "missing" / "pts.csv")])
         assert rc == 3
@@ -427,6 +438,38 @@ class TestDeterminism:
         assert a.read_bytes() != b.read_bytes()
 
 
+class TestOneKindCommands:
+    """wwb, bcrb, zzb and map-sim are sweeps of their one kind at 0 dB."""
+
+    @pytest.mark.parametrize("command, kind, flags", [
+        ("wwb", "WWB", ["--k", "24", "--kappa", "2", "--trio", "2,9,0", "--s", "0.3"]),
+        ("bcrb", "BCRB", ["--k", "10,20", "--kappa", "0.5", "--mu", "1", "--f-int", "1000"]),
+        ("zzb", "ZZB", ["--kappa", "0,3", "--format", "json"]),
+        ("map-sim", "MAP", ["--trials", "40", "--seed", "2", "--phi", "0.3", "--theta", "0.4",
+                            "--no-refine", "--linear-error"]),
+    ])
+    def test_equals_one_kind_sweep_at_0_db(self, command, kind, flags, capsys):
+        assert main([command, *flags]) == 0
+        one_kind = capsys.readouterr()
+        assert one_kind.out and not one_kind.err
+        assert main(["sweep", "--kinds", kind, "--snr-db=0", *flags]) == 0
+        assert capsys.readouterr() == one_kind
+
+    def test_sweep_default_axis_kept(self, tmp_path):
+        # the one-kind commands' 0 dB default must not leak into sweep
+        assert _make_spec(_parse_args(["wwb"])).snr_db == [0.0]
+        out = tmp_path / "f6.csv"
+        assert main(["sweep", "--figure", "6", "--out", str(out)]) == 0
+        rows = parse_rows(out.read_text())
+        assert sorted({r["snr_db"] for r in rows}) == [float(v) for v in range(-20, 11)]
+        assert len(rows) == 31 * 3 * 2
+
+    def test_only_wwb_maximizes_over_s(self):
+        argv = ["--s", "0.3,0.5"]
+        assert _make_spec(_parse_args(["wwb", *argv])).maximize_s
+        assert not _make_spec(_parse_args(["sweep", *argv])).maximize_s
+
+
 class TestConfigFile:
     def test_file_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -451,6 +494,56 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa 2\n")
         assert main(["bcrb", "--config-file", str(cfg)]) == 2
+
+    def test_short_flag_wins(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from_file.csv'}\n")
+        out = tmp_path / "from_flag.csv"
+        assert main(["bcrb", "--config-file", str(cfg), "-o", str(out)]) == 0
+        assert out.exists() and not (tmp_path / "from_file.csv").exists()
+
+    def test_abbreviated_flag_wins(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 2\n")
+        out = tmp_path / "out.csv"
+        assert main(["bcrb", "--config-file", str(cfg), "--kap", "5", "--out", str(out)]) == 0
+        assert parse_rows(out.read_text())[0]["kappa"] == 5.0
+
+    @pytest.mark.parametrize("command, line, key", [
+        ("bcrb", "kapa = 5", "kapa"),
+        ("bcrb", "figure = 6", "figure"),  # a flag of sweep only
+        ("testpoints", "kappa = 1", "kappa"),
+        ("wwb", "command = sweep", "command"),
+        ("wwb", "config-file = other.cfg", "config-file"),
+    ])
+    def test_unknown_key_rejected(self, command, line, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config-file", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: invalid config_file: unknown key {key!r}\n"
+
+    def test_switch_keys_take_true_or_false(self, tmp_path, capsys):
+        argv = ["map-sim", "--trials", "40", "--seed", "2", "--snr-db=-5"]
+        runs = {}
+        for name, extra, text in [
+            ("default", [], None), ("flag", ["--no-refine", "--linear-error"], None),
+            ("false", [], "no_refine = false\nlinear_error = false\n"),
+            ("true", [], "no-refine = true\nlinear_error = true\n"),
+        ]:
+            if text is not None:
+                (tmp_path / f"{name}.cfg").write_text(text)
+                extra = ["--config-file", str(tmp_path / f"{name}.cfg")]
+            assert main(argv + extra) == 0
+            runs[name] = capsys.readouterr().out
+        assert runs["false"] == runs["default"] != runs["flag"] == runs["true"]
+
+    @pytest.mark.parametrize("value", ["yes", "False", "1", ""])
+    def test_switch_key_other_value_rejected(self, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_refine = {value}\n")
+        assert main(["map-sim", "--config-file", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid config_file: no_refine must be true or false")
 
     @pytest.mark.parametrize("name", ["missing", "directory", "binary"])
     def test_unreadable_file_rejected(self, name, tmp_path, capsys):

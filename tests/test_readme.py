@@ -1,0 +1,35 @@
+"""The README's CLI examples parse with the parser as it is, so the two cannot
+drift apart. The commands are parsed and validated, not run."""
+import shlex
+from pathlib import Path
+
+import pytest
+
+from circbound import testpoints
+from circbound.cli import _int, _make_spec, _parse_args, _trio
+from circbound.testpoints import TestPointConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _cli_commands() -> list[list[str]]:
+    """The argv of every `circbound ...` line of the README's CLI block,
+    with backslash continuations joined."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("circbound ")]
+
+
+def test_block_has_every_command():
+    commands = {argv[0] for argv in _cli_commands()}
+    assert commands == {"wwb", "bcrb", "zzb", "map-sim", "sweep", "testpoints"}
+
+
+@pytest.mark.parametrize("argv", _cli_commands(), ids=" ".join)
+def test_command_parses_into_a_valid_spec(argv):
+    args = _parse_args(argv)
+    if args.command == "testpoints":
+        testpoints.build(TestPointConfig(*_trio(args.config)), _int(args.k, "k"))
+    else:
+        _make_spec(args).validate()

@@ -5,7 +5,8 @@ a Gaussian product-integral identity for the data exponents, direct-pdf
 adaptive quadrature for the prior integrals, and a Monte Carlo estimate of
 the defining score-product expectation for whole matrix entries. The
 exponents are read per score product from `_product_exponents`; whole
-entries come from `build_q` on one- and two-point sets.
+entries come from the score matrices (`conftest.build_q`) of one- and
+two-point sets.
 """
 import math
 import re
@@ -24,8 +25,6 @@ from circbound.wwb import (
     _log_integrals,
     _product_exponents,
     _set_parts,
-    build_q,
-    optimize_s,
     optimize_s_axis,
     wwb_axis,
     wwb_value,
@@ -33,6 +32,7 @@ from circbound.wwb import (
 
 from conftest import (
     CROSS_LAYOUTS,
+    build_q,
     mu_exponent_oracle,
     prior_power_integral_oracle,
     q_element_mc_oracle,
@@ -359,12 +359,18 @@ class TestBoundValue:
         assert abs(res.db - floor_db) < 1.0
 
 
+def _one_snr_search(prior, config, points, s_grid=wwb.DEFAULT_S_GRID):
+    """`optimize_s_axis` at the one SNR of `config`: (s, result) or the error."""
+    (best,) = optimize_s_axis(prior, config.K, points, [config.snr], s_grid)
+    return best
+
+
 class TestOptimizeS:
     def test_single_element_grid(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         config = SignalConfig(K=20, snr=1.0)
         points = build(TestPointConfig(2, 9, 0), 20)
-        s_best, res = optimize_s(prior, config, points, s_grid=[0.5])
+        s_best, res = _one_snr_search(prior, config, points, s_grid=[0.5])
         assert s_best == 0.5
         assert res.mse_bound > 0.0
 
@@ -372,7 +378,7 @@ class TestOptimizeS:
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         config = SignalConfig(K=20, snr=10.0 ** (-0.5))
         points = build(TestPointConfig(2, 9, 0), 20)
-        s_best, _ = optimize_s(prior, config, points)
+        s_best, _ = _one_snr_search(prior, config, points)
         assert s_best == 0.5
 
     def test_failed_exponents_recorded(self):
@@ -380,21 +386,38 @@ class TestOptimizeS:
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         config = SignalConfig(K=60, snr=1000.0)
         points = build(TestPointConfig(2, 9, 0), 60)
-        s_best, res = optimize_s(prior, config, points, s_grid=[0.1, 0.5])
+        s_best, res = _one_snr_search(prior, config, points, s_grid=[0.1, 0.5])
         assert s_best == 0.5
         assert [s for s, _ in res.s_failed] == [0.1]
         assert "underflows double precision" in res.s_failed[0][1]
-        _, clean = optimize_s(prior, config, points, s_grid=[0.5])
+        _, clean = _one_snr_search(prior, config, points, s_grid=[0.5])
         assert clean.s_failed == ()
+
+    def test_every_exponent_failing_is_an_error(self):
+        prior = VonMisesPrior(mu=0.0, kappa=2.0)
+        config = SignalConfig(K=200, snr=100.0)
+        outcome = _one_snr_search(prior, config, build(TestPointConfig(2, 9, 0), 200), [0.1, 0.5])
+        assert isinstance(outcome, RuntimeError)
+        assert str(outcome).startswith("bound evaluation failed at every s grid point: s=0.1: ")
+
+    @pytest.mark.parametrize("s_grid", [[0.75, 0.25], [0.25, 0.75]])
+    def test_tie_broken_toward_smaller_s(self, s_grid):
+        # the bound is symmetric under s -> 1 - s, and 0.25 and 0.75 lie
+        # exactly as far from 0.5
+        prior = VonMisesPrior(mu=0.0, kappa=2.0)
+        config = SignalConfig(K=20, snr=1.0)
+        points = build(TestPointConfig(2, 9, 0), 20)
+        s_best, _ = _one_snr_search(prior, config, points, s_grid)
+        assert s_best == 0.25
 
     def test_invalid_grid_rejected(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         config = SignalConfig(K=20, snr=1.0)
         points = build(TestPointConfig(2, 9, 0), 20)
         with pytest.raises(ValueError):
-            optimize_s(prior, config, points, s_grid=[])
+            _one_snr_search(prior, config, points, s_grid=[])
         with pytest.raises(ValueError):
-            optimize_s(prior, config, points, s_grid=[0.0, 0.5])
+            _one_snr_search(prior, config, points, s_grid=[0.0, 0.5])
 
 
 def _one_snr(call):
@@ -469,8 +492,8 @@ class TestSnrAxis:
         failed = set()
         for snr, outcome in zip(snrs, axis):
             config = SignalConfig(K=200, snr=snr)
-            one = _one_snr(lambda: optimize_s(prior, config, points, [0.9, 0.1, 0.5]))
-            assert _stored(outcome) == one
+            one = _one_snr_search(prior, config, points, [0.9, 0.1, 0.5])
+            assert _stored(outcome) == _stored(one)
             failed.add(len(outcome[1].s_failed) if isinstance(outcome, tuple) else type(outcome))
         assert failed == {0, 2, RuntimeError}
 
