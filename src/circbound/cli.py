@@ -186,21 +186,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 def _wwb_axis(spec, quad, prior, k, point_sets) -> list[tuple]:
     """WWB outcomes of every test-point set over the whole SNR axis, one tuple
-    per SNR of spec.snr_db: (trio, (s, result)) in row order, or (trio, error)
+    per SNR of spec.snr_db: (trio, result) in row order, or (trio, error)
     for an error that the grid point raises when the SNR loop reaches it."""
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     columns = []
     for trio, points in point_sets.items():
-        for s in [None] if spec.maximize_s else spec.s_grid:
-            try:
-                if s is None:
-                    outcomes = wwb.optimize_s_axis(prior, k, points, snrs, spec.s_grid, quad)
-                else:
-                    outcomes = [res if isinstance(res, Exception) else (s, res) for res in
-                                wwb.wwb_axis(prior, k, points.with_exponent(s), snrs, quad)]
-            except (RuntimeError, ValueError) as err:
-                outcomes = [err] * len(snrs)
-            columns.append([(trio, outcome) for outcome in outcomes])
+        per_s = wwb.wwb_axis(prior, k, points, snrs, spec.s_grid, quad)
+        if spec.maximize_s:
+            per_s = [[wwb.best_s(spec.s_grid, outcomes) for outcomes in zip(*per_s)]]
+        columns.extend([(trio, outcome) for outcome in outcomes] for outcomes in per_s)
     return list(zip(*columns)) or [()] * len(snrs)
 
 
@@ -211,13 +205,13 @@ def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index
         for _, outcome in wwb_at_snr:
             if isinstance(outcome, Exception):
                 raise outcome
-        for trio, (s, res) in wwb_at_snr:
+        for trio, res in wwb_at_snr:
             extra = {"s_grid": spec.s_grid} if spec.maximize_s else {}
             if res.dropped_points:
                 extra["dropped_points"] = list(res.dropped_points)
             if res.s_failed:
                 extra["s_failed"] = [list(pair) for pair in res.s_failed]
-            rows.append(_row("WWB", snr_db, k, kappa, mu, s, trio, res.mse_bound, extra))
+            rows.append(_row("WWB", snr_db, k, kappa, mu, res.s, trio, res.mse_bound, extra))
     elif kind == "BCRB":
         rows.append(_row("BCRB", snr_db, k, kappa, mu, None, None,
                          benchmarks.bcrb(prior, k, snr), {}))
@@ -500,6 +494,8 @@ def main(argv: list[str] | None = None) -> int:
         spec = _make_spec(args)
         emit(run_sweep(spec), spec.output_format, spec.output_path)
         return 0
+    except SystemExit as err:  # argparse's exit: 2 for a usage error, 0 after --help
+        return err.code
     except (SpecError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,7 +2,10 @@
 
 Three families of positive frequency offsets: 'C' points hugging the main
 lobe, 'S' points at the positive side-lobe peaks of the K-sample coherent-sum
-pattern, and 'E' points evenly spaced across [0.1 pi, pi].
+pattern, and 'E' points evenly spaced across [0.1 pi, pi]. A set holds only
+offsets and their provenance: the bound's other hyperparameter, the exponent
+s, is an argument of `wwb.wwb_axis`, which evaluates one set over a whole
+(s, SNR) grid as one stack.
 """
 from __future__ import annotations
 
@@ -31,12 +34,11 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class TestPointConfig:
-    """(C, S, E) counts plus the shared likelihood-ratio exponent."""
+    """(C, S, E) counts."""
 
     c_count: int = 2
     s_count: int = 9
     e_count: int = 10
-    s_exponent: float = 0.5
 
     def __post_init__(self):
         if min(self.c_count, self.s_count, self.e_count) < 0:
@@ -45,8 +47,6 @@ class TestPointConfig:
             raise ValueError("at least one test point is required")
         if self.c_count > 2:
             raise ValueError(f"at most 2 close points are defined, got {self.c_count}")
-        if not (0.0 < self.s_exponent < 1.0):
-            raise ValueError(f"s_exponent must be in (0, 1), got {self.s_exponent}")
 
     @property
     def trio(self) -> tuple[int, int, int]:
@@ -59,7 +59,6 @@ class TestPointSet:
 
     h: np.ndarray
     provenance: tuple[str, ...]
-    s: float = 0.5
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -74,9 +73,6 @@ class TestPointSet:
 
     def __len__(self) -> int:
         return int(self.h.size)
-
-    def with_exponent(self, s: float) -> "TestPointSet":
-        return TestPointSet(h=self.h, provenance=self.provenance, s=s)
 
 
 def close_points() -> np.ndarray:
@@ -173,5 +169,4 @@ def build(config: TestPointConfig, K: int) -> TestPointSet:
     return TestPointSet(
         h=np.array([h for h, _ in kept]),
         provenance=tuple(tag for _, tag in kept),
-        s=config.s_exponent,
     )

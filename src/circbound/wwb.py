@@ -4,11 +4,12 @@ The four score products are laid out once, as (weights, offsets) in
 `_products`; their closed-form data exponents (Dirichlet-kernel sums) and
 their prior-only log integrals over the von Mises support derive from that
 table. The exponents of Q are snr * core + gamma: the data cores and the prior
-log-integrals gamma are computed once per test-point set, as arrays, and the
-correlation matrices of Q over a whole SNR axis are formed in the exponent
-and eliminated as one stack, which drops the points of singular pivots. On
-them sit the bound h Q^{-1} h^T and the grid search over the shared exponent
-s, each over a whole SNR axis; `wwb_value` is the bound at one SNR.
+log-integrals gamma are computed once per test-point set and exponent s, as
+arrays. `wwb_axis` forms the correlation matrices of Q in the exponent at
+every (s, SNR) of its grid and eliminates them as one stack, which drops the
+points of singular pivots; the bound h Q^{-1} h^T sits on that stack.
+`best_s` picks the maximizing s at one SNR, and `wwb_value` is the bound at
+s = 0.5 and one SNR.
 """
 from __future__ import annotations
 
@@ -30,9 +31,7 @@ from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointSet
 
-__all__ = ["WwbResult", "wwb_axis", "wwb_value", "optimize_s_axis", "DEFAULT_S_GRID"]
-
-DEFAULT_S_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+__all__ = ["WwbResult", "wwb_axis", "wwb_value", "best_s"]
 
 # test-point sets whose SNR-free parts are kept; a sweep revisits the few
 # sets of its current (kappa, mu) at every SNR
@@ -42,9 +41,9 @@ _SET_CACHE_SIZE = 64
 @dataclass(frozen=True)
 class WwbResult:
     mse_bound: float
-    db: float
+    s: float
     dropped_points: tuple[int, ...]
-    # (s, message) for every exponent of an optimize_s_axis grid that failed
+    # (s, message) for every exponent of a `best_s` grid that failed
     s_failed: tuple[tuple[float, str], ...] = ()
 
 
@@ -185,29 +184,15 @@ def _combine(core: np.ndarray, gamma: np.ndarray, snr: np.ndarray) -> tuple[np.n
     return c, half
 
 
-def _outcome(bound: float, keep: list[bool]) -> WwbResult | RuntimeError:
-    """The result of a bound over the kept points, or the error it fails with."""
+def _outcome(s: float, bound: float, keep: list[bool]) -> WwbResult | RuntimeError:
+    """The result at exponent s of a bound over the kept points, or the error it fails with."""
     dropped = tuple(i for i, kept_i in enumerate(keep) if not kept_i)
     if len(dropped) == len(keep):
         return RuntimeError("all test points dropped; bound undefined")
     # a bound below the smallest normal double has lost digits or is 0
     if not bound >= np.finfo(float).tiny:
         return RuntimeError(f"bound value {bound:.3g} underflows double precision")
-    return WwbResult(mse_bound=bound, db=10.0 * math.log10(bound),
-                     dropped_points=dropped)
-
-
-def _scaled_axis(prior, K, points, snr, quad) -> tuple[np.ndarray, np.ndarray]:
-    """The correlation matrices C (n, r, r) and the scaled points g (n, r) of
-    the score matrices of `points` at the n linear SNRs of `snr`."""
-    core, gamma = _set_parts(K, tuple(points.h.tolist()), points.s, prior, quad)
-    c, half = _combine(core, gamma, np.asarray(snr, dtype=float))
-    return c, points.h * np.exp(-half)
-
-
-def _solved(c: np.ndarray, g: np.ndarray) -> list[WwbResult | RuntimeError]:
-    values, kept = inverse_form(c, g)
-    return [_outcome(value, keep) for value, keep in zip(values.tolist(), kept.tolist())]
+    return WwbResult(mse_bound=bound, s=s, dropped_points=dropped)
 
 
 def wwb_axis(
@@ -215,21 +200,39 @@ def wwb_axis(
     K: int,
     points: TestPointSet,
     snr,
+    s_grid,
     quad: QuadratureSpec = DEFAULT_QUAD,
-) -> list[WwbResult | RuntimeError]:
-    """The bound h Q^{-1} h^T of a fixed test-point set at every linear SNR of
-    the sequence `snr`, or the error that SNR fails with.
+) -> list[list[WwbResult | RuntimeError]]:
+    """The bound h Q^{-1} h^T of a fixed test-point set at every exponent of
+    `s_grid` and every linear SNR of the sequence `snr`: per s, a list over
+    SNR of the result or the error that point fails with.
 
     The bound is solved as g C^{-1} g^T, with C the correlation matrix of Q
-    and g_a = h_a / sqrt(Q_aa), by one elimination over the stack of the
-    whole axis. Near-duplicate or redundant test points make C numerically
-    singular; each SNR drops the points whose pivots fail, as if their rows
-    and columns were deleted, and records them in its result. An SNR holds
-    a RuntimeError when every point drops or the bound underflows; failures
-    of the test-point set as a whole, such as quadrature non-convergence,
-    are raised.
+    and g_a = h_a / sqrt(Q_aa), by one elimination over the stack of every
+    (s, SNR). Near-duplicate or redundant test points make C numerically
+    singular; each matrix drops the points whose pivots fail, as if their
+    rows and columns were deleted, and records them in its result. A point
+    holds a RuntimeError when every test point drops or the bound
+    underflows; an s whose score matrix cannot be built, for instance
+    because its quadrature does not converge, holds its error at every SNR.
     """
-    return _solved(*_scaled_axis(prior, K, points, snr, quad))
+    s_grid = list(s_grid)
+    if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
+        raise ValueError("s_grid must be non-empty with all values in (0, 1)")
+    snr = np.asarray(snr, dtype=float)
+    h = tuple(points.h.tolist())
+    stacks, failed = [], {}
+    for s in s_grid:
+        try:
+            stacks.append(_combine(*_set_parts(K, h, s, prior, quad), snr))
+        except RuntimeError as err:
+            failed[s] = err
+    if stacks:
+        c, half = (np.concatenate(parts) for parts in zip(*stacks))
+        values, kept = inverse_form(c, points.h * np.exp(-half))
+        solved = iter(zip(values.tolist(), kept.tolist()))
+    return [[failed[s]] * snr.size if s in failed else [_outcome(s, *next(solved)) for _ in snr]
+            for s in s_grid]
 
 
 def wwb_value(
@@ -238,55 +241,30 @@ def wwb_value(
     points: TestPointSet,
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> WwbResult:
-    """The bound h Q^{-1} h^T for a fixed test-point set: `wwb_axis` at the
-    one SNR of `config`, with its error raised."""
-    (res,) = wwb_axis(prior, config.K, points, [config.snr], quad)
+    """The bound h Q^{-1} h^T for a fixed test-point set: `wwb_axis` at
+    s = 0.5 and the one SNR of `config`, with its error raised."""
+    ((res,),) = wwb_axis(prior, config.K, points, [config.snr], [0.5], quad)
     if isinstance(res, Exception):
         raise res
     return res
 
 
-def optimize_s_axis(
-    prior: VonMisesPrior,
-    K: int,
-    points: TestPointSet,
-    snr,
-    s_grid=DEFAULT_S_GRID,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> list[tuple[float, WwbResult] | RuntimeError]:
-    """Grid search over the shared exponent at every linear SNR of `snr`: per
-    SNR the maximizing (s, result), or the RuntimeError of every s failing.
+def best_s(s_grid, outcomes) -> WwbResult | RuntimeError:
+    """Of the outcomes at one SNR, one per exponent of `s_grid`, the result
+    that maximizes the bound, or the RuntimeError of every s failing.
 
-    The axes of every s whose score matrices build are eliminated as one
-    stack, so each equals its `wwb_axis`. Ties are broken toward s = 0.5,
-    then toward smaller s. A failing grid point is skipped and recorded with
-    its message in the result's `s_failed`.
+    Ties are broken toward s = 0.5, then toward smaller s. The failing
+    exponents are recorded with their messages in the result's `s_failed`.
     """
-    s_grid = list(s_grid)
-    if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
-        raise ValueError("s_grid must be non-empty with all values in (0, 1)")
-    axes, failed = [], []
-    for s in s_grid:
-        try:
-            axes.append(_scaled_axis(prior, K, points.with_exponent(s), snr, quad))
-            failed.append(None)
-        except RuntimeError as err:
-            failed.append([err] * len(snr))
-    solved = iter(_solved(*(np.concatenate(parts) for parts in zip(*axes))) if axes else ())
-    per_s = [[next(solved) for _ in snr] if errs is None else errs for errs in failed]
-    return [_best_s(s_grid, outcomes) for outcomes in zip(*per_s)]
-
-
-def _best_s(s_grid: list[float], outcomes) -> tuple[float, WwbResult] | RuntimeError:
-    results = [(s, r) for s, r in zip(s_grid, outcomes) if isinstance(r, WwbResult)]
-    failed = [(s, str(r)) for s, r in zip(s_grid, outcomes) if not isinstance(r, WwbResult)]
+    results = [r for r in outcomes if isinstance(r, WwbResult)]
+    failed = tuple((s, str(r)) for s, r in zip(s_grid, outcomes) if not isinstance(r, WwbResult))
     if not results:
         return RuntimeError(
             "bound evaluation failed at every s grid point: "
             + "; ".join(f"s={s}: {msg}" for s, msg in failed)
         )
-    best_val = max(r.mse_bound for _, r in results)
-    tied = [(s, r) for s, r in results if r.mse_bound >= best_val * (1.0 - 1e-12)]
-    tied.sort(key=lambda sr: (abs(sr[0] - 0.5), sr[0]))
-    s_best, res = tied[0]
-    return s_best, replace(res, s_failed=tuple(failed))
+    best_val = max(r.mse_bound for r in results)
+    tied = [r for r in results if r.mse_bound >= best_val * (1.0 - 1e-12)]
+    # the distance is rounded, so that 0.3 and 0.7 lie equally far from 0.5
+    best = min(tied, key=lambda r: (round(abs(r.s - 0.5), 12), r.s))
+    return replace(best, s_failed=failed)

@@ -177,10 +177,10 @@ def estimate_one(config: SignalConfig, prior: VonMisesPrior, samples,
                                         grid_size, refine)[0])
 
 
-def build_q(prior: VonMisesPrior, config: SignalConfig, points, quad=DEFAULT_QUAD) -> np.ndarray:
-    """The full symmetric score matrix of a test-point set at its exponent
-    `points.s` and the SNR of `config`: Q_ab = C_ab exp(half_a + half_b)."""
-    core, gamma = wwb._set_parts(config.K, tuple(points.h.tolist()), points.s, prior, quad)
+def build_q(prior: VonMisesPrior, config: SignalConfig, points, s=0.5, quad=DEFAULT_QUAD) -> np.ndarray:
+    """The full symmetric score matrix of a test-point set at the exponent s
+    and the SNR of `config`: Q_ab = C_ab exp(half_a + half_b)."""
+    core, gamma = wwb._set_parts(config.K, tuple(points.h.tolist()), s, prior, quad)
     (c,), (half,) = wwb._combine(core, gamma, np.array([config.snr]))
     return c * np.exp(half[:, None] + half[None, :])
 

@@ -17,7 +17,7 @@ from circbound.numerics import QuadratureSpec
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, build, sidelobe_points
-from circbound.wwb import optimize_s_axis, wwb_value
+from circbound.wwb import best_s, wwb_axis, wwb_value
 
 from conftest import build_q, q_element_mc_oracle
 
@@ -35,14 +35,13 @@ def test_01_exponent_optimality_and_symmetry():
     prior = VonMisesPrior(mu=0.0, kappa=2.0)
     points = build(TestPointConfig(2, 9, 0), 20)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-15.0, -10.0, -5.0, 0.0, 5.0)]
-    winners = [s_best for s_best, _ in optimize_s_axis(prior, 20, points, snrs)]
+    s_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+    per_s = wwb_axis(prior, 20, points, snrs, s_grid)
+    winners = [best_s(s_grid, outcomes).s for outcomes in zip(*per_s)]
     sym_errs = []
-    for snr in snrs:
-        config = SignalConfig(K=20, snr=snr)
-        for s in (0.1, 0.2, 0.3, 0.4):
-            lo = wwb_value(prior, config, points.with_exponent(s)).mse_bound
-            hi = wwb_value(prior, config, points.with_exponent(1.0 - s)).mse_bound
-            sym_errs.append(abs(lo - hi) / hi)
+    for i in range(4):  # s = 0.1 .. 0.4 against 1 - s = 0.9 .. 0.6
+        for lo, hi in zip(per_s[i], per_s[-1 - i]):
+            sym_errs.append(abs(lo.mse_bound - hi.mse_bound) / hi.mse_bound)
     elapsed = time.monotonic() - start
     ok = all(s == 0.5 for s in winners) and max(sym_errs) < 1e-9 and elapsed < 60.0
     _verdict(1, ok, f"s*={sorted(set(winners))}, max reflection error "
@@ -155,7 +154,7 @@ def test_06_asymptotic_convergence():
     prior = VonMisesPrior(mu=0.0, kappa=1.0)
     snr = 10.0
     config = SignalConfig(K=20, snr=snr)
-    w = wwb_value(prior, config, build(TestPointConfig(2, 9, 10), 20)).db
+    w = 10.0 * math.log10(wwb_value(prior, config, build(TestPointConfig(2, 9, 10), 20)).mse_bound)
     z = 10.0 * math.log10(zzb(prior, 20, snr))
     b = 10.0 * math.log10(bcrb(prior, 20, snr))
     spread = max(abs(w - z), abs(w - b), abs(z - b))
@@ -172,7 +171,7 @@ def test_07_no_information_floor():
     for kappa in (0.0, 1.0, 5.0):
         prior = VonMisesPrior(mu=0.0, kappa=kappa)
         floor_db = 10.0 * math.log10(prior.variance())
-        w = wwb_value(prior, config, build(TestPointConfig(2, 9, 10), 20)).db
+        w = 10.0 * math.log10(wwb_value(prior, config, build(TestPointConfig(2, 9, 10), 20)).mse_bound)
         z = 10.0 * math.log10(zzb(prior, 20, snr))
         m = 10.0 * math.log10(run_monte_carlo(config, prior, McConfig(trials=10_000, seed=17)).mse)
         offsets.extend(abs(v - floor_db) for v in (w, z, m))
@@ -226,7 +225,7 @@ def test_09_oracle_suites():
     config = SignalConfig(K=2, snr=1.0)
     h = 0.3 * math.pi
     est, se = q_element_mc_oracle(h, h, 0.5, prior, config, 1_000_000, 123)
-    q = build_q(prior, config, TestPointSet(h=np.array([h]), provenance=("E",), s=0.5))
+    q = build_q(prior, config, TestPointSet(h=np.array([h]), provenance=("E",)))
     checks.append(("a", abs(q[0, 0] - est) <= 3.0 * se))
 
     # (b) every prior integral vs direct-pdf quadrature

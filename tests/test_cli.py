@@ -355,10 +355,16 @@ class TestMainExitCodes:
         ["--format", "json"], ["--seed", "-4"], ["--quad-nodes", "3"], ["--f-int=-1"],
     ])
     def test_testpoints_rejects_flags_it_does_not_use(self, flags, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["testpoints", *flags])
-        assert exc.value.code == 2
+        assert main(["testpoints", *flags]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["wwb", "--bogus"], 2), (["sweep", "--figure", "99"], 2), (["wwb", "--help"], 0),
+    ])
+    def test_argparse_exit_code_returned(self, argv, code, capsys):
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert (out.startswith("usage: "), "error: " in err) == (code == 0, code == 2)
 
     def test_testpoints_unwritable_output(self, tmp_path, capsys):
         rc = main(["testpoints", "--out", str(tmp_path / "missing" / "pts.csv")])

@@ -46,6 +46,54 @@ def test_reproduce_figures_writes_every_preset(tmp_path):
     assert len(fig6) == 31 * 3 * 2
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# relative tolerances of value_rad2 and the float extras per kind. The bounds'
+# only BLAS call is the 8-weight dot product of each quadrature panel; the MAP
+# grid search is a BLAS matrix product over all trials and samples, whose
+# rounding can differ between BLAS builds
+GOLDEN_RTOL = {"WWB": 1e-12, "BCRB": 1e-12, "ZZB": 1e-12, "MAP": 1e-9}
+
+
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """The figure tables as `reproduce_figures.py --trials 200` writes them,
+    the command that wrote tests/golden."""
+    outdir = tmp_path_factory.mktemp("figures")
+    assert _load("reproduce_figures").run(["--outdir", str(outdir), "--trials", "200"]) == 0
+    return outdir
+
+
+def _keyed(rows) -> dict:
+    keyed = {(r["kind"], r["k"], r["kappa"], r["mu_rad"], r["snr_db"], r["trio"], r["s"]): r
+             for r in rows}
+    assert len(keyed) == len(rows), "duplicate rows"
+    return keyed
+
+
+def _assert_rows_match(rows, golden):
+    """The same row set, each row's value and float extras within its kind's
+    tolerance and every other field, such as dropped_points and s_failed, identical."""
+    got, want = _keyed(rows), _keyed(golden)
+    assert sorted(got) == sorted(want)
+    for key, row in got.items():
+        ref, rtol = want[key], GOLDEN_RTOL[row["kind"]]
+        assert row["value_rad2"] == pytest.approx(ref["value_rad2"], rel=rtol, abs=0.0), key
+        assert row["value_db"] == pytest.approx(ref["value_db"], rel=rtol, abs=5.0 * rtol), key
+        assert sorted(row["extra"]) == sorted(ref["extra"]), key
+        for name, value in row["extra"].items():
+            if isinstance(value, float):
+                assert value == pytest.approx(ref["extra"][name], rel=rtol, abs=0.0), (key, name)
+            else:
+                assert value == ref["extra"][name], (key, name)
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_PRESETS))
+def test_reproduce_figures_matches_golden_rows(fig, reproduced):
+    name = f"figure_{fig:02d}.csv"
+    _assert_rows_match(parse_rows((reproduced / name).read_text()),
+                      parse_rows((GOLDEN / name).read_text()))
+
+
 def _table(name, argv, capsys) -> list[list[str]]:
     """The whitespace-split body rows of a script's one-table output."""
     assert _load(name).run(argv) == 0

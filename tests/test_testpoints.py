@@ -112,8 +112,6 @@ class TestConfig:
             TestPointConfig(0, 0, 0)
         with pytest.raises(ValueError):
             TestPointConfig(3, 0, 0)
-        with pytest.raises(ValueError):
-            TestPointConfig(2, 9, 10, s_exponent=1.0)
 
 
 class TestBuild:
@@ -150,11 +148,6 @@ class TestBuild:
     def test_too_many_sidelobes_requested(self):
         with pytest.raises(ValueError):
             build(TestPointConfig(2, 10, 0), 20)
-
-    def test_exponent_carried(self):
-        pts = build(TestPointConfig(2, 9, 0, s_exponent=0.3), 20)
-        assert pts.s == 0.3
-        assert pts.with_exponent(0.7).s == 0.7
 
 
 class TestSetValidation:

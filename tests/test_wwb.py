@@ -25,7 +25,7 @@ from circbound.wwb import (
     _log_integrals,
     _product_exponents,
     _set_parts,
-    optimize_s_axis,
+    best_s,
     wwb_axis,
     wwb_value,
 )
@@ -40,6 +40,7 @@ from conftest import (
 
 TIGHT_QUAD = QuadratureSpec(node_count=64, rel_tol=1e-12)
 FLAT = VonMisesPrior()
+S_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def mu_cross(term, s_i, s_j, h_i, h_j, K, snr):
@@ -65,7 +66,7 @@ def gamma_i(prior, s, h, quad=DEFAULT_QUAD):
 def q_entry(h_a, h_b, s, prior, config):
     """Entry (h_a, h_b) of the score matrix, from the set of those one or two points."""
     h = sorted({float(h_a), float(h_b)})
-    q = build_q(prior, config, TestPointSet(h=np.array(h), provenance=("E",) * len(h), s=s))
+    q = build_q(prior, config, TestPointSet(h=np.array(h), provenance=("E",) * len(h)), s)
     return float(q[0, -1])
 
 
@@ -249,7 +250,7 @@ class TestQMatrix:
             (1.0, (2, 9, 10), 0.5), (20.0, (2, 9, 0), 0.1), (0.0, (2, 3, 2), 0.9),
         ]:
             q = build_q(VonMisesPrior(mu=0.7, kappa=kappa), config,
-                        build(TestPointConfig(*trio), 20).with_exponent(s))
+                        build(TestPointConfig(*trio), 20), s)
             assert np.array_equal(q, q.T)
 
 
@@ -280,7 +281,7 @@ class TestArrayPath:
             prior = VonMisesPrior(mu=0.7, kappa=kappa)
             for points in self._sets(K):
                 for s in (0.1, 0.5, 0.9):
-                    q = build_q(prior, config, points.with_exponent(s))
+                    q = build_q(prior, config, points, s)
                     h = points.h
                     for a in range(len(h)):
                         for b in range(a, len(h)):
@@ -309,24 +310,17 @@ class TestBoundValue:
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         config = SignalConfig(K=20, snr=1.0)
         h = 0.3 * math.pi
-        points = TestPointSet(h=np.array([h]), provenance=("E",), s=0.5)
+        points = TestPointSet(h=np.array([h]), provenance=("E",))
         res = wwb_value(prior, config, points)
         q11 = build_q(prior, config, points)[0, 0]
         assert res.mse_bound == pytest.approx(h * h / q11, rel=1e-12)
-
-    def test_value_is_positive_and_db_consistent(self):
-        prior = VonMisesPrior(mu=0.0, kappa=2.0)
-        config = SignalConfig(K=20, snr=0.1)
-        res = wwb_value(prior, config, build(TestPointConfig(2, 9, 10), 20))
-        assert res.mse_bound > 0.0
-        assert res.db == pytest.approx(10.0 * math.log10(res.mse_bound))
 
     def test_near_duplicate_point_dropped(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         config = SignalConfig(K=20, snr=1.0)
         h = 0.3 * math.pi
         points = TestPointSet(
-            h=np.array([h, h + 1e-13]), provenance=("E", "E"), s=0.5
+            h=np.array([h, h + 1e-13]), provenance=("E", "E")
         )
         res = wwb_value(prior, config, points)
         assert len(res.dropped_points) == 1
@@ -337,9 +331,8 @@ class TestBoundValue:
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         config = SignalConfig(K=20, snr=1.0)
         points = build(TestPointConfig(2, 9, 0), 20)
-        lo = wwb_value(prior, config, points.with_exponent(s)).mse_bound
-        hi = wwb_value(prior, config, points.with_exponent(1.0 - s)).mse_bound
-        assert lo == pytest.approx(hi, rel=1e-9)
+        (lo,), (hi,) = wwb_axis(prior, config.K, points, [config.snr], [s, 1.0 - s])
+        assert lo.mse_bound == pytest.approx(hi.mse_bound, rel=1e-9)
 
     def test_point_monotonicity_nested_sets(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
@@ -356,13 +349,13 @@ class TestBoundValue:
         config = SignalConfig(K=20, snr=1e-4)  # -40 dB
         res = wwb_value(prior, config, build(TestPointConfig(2, 9, 10), 20))
         floor_db = 10.0 * math.log10(prior.variance())
-        assert abs(res.db - floor_db) < 1.0
+        assert abs(10.0 * math.log10(res.mse_bound) - floor_db) < 1.0
 
 
-def _one_snr_search(prior, config, points, s_grid=wwb.DEFAULT_S_GRID):
-    """`optimize_s_axis` at the one SNR of `config`: (s, result) or the error."""
-    (best,) = optimize_s_axis(prior, config.K, points, [config.snr], s_grid)
-    return best
+def _one_snr_search(prior, config, points, s_grid=S_GRID):
+    """`best_s` of `wwb_axis` at the one SNR of `config`: the result or the error."""
+    per_s = wwb_axis(prior, config.K, points, [config.snr], s_grid)
+    return best_s(s_grid, [outcome for (outcome,) in per_s])
 
 
 class TestOptimizeS:
@@ -370,27 +363,26 @@ class TestOptimizeS:
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         config = SignalConfig(K=20, snr=1.0)
         points = build(TestPointConfig(2, 9, 0), 20)
-        s_best, res = _one_snr_search(prior, config, points, s_grid=[0.5])
-        assert s_best == 0.5
+        res = _one_snr_search(prior, config, points, s_grid=[0.5])
+        assert res.s == 0.5
         assert res.mse_bound > 0.0
 
     def test_half_is_maximizer(self):
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         config = SignalConfig(K=20, snr=10.0 ** (-0.5))
         points = build(TestPointConfig(2, 9, 0), 20)
-        s_best, _ = _one_snr_search(prior, config, points)
-        assert s_best == 0.5
+        assert _one_snr_search(prior, config, points).s == 0.5
 
     def test_failed_exponents_recorded(self):
         # at K=60 and +30 dB, the s=0.1 bound underflows and the s=0.5 one does not
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         config = SignalConfig(K=60, snr=1000.0)
         points = build(TestPointConfig(2, 9, 0), 60)
-        s_best, res = _one_snr_search(prior, config, points, s_grid=[0.1, 0.5])
-        assert s_best == 0.5
+        res = _one_snr_search(prior, config, points, s_grid=[0.1, 0.5])
+        assert res.s == 0.5
         assert [s for s, _ in res.s_failed] == [0.1]
         assert "underflows double precision" in res.s_failed[0][1]
-        _, clean = _one_snr_search(prior, config, points, s_grid=[0.5])
+        clean = _one_snr_search(prior, config, points, s_grid=[0.5])
         assert clean.s_failed == ()
 
     def test_every_exponent_failing_is_an_error(self):
@@ -400,15 +392,14 @@ class TestOptimizeS:
         assert isinstance(outcome, RuntimeError)
         assert str(outcome).startswith("bound evaluation failed at every s grid point: s=0.1: ")
 
-    @pytest.mark.parametrize("s_grid", [[0.75, 0.25], [0.25, 0.75]])
+    @pytest.mark.parametrize("s_grid", [[0.75, 0.25], [0.25, 0.75], [0.3, 0.7], [0.7, 0.3]])
     def test_tie_broken_toward_smaller_s(self, s_grid):
-        # the bound is symmetric under s -> 1 - s, and 0.25 and 0.75 lie
-        # exactly as far from 0.5
+        # the bound is symmetric under s -> 1 - s. 0.25 and 0.75 lie exactly
+        # as far from 0.5; 0.3 and 0.7 only up to rounding, 0.7 - 0.5 < 0.5 - 0.3
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         config = SignalConfig(K=20, snr=1.0)
         points = build(TestPointConfig(2, 9, 0), 20)
-        s_best, _ = _one_snr_search(prior, config, points, s_grid)
-        assert s_best == 0.25
+        assert _one_snr_search(prior, config, points, s_grid).s == min(s_grid)
 
     def test_invalid_grid_rejected(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
@@ -420,20 +411,22 @@ class TestOptimizeS:
             _one_snr_search(prior, config, points, s_grid=[0.0, 0.5])
 
 
-def _one_snr(call):
-    """A one-SNR result, or its error as (type, message)."""
-    try:
-        return call()
-    except RuntimeError as err:
-        return type(err), str(err)
-
-
 def _stored(outcome):
+    """A result, or its error as (type, message)."""
     return (type(outcome), str(outcome)) if isinstance(outcome, Exception) else outcome
 
 
+def _one_snr(call):
+    """A one-SNR result of a call that raises its error, in `_stored` form."""
+    try:
+        return call()
+    except RuntimeError as err:
+        return _stored(err)
+
+
 class TestSnrAxis:
-    """The stacked SNR axis against one-SNR calls, which must agree bit for bit."""
+    """The stacked (s, SNR) grid against one-s and one-SNR calls, which must
+    agree bit for bit."""
 
     SNR_DB = [-20.0, -12.5, -5.0, 0.0, 2.5, 5.0, 7.5, 10.0]
 
@@ -461,12 +454,13 @@ class TestSnrAxis:
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
                 for points in self._sets():
                     for s in (0.1, 0.5, 0.9):
-                        pts = points.with_exponent(s)
-                        axis = wwb_axis(prior, K, pts, snrs)
+                        (axis,) = wwb_axis(prior, K, points, snrs, [s])
                         for snr, outcome in zip(snrs, axis):
-                            config = SignalConfig(K=K, snr=snr)
-                            one = _one_snr(lambda: wwb_value(prior, config, pts))
-                            assert _stored(outcome) == one
+                            ((one,),) = wwb_axis(prior, K, points, [snr], [s])
+                            assert _stored(outcome) == _stored(one)
+                            if s == 0.5:
+                                config = SignalConfig(K=K, snr=snr)
+                                assert _one_snr(lambda: wwb_value(prior, config, points)) == _stored(one)
                             dropped += bool(getattr(outcome, "dropped_points", ()))
         assert dropped > 0
 
@@ -477,10 +471,11 @@ class TestSnrAxis:
         for kappa in (0.0, 2.0):
             prior = VonMisesPrior(mu=0.7, kappa=kappa)
             for points in self._sets():
-                per_s = {s: wwb_axis(prior, 20, points.with_exponent(s), snrs) for s in s_grid}
-                axis = optimize_s_axis(prior, 20, points, snrs, s_grid)
-                for i, (s_best, res) in enumerate(axis):
-                    assert replace(res, s_failed=()) == per_s[s_best][i]
+                per_s = {s: wwb_axis(prior, 20, points, snrs, [s])[0] for s in s_grid}
+                axis = [best_s(s_grid, outcomes)
+                        for outcomes in zip(*wwb_axis(prior, 20, points, snrs, s_grid))]
+                for i, res in enumerate(axis):
+                    assert replace(res, s_failed=()) == per_s[res.s][i]
 
     def test_optimize_axis_equals_one_snr_calls(self):
         # at K=200 the bound underflows at s=0.1 and 0.9 at +15 dB, and at
@@ -488,20 +483,22 @@ class TestSnrAxis:
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         points = build(TestPointConfig(2, 9, 0), 200)
         snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB + [15.0, 20.0]]
-        axis = optimize_s_axis(prior, 200, points, snrs, [0.9, 0.1, 0.5])
+        s_grid = [0.9, 0.1, 0.5]
+        axis = [best_s(s_grid, outcomes)
+                for outcomes in zip(*wwb_axis(prior, 200, points, snrs, s_grid))]
         failed = set()
         for snr, outcome in zip(snrs, axis):
             config = SignalConfig(K=200, snr=snr)
-            one = _one_snr_search(prior, config, points, [0.9, 0.1, 0.5])
+            one = _one_snr_search(prior, config, points, s_grid)
             assert _stored(outcome) == _stored(one)
-            failed.add(len(outcome[1].s_failed) if isinstance(outcome, tuple) else type(outcome))
+            failed.add(len(outcome.s_failed) if isinstance(outcome, WwbResult) else type(outcome))
         assert failed == {0, 2, RuntimeError}
 
     def test_underflow_stored_per_snr(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         points = build(TestPointConfig(2, 9, 10), 200)
         snrs = [10.0 ** (v / 10.0) for v in (0.0, 18.0, 20.0)]
-        low, mid, high = wwb_axis(prior, 200, points, snrs)
+        ((low, mid, high),) = wwb_axis(prior, 200, points, snrs, [0.5])
         assert low == wwb_value(prior, SignalConfig(K=200, snr=1.0), points)
         assert isinstance(mid, RuntimeError) and isinstance(high, RuntimeError)
         assert str(mid) == "bound value 0 underflows double precision"
@@ -511,8 +508,8 @@ class TestSnrAxis:
         # at K=60, s=0.1, +28 dB the bound is about 8e-313: representable
         # only with lost digits, so it is reported as an underflow too
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
-        points = build(TestPointConfig(2, 9, 10), 60).with_exponent(0.1)
-        (outcome,) = wwb_axis(prior, 60, points, [10.0 ** 2.8])
+        points = build(TestPointConfig(2, 9, 10), 60)
+        ((outcome,),) = wwb_axis(prior, 60, points, [10.0 ** 2.8], [0.1])
         assert isinstance(outcome, RuntimeError)
         assert re.fullmatch(r"bound value [1-9][.0-9]*e-3[01]\d underflows double precision",
                             str(outcome))
@@ -526,9 +523,31 @@ class TestSnrAxis:
         snr_db = np.arange(-45.0, 31.0)
         points = build(TestPointConfig(2, 9, 10), K)
         for kappa in (0.0, 2.0, 20.0):
-            for s in s_values:
-                axis = wwb_axis(VonMisesPrior(kappa=kappa), K, points.with_exponent(s),
-                                10.0 ** (snr_db / 10.0))
+            for axis in wwb_axis(VonMisesPrior(kappa=kappa), K, points, 10.0 ** (snr_db / 10.0),
+                                 s_values):
                 for outcome in axis:
                     assert isinstance(outcome, WwbResult)
-                    assert math.isfinite(outcome.db) and outcome.mse_bound > 0.0
+                    assert math.isfinite(10.0 * math.log10(outcome.mse_bound))
+                    assert outcome.mse_bound > 0.0
+
+    def test_s_grid_equals_one_s_calls(self):
+        # at kappa = 5000 the set {0.1 pi, 0.9 pi} builds its score matrix at
+        # s = 0.3 .. 0.7 only: the quadrature of s = 0.1 and 0.9 does not
+        # converge, and that error is stored at every SNR of those s
+        snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB]
+        s_grid = [0.9, 0.1, 0.5, 0.3]
+        wide = TestPointSet(h=np.array([0.1, 0.9]) * math.pi, provenance=("E", "E"))
+        cases = [(VonMisesPrior(kappa=5000.0), wide)]
+        cases += [(VonMisesPrior(mu=0.7, kappa=2.0), points) for points in self._sets()]
+        failed = set()
+        for prior, points in cases:
+            grid = wwb_axis(prior, 20, points, snrs, s_grid)
+            assert len(grid) == len(s_grid)
+            for s, axis in zip(s_grid, grid):
+                (one,) = wwb_axis(prior, 20, points, snrs, [s])
+                assert [_stored(o) for o in axis] == [_stored(o) for o in one]
+                assert all(o.s == s for o in axis if isinstance(o, WwbResult))
+                if isinstance(axis[0], QuadratureError):
+                    assert all(o is axis[0] for o in axis)
+                    failed.add(s)
+        assert failed == {0.9, 0.1}
