@@ -12,6 +12,7 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,6 +117,13 @@ class SweepSpec:
             raise SpecError("f_int_hz", "must be finite and > 0")
         if self.output_format not in ("csv", "json"):
             raise SpecError("output_format", "must be csv or json")
+        for name, values in (("snr_db", self.snr_db), ("k_values", self.k_values),
+                             ("kappa_values", self.kappa_values), ("mu_values", self.mu_values),
+                             ("bound_kinds", self.bound_kinds), ("testpoint_trio", self.trios),
+                             ("s_grid", self.s_grid)):
+            repeated = [v for v, count in Counter(values).items() if count > 1]
+            if repeated:  # a repeated value would repeat rows and their work
+                raise SpecError(name, f"value {repeated[0]!r} is repeated")
 
 
 def _trio_str(trio: tuple[int, int, int]) -> str:

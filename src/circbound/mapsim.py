@@ -1,5 +1,10 @@
 """MAP estimator and the Monte Carlo harness that validates the bounds.
 
+The MAP objective is one trigonometric polynomial whose coefficients hold the
+samples and the prior (`_fold`). It is maximised over a grid, scored in
+cache-sized blocks of trial rows (`_grid_peak`), and each grid peak is refined
+by Newton steps (`_refine_peaks`).
+
 Trial t draws from the stream np.random.default_rng([seed, t]), so results are
 identical regardless of execution order or parallelism. That stream is produced
 without building it: the SeedSequence hash of every (seed, t) is computed in one
@@ -22,6 +27,7 @@ __all__ = ["McConfig", "McResult", "wrap_error", "run_monte_carlo"]
 
 _NEWTON_STEPS = 4
 _TRIAL_CHUNK = 1024  # fixed chunk size keeps batched results order-independent
+_BLOCK_VALUES = 1 << 17  # grid scores per block: about 1 MiB, reduced while in cache
 
 # numpy.random.SeedSequence (a port of O'Neill's seed_seq, pool size 4) and the
 # PCG64 multiplier; uint32 arithmetic is done in uint64 arrays masked to 32 bits
@@ -67,17 +73,23 @@ def wrap_error(estimate, truth):
     return wrap_angle(np.asarray(estimate) - truth)
 
 
-def _fold(config: SignalConfig, samples: np.ndarray) -> np.ndarray:
-    """z = 2 snr e^{-j phi} x / A, so that the MAP objective is
-    f(theta) = Re sum_k z_k e^{-j theta k} + kappa cos(theta - mu)."""
-    return samples * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
+def _fold(config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray) -> np.ndarray:
+    """Coefficients z, (n, max(K, 2)), of the MAP objective written as one
+    trigonometric polynomial f(theta) = Re sum_k z_k e^{-j theta k}: z_k =
+    2 snr e^{-j phi} x_k / A, and z_1 also holds the prior, since
+    kappa cos(theta - mu) = Re(kappa e^{j mu} e^{-j theta})."""
+    z = np.zeros((samples.shape[0], max(config.K, 2)), dtype=complex)
+    z[:, :config.K] = samples * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
+    z[:, 1] += prior.kappa * np.exp(1j * prior.mu)
+    return z
 
 
 @functools.lru_cache(maxsize=4)
 def _grid_table(K: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid g (G,) on [-pi, pi) and [cos(k g); sin(k g)] (2K, G)."""
+    """Read-only grid g (G,) on [-pi, pi) and [cos(k g); sin(k g)] (2 max(K, 2), G),
+    matching the `_fold` coefficients."""
     grid = -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
-    kg = np.outer(np.arange(K), grid)
+    kg = np.outer(np.arange(max(K, 2)), grid)
     table = np.concatenate([np.cos(kg), np.sin(kg)])
     grid.flags.writeable = table.flags.writeable = False
     return grid, table
@@ -86,12 +98,20 @@ def _grid_table(K: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
 def _grid_peak(
     config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray, grid: np.ndarray
 ) -> np.ndarray:
-    """Argmax of the objective over the `_grid_table` grid, per trial row; the data term
-    Re z_k cos(k g) + Im z_k sin(k g) is one product [Re z | Im z] @ [cos; sin]."""
-    z = _fold(config, samples)
-    scores = np.concatenate([z.real, z.imag], axis=1) @ _grid_table(config.K, len(grid))[1]
-    scores += prior.kappa * np.cos(grid - prior.mu)
-    return grid[np.argmax(scores, axis=1)]
+    """Argmax of the objective over the `_grid_table` grid, per trial row: the
+    product [Re z | Im z] @ [cos; sin], taken in blocks of about `_BLOCK_VALUES`
+    scores, each reduced by argmax while it is still in cache."""
+    table = _grid_table(config.K, len(grid))[1]
+    z = _fold(config, prior, samples)
+    parts = np.concatenate([z.real, z.imag], axis=1)
+    rows = max(1, _BLOCK_VALUES // len(grid))
+    scores = np.empty((min(rows, len(parts)), len(grid)))
+    best = np.empty(len(parts), dtype=np.intp)
+    for i in range(0, len(parts), rows):
+        chunk = parts[i:i + rows]
+        np.matmul(chunk, table, out=scores[:len(chunk)])
+        np.argmax(scores[:len(chunk)], axis=1, out=best[i:i + rows])
+    return grid[best]
 
 
 def _refine_peaks(
@@ -99,18 +119,24 @@ def _refine_peaks(
     centers: np.ndarray, cell: float,
 ) -> np.ndarray:
     """Maximize the objective within +/- one grid cell of each center by Newton
-    steps on f' = sum k Im w_k - kappa sin(theta - mu), f'' = -sum k^2 Re w_k -
-    kappa cos(theta - mu), w_k = z_k e^{-j theta k}, inside a bracket narrowed by
-    the sign of f' and bisected when f'' >= 0 or a step leaves it. A window whose
-    f rises (falls) all the way across ends at its right (left) edge."""
-    z = _fold(config, samples)
-    k = np.arange(config.K)
+    steps on f' = sum k Im w_k, f'' = -sum k^2 Re w_k, w_k = z_k e^{-j theta k}
+    (the powers of e^{-j theta} by cumulative product), inside a bracket
+    narrowed by the sign of f' and bisected when f'' >= 0 or a step leaves it.
+    A window whose f rises (falls) all the way across ends at its right (left)
+    edge."""
+    z = _fold(config, prior, samples)
+    k = np.arange(z.shape[1])
+    # [Re w_0, Im w_0, Re w_1, ...] @ weights = (f, f', f'')
+    weights = np.zeros((2 * len(k), 3))
+    weights[0::2, 0], weights[1::2, 1], weights[0::2, 2] = 1.0, k, -k**2.0
 
     def derivatives(theta):  # f, f', f'' at theta of shape (..., n)
-        cos, sin = np.cos(theta[..., None] * k), np.sin(theta[..., None] * k)
-        re, im = z.real * cos + z.imag * sin, z.imag * cos - z.real * sin
-        pc, ps = prior.kappa * np.cos(theta - prior.mu), prior.kappa * np.sin(theta - prior.mu)
-        return re.sum(-1) + pc, (im * k).sum(-1) - ps, -(re * k**2).sum(-1) - pc
+        w = np.empty(theta.shape + k.shape, dtype=complex)
+        w[..., 0] = 1.0
+        w[..., 1:] = np.exp(-1j * theta)[..., None]
+        np.cumprod(w, axis=-1, out=w)
+        w *= z
+        return np.moveaxis(w.view(np.float64) @ weights, -1, 0)
 
     lo, hi = centers - cell, centers + cell
     f, d1, _ = derivatives(np.stack([lo, hi]))

@@ -7,11 +7,13 @@ library code it checks. The single-observation helpers are the batch
 routines of the library applied to one row, so per-trial references can be
 written without a per-observation API in the library; `build_q` is the
 library's array path at one SNR, so the oracles can check whole score
-matrices.
+matrices. `grid_peak_oracle` scores every grid point by one full product: the
+plain search that the MAP grid step must reproduce.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -175,6 +177,26 @@ def estimate_one(config: SignalConfig, prior: VonMisesPrior, samples,
     """MAP estimate from one observation: grid search, then refinement."""
     return float(mapsim._estimate_batch(config, prior, np.asarray(samples)[None, :],
                                         grid_size, refine)[0])
+
+
+@functools.lru_cache(maxsize=2)
+def _oracle_table(K: int, grid_size: int):
+    grid = -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
+    kg = np.outer(np.arange(K), grid)
+    return grid, np.cos(kg), np.sin(kg)
+
+
+def grid_peak_oracle(config: SignalConfig, prior: VonMisesPrior, samples, grid_size: int):
+    """The MAP objective scored at every grid point as one full product, the
+    data term Re z @ cos(k g) + Im z @ sin(k g) plus kappa cos(g - mu), then
+    argmax. Returns the grid value per row, and a mask of the rows whose two
+    best scores lie within 1e-12 relative, where rounding may pick either."""
+    grid, cos, sin = _oracle_table(config.K, grid_size)
+    z = np.asarray(samples) * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
+    scores = z.real @ cos + z.imag @ sin + prior.kappa * np.cos(grid - prior.mu)
+    second, first = np.partition(scores, -2, axis=1)[:, -2:].T
+    near_tie = first - second <= 1e-12 * np.abs(first)
+    return grid[np.argmax(scores, axis=1)], near_tie
 
 
 def build_q(prior: VonMisesPrior, config: SignalConfig, points, s=0.5, quad=DEFAULT_QUAD) -> np.ndarray:

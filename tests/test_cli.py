@@ -52,6 +52,31 @@ class TestSweepValidation:
         with pytest.raises(SpecError):
             _small_spec(s_grid=[1.5]).validate()
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("snr_db", dict(snr_db=[0.0, -5.0, 0.0])),
+        ("snr_db", dict(snr_db=[0.0, -0.0])),
+        ("k_values", dict(k_values=[20, 20])),
+        ("kappa_values", dict(kappa_values=[1.0, 1.0])),
+        ("mu_values", dict(mu_values=[0.5, 0.5])),
+        ("bound_kinds", dict(bound_kinds=["ZZB", "BCRB", "ZZB"])),
+        ("testpoint_trio", dict(trios=[(2, 9, 10), (2, 9, 10)])),
+        ("s_grid", dict(s_grid=[0.5, 0.3, 0.5])),
+    ])
+    def test_repeated_axis_value_names_field(self, field, overrides):
+        with pytest.raises(SpecError) as exc:
+            _small_spec(**overrides).validate()
+        assert exc.value.fieldname == field and "repeated" in str(exc.value)
+
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--s", "0.5,0.5", "--snr-db", "0"], "s_grid"),
+        (["sweep", "--kappa", "1,1", "--snr-db", "-3"], "kappa_values"),
+        (["bcrb", "--snr-db", "0,0"], "snr_db"),
+    ])
+    def test_repeated_flag_value_exits_2(self, argv, field, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: invalid {field}: value ")
+
 
 class TestRunSweep:
     def test_row_count_and_sorting(self):

@@ -1,5 +1,6 @@
 """MAP estimator and the Monte Carlo validation harness."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from circbound.mapsim import McConfig, run_monte_carlo, wrap_error
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 
-from conftest import draw_theta, estimate_one, observe
+from conftest import draw_theta, estimate_one, grid_peak_oracle, observe
 
 
 class _ZeroNoise:
@@ -128,8 +129,52 @@ class TestMapEstimate:
         assert flat == pytest.approx(also_flat, abs=1e-12)
 
 
+class TestGridPeak:
+    @pytest.mark.parametrize("K", [1, 2, 20, 200])
+    @pytest.mark.parametrize("grid_size", [64, 65, 4096, 4097])
+    def test_matches_full_product_oracle(self, K, grid_size):
+        # at G 4096 and 4097 a block holds 32 and 31 rows, so 1,031 rows cross block boundaries
+        config = SignalConfig(K=K, snr=10.0 ** -0.5, phi=0.3)
+        grid = mapsim._grid_table(K, grid_size)[0]
+        for kappa in (0.0, 1.0, 50.0):
+            for mu in (-math.pi, 0.0, 0.7):
+                prior = VonMisesPrior(mu=mu, kappa=kappa)
+                for trials in (1, 1031):
+                    mc = McConfig(trials=trials, seed=K + grid_size + trials)
+                    _, samples = mapsim._trials(config, prior, mc, None)
+                    want, near_tie = grid_peak_oracle(config, prior, samples, grid_size)
+                    got = mapsim._grid_peak(config, prior, samples, grid)
+                    assert np.all((got == want) | near_tie)
+                    # at K=1 the data term is flat, so kappa cos(g - mu) alone
+                    # ties the two points next to mu = 0 on an odd grid
+                    assert K == 1 or near_tie.mean() < 0.01
+
+    @pytest.mark.parametrize("grid_size", [64, 65, 4096])
+    def test_flat_objective_takes_first_point(self, grid_size):
+        # zero samples and kappa = 0 tie every grid point: argmax keeps -pi
+        config = SignalConfig(K=20, snr=1.0)
+        grid = mapsim._grid_table(20, grid_size)[0]
+        got = mapsim._grid_peak(config, VonMisesPrior(), np.zeros((3, 20), complex), grid)
+        assert np.array_equal(got, np.full(3, -math.pi))
+
+    def test_no_score_matrix_per_chunk(self):
+        # a 1,024 x 4,096 float64 score matrix alone is 32 MiB
+        config = SignalConfig(K=20, snr=1.0)
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=1024, seed=1), None)
+        grid = mapsim._grid_table(20, 4096)[0]
+        mapsim._grid_peak(config, prior, samples, grid)  # fills the caches
+        tracemalloc.start()
+        try:
+            mapsim._grid_peak(config, prior, samples, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestRefinePeaks:
-    @pytest.mark.parametrize("K", [5, 20, 60])
+    @pytest.mark.parametrize("K", [5, 20, 60, 200])
     @pytest.mark.parametrize("kappa", [0.0, 1.0, 50.0])
     def test_matches_dense_golden_section(self, K, kappa):
         prior = VonMisesPrior(mu=0.7, kappa=kappa)

@@ -49,8 +49,9 @@ def test_reproduce_figures_writes_every_preset(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # relative tolerances of value_rad2 and the float extras per kind. The bounds'
 # only BLAS call is the 8-weight dot product of each quadrature panel; the MAP
-# grid search is a BLAS matrix product over all trials and samples, whose
-# rounding can differ between BLAS builds
+# grid search is a BLAS matrix product per block of trials, whose rounding can
+# differ between BLAS builds, and MAP refinement forms e^{-j theta k} as K
+# running products, so its rows carry about K roundings
 GOLDEN_RTOL = {"WWB": 1e-12, "BCRB": 1e-12, "ZZB": 1e-12, "MAP": 1e-9}
 
 
