@@ -5,11 +5,11 @@ samples and the prior (`_fold`). It is maximised over a grid, scored in
 cache-sized blocks of trial rows (`_grid_peak`), and each grid peak is refined
 by Newton steps (`_refine_peaks`).
 
-Trial t draws from the stream np.random.default_rng([seed, t]), so results are
-identical regardless of execution order or parallelism. That stream is produced
-without building it: the SeedSequence hash of every (seed, t) is computed in one
-array pass, turned into the PCG64 state that seeding would set, and assigned to
-one reused Generator.
+The randomness of a run comes from two streams seeded by (seed, 0) and
+(seed, 1): truths are drawn from the first as one von Mises array and the noise
+from the second as one normal array, both filled in trial order. So trial t is
+the same in every run of t + 1 or more trials, and results do not depend on how
+the trials are split into estimation chunks.
 """
 from __future__ import annotations
 
@@ -28,15 +28,6 @@ __all__ = ["McConfig", "McResult", "wrap_error", "run_monte_carlo"]
 _NEWTON_STEPS = 4
 _TRIAL_CHUNK = 1024  # fixed chunk size keeps batched results order-independent
 _BLOCK_VALUES = 1 << 17  # grid scores per block: about 1 MiB, reduced while in cache
-
-# numpy.random.SeedSequence (a port of O'Neill's seed_seq, pool size 4) and the
-# PCG64 multiplier; uint32 arithmetic is done in uint64 arrays masked to 32 bits
-_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -126,9 +117,10 @@ def _refine_peaks(
     edge."""
     z = _fold(config, prior, samples)
     k = np.arange(z.shape[1])
-    # [Re w_0, Im w_0, Re w_1, ...] @ weights = (f, f', f'')
-    weights = np.zeros((2 * len(k), 3))
-    weights[0::2, 0], weights[1::2, 1], weights[0::2, 2] = 1.0, k, -k**2.0
+    # weights @ [Re w_0, Im w_0, Re w_1, ...] = (f, f', f''), summed by einsum: a
+    # BLAS product rounds a row differently with the number of rows beside it
+    weights = np.zeros((3, 2 * len(k)))
+    weights[0, 0::2], weights[1, 1::2], weights[2, 0::2] = 1.0, k, -k**2.0
 
     def derivatives(theta):  # f, f', f'' at theta of shape (..., n)
         w = np.empty(theta.shape + k.shape, dtype=complex)
@@ -136,7 +128,7 @@ def _refine_peaks(
         w[..., 1:] = np.exp(-1j * theta)[..., None]
         np.cumprod(w, axis=-1, out=w)
         w *= z
-        return np.moveaxis(w.view(np.float64) @ weights, -1, 0)
+        return np.einsum("...i,ji->j...", w.view(np.float64), weights)
 
     lo, hi = centers - cell, centers + cell
     f, d1, _ = derivatives(np.stack([lo, hi]))
@@ -162,72 +154,18 @@ def _estimate_batch(
     return peaks
 
 
-def _hasher(const: int, mult: int):
-    """numpy's SeedSequence hashmix with its own running constant: each call XORs
-    the constant in, steps it by `mult` and multiplies it in, all mod 2**32."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> _XSHIFT
-    return hashmix
-
-
-def _seed_words(seed: int, t: np.ndarray) -> np.ndarray:
-    """SeedSequence([seed, t]).generate_state(4, np.uint64) for each t, shape (n, 4).
-
-    The entropy is the 32-bit words of `seed` (little-endian, at least one)
-    followed by t, which is one word (t < 2**32)."""
-    entropy = [np.full(t.shape, seed >> 32 * i & _MASK32, dtype=np.uint64)
-               for i in range(max(1, (seed.bit_length() + 31) // 32))] + [t.astype(np.uint64)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(word) for word in (entropy + [np.zeros_like(t, dtype=np.uint64)] * 4)[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_out = _hasher(_INIT_B, _MULT_B)
-    state = [hash_out(pool[i % 4]) for i in range(8)]  # uint32 words, little-endian pairs
-    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
-
-
-def _pcg64_states(words: np.ndarray) -> tuple[list[int], list[int]]:
-    """PCG64 (state, inc) that seeding from `words` rows (s_hi, s_lo, i_hi, i_lo)
-    sets: inc = 2i + 1 and state = (inc + s) * multiplier + inc, mod 2**128."""
-    w = words.astype(object)  # Python ints: exact 128-bit arithmetic
-    inc = (w[:, 2] << 65 | w[:, 3] << 1 | 1) & _MASK128
-    state = (((w[:, 0] << 64 | w[:, 1]) + inc) * _PCG64_MULT + inc) & _MASK128
-    return state.tolist(), inc.tolist()
-
-
 def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig, theta_fixed) -> tuple:
-    """Truths (N,) and samples (N, K): trial t draws its theta (unless fixed), then
-    its noise, from the stream default_rng([mc.seed, t]).
-
-    The stream is not built per trial: `_seed_words` hashes every trial's seed at
-    once, `_pcg64_states` turns each row into the PCG64 state that default_rng
-    would set, and one Generator is re-seated on it before the trial's draws."""
-    truths = np.empty(mc.trials) if theta_fixed is None else np.full(mc.trials, float(theta_fixed))
-    normals = np.empty((mc.trials, 2, config.K))
-    gen = np.random.Generator(np.random.PCG64(0))  # fixed seed: no OS entropy is read
-    states, incs = _pcg64_states(_seed_words(mc.seed, np.arange(mc.trials)))
-    for t, (state, inc) in enumerate(zip(states, incs)):
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
-        if theta_fixed is None:
-            truths[t] = gen.vonmises(prior.mu, prior.kappa)
-        gen.standard_normal(out=normals[t])
+    """Truths (N,) and samples (N, K) of `mc.trials` trials: the truths are
+    wrap_angle(default_rng([seed, 0]).vonmises(mu, kappa, N)), unless theta is
+    fixed, and the noise is default_rng([seed, 1]).standard_normal((N, 2, K)).
+    Both are filled in trial order, so the first n trials of any run of N >= n
+    trials are those of an n-trial run."""
+    n = mc.trials
     if theta_fixed is None:
-        truths = wrap_angle(truths)
+        truths = wrap_angle(np.random.default_rng([mc.seed, 0]).vonmises(prior.mu, prior.kappa, n))
+    else:
+        truths = np.full(n, float(theta_fixed))
+    normals = np.random.default_rng([mc.seed, 1]).standard_normal((n, 2, config.K))
     return truths, synthesize(config, truths, normals)
 
 
@@ -242,8 +180,8 @@ def run_monte_carlo(
 
     Each trial draws theta from the prior (or uses `theta_fixed`), generates
     observations, estimates, and scores the wrapped error; the MSE and its
-    standard error come from the same scored errors. Trial t uses the random
-    stream seeded by (mc.seed, t).
+    standard error come from the same scored errors. The draws come from the
+    two streams of `_trials`, seeded by (mc.seed, 0) and (mc.seed, 1).
     """
     truths, samples = _trials(config, prior, mc, theta_fixed)
     estimates = np.concatenate([

@@ -40,26 +40,30 @@ class VonMisesPrior:
             raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
 
     @cached_property
-    def scaled_bessel(self) -> tuple[float, float]:
-        """(e^-kappa I0(kappa), e^-kappa I1(kappa)).
+    def scaled_bessel(self) -> tuple[float, float, float]:
+        """(e^-kappa I0(kappa), e^-kappa I1(kappa), e^-kappa (I0 - I1)(kappa)).
 
         Up to kappa = 1e4, the exponentially convergent periodic trapezoid rule
         (Trefethen & Weideman, SIAM Review 56(3), 2014) with 16 + sqrt(80 kappa)
-        nodes, symmetric about the peak t = 0, applied to e^{-2 kappa sin^2(t/2)}
-        and (by parts) to kappa e^{-2 kappa sin^2(t/2)} sin^2 t: positive terms,
-        so no digits cancel at any kappa. Above, Hankel's series to five terms.
+        nodes, symmetric about the peak t = 0, applied to f = e^{-2 kappa sin^2(t/2)},
+        (by parts) to kappa f sin^2 t and to f 2 sin^2(t/2): positive terms, so no
+        digits cancel at any kappa. Above, Hankel's series to five terms, the
+        difference term by term.
         """
         kappa = self.kappa
         if kappa > 1e4:
             terms = np.cumprod([[((2 * k - 1) ** 2 - four_nu2) / (8.0 * k * kappa)
                                  for k in range(1, 5)] for four_nu2 in (0.0, 4.0)], axis=1)
             # 1/sqrt(2 pi kappa) as two factors: 2 pi kappa overflows near the largest double
-            i0e, i1e = (1.0 + terms.sum(axis=1)) / math.sqrt(2.0 * math.pi) / math.sqrt(kappa)
-            return float(i0e), float(i1e)
+            sums = np.append(1.0 + terms.sum(axis=1), (terms[0] - terms[1]).sum())
+            i0e, i1e, gap = sums / math.sqrt(2.0 * math.pi) / math.sqrt(kappa)
+            return float(i0e), float(i1e), float(gap)
         n = 16 + int(math.sqrt(80.0 * kappa))
         t = (np.arange(n) - n // 2) * (2.0 * math.pi / n)
-        f = np.exp(-2.0 * kappa * np.sin(0.5 * t) ** 2)
-        return float(np.mean(f)), kappa * float(np.mean(f * np.sin(t) ** 2))
+        half = np.sin(0.5 * t) ** 2
+        f = np.exp(-2.0 * kappa * half)
+        return (float(np.mean(f)), kappa * float(np.mean(f * np.sin(t) ** 2)),
+                2.0 * float(np.mean(f * half)))
 
     @property
     def log_norm(self) -> float:
@@ -68,7 +72,7 @@ class VonMisesPrior:
 
     def bessel_ratio(self) -> float:
         """I1(kappa) / I0(kappa), in [0, 1)."""
-        i0e, i1e = self.scaled_bessel
+        i0e, i1e, _ = self.scaled_bessel
         return i1e / i0e
 
     def variance(self) -> float:
@@ -76,7 +80,10 @@ class VonMisesPrior:
 
         The normal-approximation value -2 ln(I1/I0) clamped at the uniform
         variance pi^2/3 (it diverges as kappa -> 0 while the true circular
-        spread is bounded).
+        spread is bounded). It is formed as -2 log1p(-(I0 - I1)/I0) from the
+        directly computed difference, since ln of the ratio would amplify its
+        rounding about 2 kappa-fold.
         """
-        ratio = self.bessel_ratio()
-        return min(-2.0 * math.log(ratio), UNIFORM_VARIANCE) if ratio > 0.0 else UNIFORM_VARIANCE
+        i0e, _, gap = self.scaled_bessel
+        drop = gap / i0e
+        return min(-2.0 * math.log1p(-drop), UNIFORM_VARIANCE) if drop < 1.0 else UNIFORM_VARIANCE

@@ -36,6 +36,8 @@ __all__ = ["WwbResult", "wwb_axis", "wwb_value", "best_s"]
 # test-point sets whose SNR-free parts are kept; a sweep revisits the few
 # sets of its current (kappa, mu) at every SNR
 _SET_CACHE_SIZE = 64
+# a bound below the smallest normal double has lost digits or is 0
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,7 @@ def _outcome(s: float, bound: float, keep: list[bool]) -> WwbResult | RuntimeErr
     dropped = tuple(i for i, kept_i in enumerate(keep) if not kept_i)
     if len(dropped) == len(keep):
         return RuntimeError("all test points dropped; bound undefined")
-    # a bound below the smallest normal double has lost digits or is 0
-    if not bound >= np.finfo(float).tiny:
+    if not bound >= _TINY:
         return RuntimeError(f"bound value {bound:.3g} underflows double precision")
     return WwbResult(mse_bound=bound, s=s, dropped_points=dropped)
 

@@ -160,15 +160,15 @@ def q_element_mc_oracle(
 
 def observe(config: SignalConfig, theta: float, rng) -> np.ndarray:
     """One observation's K complex samples at frequency `theta`, drawing K real
-    and then K imaginary noise parts from `rng`; the draws of one Monte Carlo
-    trial after its theta."""
+    and then K imaginary noise parts from `rng`; one Monte Carlo trial's share
+    of the noise stream."""
     normals = rng.standard_normal((1, 2, config.K))
     return synthesize(config, np.array([theta], dtype=float), normals)[0]
 
 
 def draw_theta(prior: VonMisesPrior, rng) -> float:
-    """One frequency from the prior, wrapped into [-pi, pi]; the first draw
-    of one Monte Carlo trial."""
+    """One frequency from the prior, wrapped into [-pi, pi]; one Monte Carlo
+    trial's share of the truth stream."""
     return float(wrap_angle(rng.vonmises(prior.mu, prior.kappa)))
 
 

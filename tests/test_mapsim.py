@@ -191,6 +191,21 @@ class TestRefinePeaks:
             assert np.all(_rise(config, prior, samples, x0, got - x0)
                           >= _rise(config, prior, samples, x0, offset) - slack)
 
+    @pytest.mark.parametrize("K", [5, 20, 200])
+    def test_rows_refine_alone(self, K):
+        # a row's estimate must not depend on the rows batched with it, or
+        # MAP rows would change with the chunk size
+        config = SignalConfig(K=K, snr=10.0 ** -0.3)
+        prior = VonMisesPrior(mu=0.7, kappa=1.0)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=1031, seed=K), None)
+        centers = mapsim._grid_peak(config, prior, samples, mapsim._grid_table(K, 4096)[0])
+        batch = mapsim._refine_peaks(config, prior, samples, centers, _CELL)
+        for size in (1, 7):
+            parts = [mapsim._refine_peaks(config, prior, samples[i:i + size],
+                                          centers[i:i + size], _CELL)
+                     for i in range(0, 63, size)]
+            assert np.array_equal(np.concatenate(parts), batch[:63])
+
     def test_monotone_window_ends_at_its_edge(self):
         # the grid peak lies within half a cell of the maximum, so windows
         # shifted by 1.5 cells see f fall (or rise) all the way across
@@ -218,29 +233,45 @@ class TestRefinePeaks:
 class TestMonteCarlo:
     @pytest.mark.parametrize("theta_fixed", [None, 0.4])
     def test_trial_streams_match_per_trial_generation(self, theta_fixed):
-        # kappa 1e7 takes numpy's wrapped-normal branch of vonmises
+        # reference: trial by trial, theta from the (seed, 0) stream and the
+        # noise from the (seed, 1) stream; kappa 1e7 takes numpy's
+        # wrapped-normal branch of vonmises
         for kappa in (0.0, 2.0, 800.0, 1e7):
             config = SignalConfig(K=7, snr=0.3, phi=0.2)
             prior = VonMisesPrior(mu=0.5, kappa=kappa)
             mc = McConfig(trials=50, seed=12)
             truths, samples = mapsim._trials(config, prior, mc, theta_fixed)
+            truth_rng, noise_rng = (np.random.default_rng([mc.seed, i]) for i in (0, 1))
             for t in range(mc.trials):
-                rng = np.random.default_rng([mc.seed, t])
-                theta = draw_theta(prior, rng) if theta_fixed is None else theta_fixed
+                theta = draw_theta(prior, truth_rng) if theta_fixed is None else theta_fixed
                 assert truths[t] == theta
-                assert np.array_equal(samples[t], observe(config, theta, rng))
+                assert np.array_equal(samples[t], observe(config, theta, noise_rng))
 
-    # one to four 32-bit seed words; the 100-bit seed makes five entropy words
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345])
-    def test_seed_words_and_states_match_numpy(self, seed):
-        t = np.array([0, 1, 65_536, 99_999])
-        words = mapsim._seed_words(seed, t)
-        states, incs = mapsim._pcg64_states(words)
-        for i, ti in enumerate(t.tolist()):
-            want = np.random.SeedSequence([seed, ti]).generate_state(4, np.uint64)
-            assert words.dtype == np.uint64 and np.array_equal(words[i], want)
-            bit_state = np.random.default_rng([seed, ti]).bit_generator.state
-            assert bit_state["state"] == {"state": states[i], "inc": incs[i]}
+    @pytest.mark.parametrize("theta_fixed", [None, 0.4])
+    def test_trials_are_a_prefix_of_longer_runs(self, theta_fixed):
+        config = SignalConfig(K=20, snr=0.5)
+        prior = VonMisesPrior(mu=-1.0, kappa=3.0)
+        truths, samples = mapsim._trials(config, prior, McConfig(trials=300, seed=21), theta_fixed)
+        for n in (1, 37, 299):
+            head, head_samples = mapsim._trials(config, prior, McConfig(trials=n, seed=21),
+                                                theta_fixed)
+            assert np.array_equal(head, truths[:n])
+            assert np.array_equal(head_samples, samples[:n])
+
+    @pytest.mark.parametrize("trials", [1, 4096])
+    def test_two_generators_whatever_the_trial_count(self, monkeypatch, trials):
+        # guards against a return to seeding one generator per trial
+        calls = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        config = SignalConfig(K=20, snr=1.0)
+        mapsim._trials(config, VonMisesPrior(kappa=1.0), McConfig(trials=trials, seed=3), None)
+        assert calls == [([3, 0],), ([3, 1],)]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -274,7 +305,7 @@ class TestMonteCarlo:
 
     def test_chunking_invariant(self, monkeypatch):
         # the result must not depend on how trials split into estimation
-        # batches, since each trial owns a (seed, index)-derived stream
+        # batches, since every trial is drawn before the split
         config = SignalConfig(K=20, snr=10.0 ** -0.2)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         mc = McConfig(trials=300, seed=3)
@@ -283,16 +314,16 @@ class TestMonteCarlo:
         assert run_monte_carlo(config, prior, mc) == default
 
     def test_standard_error_matches_per_trial_rescoring(self):
-        # reference: regenerate each trial's stream, estimate it alone, and
-        # take std(err^2)/sqrt(N) of the wrapped errors
+        # reference: draw each trial in turn from the two streams, estimate it
+        # alone, and take std(err^2)/sqrt(N) of the wrapped errors
         config = SignalConfig(K=20, snr=0.5)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         mc = McConfig(trials=40, seed=8)
+        truth_rng, noise_rng = (np.random.default_rng([mc.seed, i]) for i in (0, 1))
         sq = []
-        for t in range(mc.trials):
-            rng = np.random.default_rng([mc.seed, t])
-            theta = draw_theta(prior, rng)
-            est = estimate_one(config, prior, observe(config, theta, rng))
+        for _ in range(mc.trials):
+            theta = draw_theta(prior, truth_rng)
+            est = estimate_one(config, prior, observe(config, theta, noise_rng))
             sq.append(float(wrap_error(est, theta)) ** 2)
         res = run_monte_carlo(config, prior, mc)
         assert res.mse == pytest.approx(np.mean(sq), rel=1e-9)

@@ -141,6 +141,16 @@ class TestVariance:
         assert prior.variance() == pytest.approx(want, rel=1e-12)
         assert prior.variance() < UNIFORM_VARIANCE
 
+    @pytest.mark.parametrize("kappa", [1.0, 20.0, 600.0, 1e4, 1e5, 1e6])
+    def test_matches_mpmath(self, kappa):
+        # -2 ln(I1/I0) to 50 digits; the ratio of two rounded values would be
+        # off by about 2 kappa ulps here
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            x = mpmath.mpf(kappa)
+            want = float(-2 * mpmath.log(mpmath.besseli(1, x) / mpmath.besseli(0, x)))
+        assert VonMisesPrior(kappa=kappa).variance() == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_monotone_non_increasing_in_concentration(self):
         kappas = np.arange(0.0, 20.5, 0.5)
         vals = [VonMisesPrior(kappa=float(k)).variance() for k in kappas]
