@@ -113,6 +113,11 @@ class SweepSpec:
             raise SpecError("quad_nodes", "must be >= 16")
         if not math.isfinite(self.phi):
             raise SpecError("phi", "must be finite")
+        if "MAP" in self.bound_kinds:
+            if self.theta is not None and not -math.pi <= self.theta <= math.pi:
+                raise SpecError("theta", "must lie in [-pi, pi]")
+            if self.mc_grid_size < 64:
+                raise SpecError("grid_size", "must be >= 64")
         if self.f_int_hz is not None and not 0.0 < self.f_int_hz < math.inf:
             raise SpecError("f_int_hz", "must be finite and > 0")
         if self.output_format not in ("csv", "json"):

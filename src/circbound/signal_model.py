@@ -1,7 +1,8 @@
 """Discrete observation model for the normalized circular frequency.
 
 x_k = A e^{i(theta k + phi)} + n_k, k = 0..K-1, with circular complex white
-Gaussian noise of variance 2 sigma^2 per sample and A = sqrt(2 sigma^2 SNR).
+Gaussian noise of variance 2 per sample (unit real and imaginary parts) and
+A = sqrt(2 SNR).
 Everything is in normalized radians per sample; Hz appears only in the CLI.
 """
 from __future__ import annotations
@@ -21,27 +22,24 @@ class SignalConfig:
     K: int
     snr: float
     phi: float = 0.0
-    sigma2: float = 1.0
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if self.snr <= 0.0:
             raise ValueError(f"snr must be > 0, got {self.snr}")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
 
     @property
     def amplitude(self) -> float:
-        """A = sqrt(2 sigma^2 SNR); derived, never stored."""
-        return math.sqrt(2.0 * self.sigma2 * self.snr)
+        """A = sqrt(2 SNR); derived, never stored."""
+        return math.sqrt(2.0 * self.snr)
 
 
 def synthesize(config: SignalConfig, thetas: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Rows A e^{i(theta k + phi)} + sigma (u_k + i v_k); normals (n, 2, K) hold (u, v)."""
+    """Rows A e^{i(theta k + phi)} + u_k + i v_k; normals (n, 2, K) hold (u, v)."""
     outside = thetas[~((thetas >= -math.pi) & (thetas <= math.pi))]
     if outside.size:
         raise ValueError(f"theta outside [-pi, pi]: {outside[0]}")
     clean = config.amplitude * np.exp(1j * (thetas[:, None] * np.arange(config.K) + config.phi))
-    return clean + math.sqrt(config.sigma2) * (normals[:, 0] + 1j * normals[:, 1])
+    return clean + (normals[:, 0] + 1j * normals[:, 1])
 

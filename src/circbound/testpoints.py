@@ -2,10 +2,12 @@
 
 Three families of positive frequency offsets: 'C' points hugging the main
 lobe, 'S' points at the positive side-lobe peaks of the K-sample coherent-sum
-pattern, and 'E' points evenly spaced across [0.1 pi, pi]. A set holds only
-offsets and their provenance: the bound's other hyperparameter, the exponent
-s, is an argument of `wwb.wwb_axis`, which evaluates one set over a whole
-(s, SNR) grid as one stack.
+pattern, and 'E' points evenly spaced across [0.1 pi, pi]. The side-lobe
+peaks come from one golden-section search whose lanes are the lobes, a lobe
+peaking at pi included; each lane takes the steps of a scalar search. A set
+holds only offsets and their provenance: the bound's other hyperparameter,
+the exponent s, is an argument of `wwb.wwb_axis`, which evaluates one set
+over a whole (s, SNR) grid as one stack.
 """
 from __future__ import annotations
 
@@ -80,28 +82,36 @@ def close_points() -> np.ndarray:
     return np.array([0.001 * math.pi, 0.01 * math.pi])
 
 
-def _golden_max(f, a: float, b: float, tol: float = 1e-8) -> float:
-    """Golden-section search for the maximizer of f on [a, b]."""
+def _golden_max(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Golden-section search for the maximizer of f on every bracket [a, b] at once.
+
+    Each lane takes exactly the steps of a scalar search, with one call of f on
+    all lanes per step. Only a and b stop once a lane is no wider than tol:
+    whether a lane still searches depends on b - a alone, so a finished lane's
+    probes may move on without effect.
+    """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    live = b - a > tol
+    while live.any():
+        up = f1 < f2
+        a = np.where(live & up, x1, a)
+        b = np.where(live & ~up, x2, b)
+        x1, x2 = np.where(up, x2, b - _GOLDEN * (b - a)), np.where(up, a + _GOLDEN * (b - a), x1)
+        fx = f(np.where(up, x2, x1))
+        f1, f2 = np.where(up, f2, fx), np.where(up, fx, f1)
+        live = b - a > tol
     return 0.5 * (a + b)
 
 
 def sidelobe_points(K: int, grid_step: float | None = None) -> np.ndarray:
     """Positive-valued side-lobe peak locations of D(h) = sum cos(h k) on (0, pi].
 
-    Fine-grid scan beyond the first null at 2 pi / K, then golden-section
-    refinement of each bracketed local maximum to 1e-8 rad.
+    Fine-grid scan beyond the first null at 2 pi / K, then one golden-section
+    search that refines the bracket of every grid maximum to 1e-8 rad. The
+    last grid point, pi, is one more lane when D still rises into it (a lobe
+    of odd K peaks there): that lane keeps pi unless the search beat it.
     """
     if K < 2:
         raise DomainError(f"no side lobes exist for K < 2, got K={K}")
@@ -113,60 +123,45 @@ def sidelobe_points(K: int, grid_step: float | None = None) -> np.ndarray:
     grid = np.arange(first_null + grid_step, math.pi + 0.5 * grid_step, grid_step)
     grid[-1] = math.pi
     vals = dirichlet_kernel(grid, K)
-
-    def d(h: float) -> float:
-        return dirichlet_kernel(h, K)
-
-    peaks = []
-    for i in range(1, len(grid) - 1):
-        if vals[i] >= vals[i - 1] and vals[i] > vals[i + 1]:
-            peak = _golden_max(d, grid[i - 1], grid[i + 1])
-            if d(peak) > 0.0:
-                peaks.append(min(peak, math.pi))
-    # a lobe can peak exactly at the pi boundary (odd K)
-    if vals[-1] > vals[-2] and vals[-1] > 0.0:
-        peak = _golden_max(d, grid[-2], math.pi)
-        if math.pi - peak < 2.0 * grid_step:
-            peak = math.pi if d(math.pi) >= d(peak) else peak
-        peaks.append(peak)
-    return np.array(sorted(peaks))
+    last = grid.size - 1
+    i = 1 + np.flatnonzero((vals[1:-1] >= vals[:-2]) & (vals[1:-1] > vals[2:]))
+    if vals[-1] > vals[-2]:
+        i = np.append(i, last)
+    peak = _golden_max(lambda h: dirichlet_kernel(h, K), grid[i - 1], grid[np.minimum(i + 1, last)])
+    d_peak = dirichlet_kernel(peak, K)
+    at_pi = i == last
+    peak = np.where(at_pi & (vals[-1] >= d_peak), math.pi, peak)
+    return np.sort(peak[np.where(at_pi, vals[-1], d_peak) > 0.0])
 
 
 def even_points(n: int) -> np.ndarray:
-    """n points linearly spaced on [0.1 pi, pi], endpoints included."""
+    """n points linearly spaced on [0.1 pi, pi], endpoints included (0.1 pi alone for n = 1)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return np.array([0.1 * math.pi])
     return np.linspace(0.1 * math.pi, math.pi, n)
 
 
 def build(config: TestPointConfig, K: int) -> TestPointSet:
-    """Assemble the (C, S, E) test-point set for K samples, sorted and deduplicated."""
-    entries: list[tuple[float, str]] = []
-    if config.c_count:
-        for h in close_points()[: config.c_count]:
-            entries.append((float(h), "C"))
-    if config.s_count:
-        lobes = sidelobe_points(K)
-        if config.s_count > lobes.size:
-            raise ValueError(
-                f"requested {config.s_count} side-lobe points but only "
-                f"{lobes.size} exist for K={K}"
-            )
-        for h in lobes[: config.s_count]:
-            entries.append((float(h), "S"))
-    if config.e_count:
-        for h in even_points(config.e_count):
-            entries.append((float(h), "E"))
+    """Assemble the (C, S, E) test-point set for K samples, sorted and deduplicated.
 
-    entries.sort(key=lambda e: e[0])
-    kept: list[tuple[float, str]] = []
-    for h, tag in entries:
-        if kept and h - kept[-1][0] < DEDUP_TOL:
-            continue
-        kept.append((h, tag))
-    return TestPointSet(
-        h=np.array([h for h, _ in kept]),
-        provenance=tuple(tag for _, tag in kept),
+    The sort is stable, so of equal offsets the C point, then the S point, is
+    kept; a point closer than DEDUP_TOL to the last kept one is dropped.
+    """
+    lobes = sidelobe_points(K) if config.s_count else np.empty(0)
+    if config.s_count > lobes.size:
+        raise ValueError(
+            f"requested {config.s_count} side-lobe points but only "
+            f"{lobes.size} exist for K={K}"
+        )
+    evens = even_points(config.e_count) if config.e_count else np.empty(0)
+    entries = sorted(
+        [(h, "C") for h in close_points()[: config.c_count].tolist()]
+        + [(h, "S") for h in lobes[: config.s_count].tolist()]
+        + [(h, "E") for h in evens.tolist()],
+        key=lambda e: e[0],
     )
+    kept = entries[:1]
+    for h, tag in entries[1:]:
+        if h - kept[-1][0] >= DEDUP_TOL:
+            kept.append((h, tag))
+    return TestPointSet(h=np.array([h for h, _ in kept]), provenance=tuple(tag for _, tag in kept))

@@ -8,7 +8,9 @@ routines of the library applied to one row, so per-trial references can be
 written without a per-observation API in the library; `build_q` is the
 library's array path at one SNR, so the oracles can check whole score
 matrices. `grid_peak_oracle` scores every grid point by one full product: the
-plain search that the MAP grid step must reproduce.
+plain search that the MAP grid step must reproduce. `sidelobe_oracle` refines
+each side lobe by its own scalar golden-section search, the per-lobe form that
+the array search of `testpoints.sidelobe_points` must match bit for bit.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from circbound import mapsim, wwb
-from circbound.numerics import DEFAULT_QUAD
+from circbound.numerics import DEFAULT_QUAD, dirichlet_kernel
 from circbound.prior import VonMisesPrior, wrap_angle
 from circbound.signal_model import SignalConfig, synthesize
 
@@ -197,6 +199,52 @@ def grid_peak_oracle(config: SignalConfig, prior: VonMisesPrior, samples, grid_s
     second, first = np.partition(scores, -2, axis=1)[:, -2:].T
     near_tie = first - second <= 1e-12 * np.abs(first)
     return grid[np.argmax(scores, axis=1)], near_tie
+
+
+def _scalar_golden_max(f, a: float, b: float, tol: float = 1e-8) -> float:
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - golden * (b - a)
+    x2 = a + golden * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + golden * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - golden * (b - a)
+            f1 = f(x1)
+    return 0.5 * (a + b)
+
+
+def sidelobe_oracle(K: int, grid_step: float) -> np.ndarray:
+    """Side-lobe peaks of D(h) = sum cos(h k) beyond the first null, one scalar
+    golden-section search per grid maximum, and a separate search of the last
+    grid step when D still rises into pi, where that lobe keeps pi unless the
+    search found a higher value."""
+    first_null = 2.0 * math.pi / K
+    if first_null >= math.pi:
+        return np.empty(0)
+    grid = np.arange(first_null + grid_step, math.pi + 0.5 * grid_step, grid_step)
+    grid[-1] = math.pi
+    vals = dirichlet_kernel(grid, K)
+
+    def d(h: float) -> float:
+        return dirichlet_kernel(h, K)
+
+    peaks = []
+    for i in range(1, len(grid) - 1):
+        if vals[i] >= vals[i - 1] and vals[i] > vals[i + 1]:
+            peak = _scalar_golden_max(d, grid[i - 1], grid[i + 1])
+            if d(peak) > 0.0:
+                peaks.append(min(peak, math.pi))
+    if vals[-1] > vals[-2] and vals[-1] > 0.0:
+        peak = _scalar_golden_max(d, grid[-2], math.pi)
+        if math.pi - peak < 2.0 * grid_step:
+            peak = math.pi if d(math.pi) >= d(peak) else peak
+        peaks.append(peak)
+    return np.array(sorted(peaks))
 
 
 def build_q(prior: VonMisesPrior, config: SignalConfig, points, s=0.5, quad=DEFAULT_QUAD) -> np.ndarray:

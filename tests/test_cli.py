@@ -337,6 +337,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid kappa_values:") and "K=1" in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep", "--kinds", "WWB,MAP", "--theta", "4", "--snr-db=0"], "theta"),
+        (["sweep", "--kinds", "WWB,MAP", "--theta", "nan", "--snr-db=0"], "theta"),
+        (["sweep", "--kinds", "WWB,MAP", "--grid-size", "10", "--snr-db=0"], "grid_size"),
+        (["map-sim", "--theta", "-3.2", "--trials", "5"], "theta"),
+        (["map-sim", "--grid-size", "63", "--trials", "5"], "grid_size"),
+    ])
+    def test_map_values_checked_before_any_work(self, argv, field, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bound was computed before the spec was checked")
+        monkeypatch.setattr("circbound.wwb.wwb_axis", no_work)
+        monkeypatch.setattr("circbound.mapsim.run_monte_carlo", no_work)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: invalid {field}: must ")
+
     def test_zzb_single_sample_names_k(self, capsys):
         assert main(["zzb", "--k", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid k_values:")

@@ -18,7 +18,7 @@ class _ZeroNoise:
 
 class TestConfig:
     def test_amplitude_derivation(self):
-        cfg = SignalConfig(K=20, snr=2.0, sigma2=1.0)
+        cfg = SignalConfig(K=20, snr=2.0)
         assert cfg.amplitude == pytest.approx(2.0)
 
     def test_validation(self):
@@ -26,8 +26,6 @@ class TestConfig:
             SignalConfig(K=0, snr=1.0)
         with pytest.raises(ValueError):
             SignalConfig(K=10, snr=0.0)
-        with pytest.raises(ValueError):
-            SignalConfig(K=10, snr=1.0, sigma2=0.0)
 
 
 class TestGenerate:
@@ -47,16 +45,16 @@ class TestGenerate:
 
     def test_stream_order_real_then_imaginary_draws(self):
         # one trial's stream: K real noise parts, then K imaginary parts
-        cfg = SignalConfig(K=6, snr=0.7, phi=0.3, sigma2=2.0)
+        cfg = SignalConfig(K=6, snr=0.7, phi=0.3)
         got = observe(cfg, 0.2, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         re, im = rng.standard_normal(6), rng.standard_normal(6)
         clean = cfg.amplitude * np.exp(1j * (0.2 * np.arange(6) + cfg.phi))
-        assert np.array_equal(got, clean + math.sqrt(2.0) * (re + 1j * im))
+        assert np.array_equal(got, clean + (re + 1j * im))
 
     def test_noise_variance(self):
         n = 1_000_000
-        big = SignalConfig(K=n, snr=1.0, sigma2=1.0)
+        big = SignalConfig(K=n, snr=1.0)
         samples = observe(big, 0.0, np.random.default_rng(8))
         k = np.arange(n)
         resid = samples - big.amplitude * np.exp(1j * 0.0 * k)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from circbound import testpoints
 from circbound.numerics import DomainError, dirichlet_kernel
 from circbound.testpoints import (
     DEDUP_TOL,
@@ -14,6 +15,8 @@ from circbound.testpoints import (
     even_points,
     sidelobe_points,
 )
+
+from conftest import sidelobe_oracle
 
 
 class TestClosePoints:
@@ -87,6 +90,25 @@ class TestSidelobePoints:
         pts = sidelobe_points(21)
         assert pts[-1] == pytest.approx(math.pi)
         assert dirichlet_kernel(math.pi, 21) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("K", [*range(2, 65), 99, 100, 101, 200, 201])
+    @pytest.mark.parametrize("per_sample", [64, 128])
+    def test_matches_per_lobe_search_bit_for_bit(self, K, per_sample):
+        grid_step = math.pi / (per_sample * K)
+        assert np.array_equal(sidelobe_points(K, grid_step), sidelobe_oracle(K, grid_step))
+
+    @pytest.mark.parametrize("K", [20, 200])
+    def test_one_search_for_every_lobe(self, K, monkeypatch):
+        # a search per lobe makes 280 kernel calls at K=20 and 2,575 at K=200
+        calls = []
+
+        def counting(h, K):
+            calls.append(h)
+            return dirichlet_kernel(h, K)
+
+        monkeypatch.setattr(testpoints, "dirichlet_kernel", counting)
+        sidelobe_points(K)
+        assert len(calls) < 50
 
     def test_too_few_samples(self):
         with pytest.raises(DomainError):
