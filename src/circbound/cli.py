@@ -135,6 +135,13 @@ def _trio_str(trio: tuple[int, int, int]) -> str:
     return f"{trio[0]},{trio[1]},{trio[2]}"
 
 
+def _point_set(trio: tuple[int, int, int], k: int) -> testpoints.TestPointSet:
+    try:
+        return testpoints.build(TestPointConfig(*trio), k)
+    except ValueError as err:
+        raise SpecError("testpoint_trio", f"K={k}: {err}") from err
+
+
 def _row(kind, snr_db, k, kappa, mu, s, trio, value, extra):
     return {
         "kind": kind,
@@ -167,11 +174,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     for k in spec.k_values:
         point_sets = {}
         if "WWB" in spec.bound_kinds:
-            try:
-                point_sets = {trio: testpoints.build(TestPointConfig(*trio), k)
-                              for trio in spec.trios}
-            except ValueError as err:
-                raise SpecError("testpoint_trio", f"K={k}: {err}") from err
+            point_sets = {trio: _point_set(trio, k) for trio in spec.trios}
         for kappa in spec.kappa_values:
             for mu in spec.mu_values:
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
@@ -488,8 +491,10 @@ def _make_spec(args) -> SweepSpec:
 
 
 def _cmd_testpoints(args) -> int:
-    trio = _trio(args.config)
-    points = testpoints.build(TestPointConfig(*trio), _int(args.k, "k"))
+    trio, k = _trio(args.config), _int(args.k, "k")
+    if k < 1:
+        raise SpecError("k", "K must be >= 1")
+    points = _point_set(trio, k)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["h_rad", "h_over_pi", "provenance"])

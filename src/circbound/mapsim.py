@@ -1,9 +1,10 @@
 """MAP estimator and the Monte Carlo harness that validates the bounds.
 
 The MAP objective is one trigonometric polynomial whose coefficients hold the
-samples and the prior (`_fold`). It is maximised over a grid, scored in
-cache-sized blocks of trial rows (`_grid_peak`), and each grid peak is refined
-by Newton steps (`_refine_peaks`).
+samples and the prior; only `_fold` knows how. Each chunk of trials is folded
+once, and both stages take just the coefficients: the objective is maximised
+over a grid, scored in cache-sized blocks of trial rows (`_grid_peak`), and
+each grid peak is refined by Newton steps (`_refine_peaks`).
 
 The randomness of a run comes from two streams seeded by (seed, 0) and
 (seed, 1): truths are drawn from the first as one von Mises array and the noise
@@ -26,7 +27,7 @@ from .signal_model import SignalConfig, synthesize
 __all__ = ["McConfig", "McResult", "wrap_error", "run_monte_carlo"]
 
 _NEWTON_STEPS = 4
-_TRIAL_CHUNK = 1024  # fixed chunk size keeps batched results order-independent
+_TRIAL_CHUNK = 1024  # trials folded at once: bounds the fold and refinement temporaries
 _BLOCK_VALUES = 1 << 17  # grid scores per block: about 1 MiB, reduced while in cache
 
 
@@ -76,27 +77,25 @@ def _fold(config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray) -> np
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_table(K: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid g (G,) on [-pi, pi) and [cos(k g); sin(k g)] (2 max(K, 2), G),
-    matching the `_fold` coefficients."""
+def _grid_table(n_coef: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grid g (G,) on [-pi, pi) and [cos(k g); sin(k g)] (2 n_coef, G),
+    k < n_coef, matching `_fold` coefficients of that count."""
     grid = -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
-    kg = np.outer(np.arange(max(K, 2)), grid)
+    kg = np.outer(np.arange(n_coef), grid)
     table = np.concatenate([np.cos(kg), np.sin(kg)])
     grid.flags.writeable = table.flags.writeable = False
     return grid, table
 
 
-def _grid_peak(
-    config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """Argmax of the objective over the `_grid_table` grid, per trial row: the
-    product [Re z | Im z] @ [cos; sin], taken in blocks of about `_BLOCK_VALUES`
-    scores, each reduced by argmax while it is still in cache."""
-    table = _grid_table(config.K, len(grid))[1]
-    z = _fold(config, prior, samples)
+def _grid_peak(z: np.ndarray, grid_size: int) -> np.ndarray:
+    """Argmax of the objective with `_fold` coefficients z over the
+    `_grid_table` grid, per row of z: the product [Re z | Im z] @ [cos; sin],
+    taken in blocks of about `_BLOCK_VALUES` scores, each reduced by argmax
+    while it is still in cache."""
+    grid, table = _grid_table(z.shape[1], grid_size)
     parts = np.concatenate([z.real, z.imag], axis=1)
-    rows = max(1, _BLOCK_VALUES // len(grid))
-    scores = np.empty((min(rows, len(parts)), len(grid)))
+    rows = max(1, _BLOCK_VALUES // grid_size)
+    scores = np.empty((min(rows, len(parts)), grid_size))
     best = np.empty(len(parts), dtype=np.intp)
     for i in range(0, len(parts), rows):
         chunk = parts[i:i + rows]
@@ -105,17 +104,13 @@ def _grid_peak(
     return grid[best]
 
 
-def _refine_peaks(
-    config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray,
-    centers: np.ndarray, cell: float,
-) -> np.ndarray:
-    """Maximize the objective within +/- one grid cell of each center by Newton
-    steps on f' = sum k Im w_k, f'' = -sum k^2 Re w_k, w_k = z_k e^{-j theta k}
-    (the powers of e^{-j theta} by cumulative product), inside a bracket
-    narrowed by the sign of f' and bisected when f'' >= 0 or a step leaves it.
-    A window whose f rises (falls) all the way across ends at its right (left)
-    edge."""
-    z = _fold(config, prior, samples)
+def _refine_peaks(z: np.ndarray, centers: np.ndarray, cell: float) -> np.ndarray:
+    """Maximize the objective with `_fold` coefficients z within +/- one grid
+    cell of each center by Newton steps on f' = sum k Im w_k, f'' = -sum k^2
+    Re w_k, w_k = z_k e^{-j theta k} (the powers of e^{-j theta} by cumulative
+    product), inside a bracket narrowed by the sign of f' and bisected when
+    f'' >= 0 or a step leaves it. A window whose f rises (falls) all the way
+    across ends at its right (left) edge."""
     k = np.arange(z.shape[1])
     # weights @ [Re w_0, Im w_0, Re w_1, ...] = (f, f', f''), summed by einsum: a
     # BLAS product rounds a row differently with the number of rows beside it
@@ -143,15 +138,6 @@ def _refine_peaks(
         # a step landing exactly on a bracket end is kept: converged rows stay put
         x = np.where((d2 < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
     return x
-
-
-def _estimate_batch(
-    config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray, grid_size: int, refine: bool
-) -> np.ndarray:
-    peaks = _grid_peak(config, prior, samples, _grid_table(config.K, grid_size)[0])
-    if refine:
-        peaks = _refine_peaks(config, prior, samples, peaks, 2.0 * math.pi / grid_size)
-    return peaks
 
 
 def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig, theta_fixed) -> tuple:
@@ -184,10 +170,13 @@ def run_monte_carlo(
     two streams of `_trials`, seeded by (mc.seed, 0) and (mc.seed, 1).
     """
     truths, samples = _trials(config, prior, mc, theta_fixed)
-    estimates = np.concatenate([
-        _estimate_batch(config, prior, samples[i:i + _TRIAL_CHUNK], mc.grid_size, mc.refine)
-        for i in range(0, mc.trials, _TRIAL_CHUNK)
-    ])
+    estimates = np.empty(mc.trials)
+    for i in range(0, mc.trials, _TRIAL_CHUNK):
+        z = _fold(config, prior, samples[i:i + _TRIAL_CHUNK])
+        peaks = _grid_peak(z, mc.grid_size)
+        if mc.refine:
+            peaks = _refine_peaks(z, peaks, 2.0 * math.pi / mc.grid_size)
+        estimates[i:i + len(z)] = peaks
 
     errors = wrap_error(estimates, truths) if wrap else estimates - truths
     sq = errors**2

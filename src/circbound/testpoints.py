@@ -147,6 +147,8 @@ def build(config: TestPointConfig, K: int) -> TestPointSet:
     The sort is stable, so of equal offsets the C point, then the S point, is
     kept; a point closer than DEDUP_TOL to the last kept one is dropped.
     """
+    if K < 1:
+        raise DomainError(f"K must be >= 1, got K={K}")
     lobes = sidelobe_points(K) if config.s_count else np.empty(0)
     if config.s_count > lobes.size:
         raise ValueError(

@@ -33,8 +33,9 @@ from .testpoints import TestPointSet
 
 __all__ = ["WwbResult", "wwb_axis", "wwb_value", "best_s"]
 
-# test-point sets whose SNR-free parts are kept; a sweep revisits the few
-# sets of its current (kappa, mu) at every SNR
+# test-point sets whose SNR-free parts are kept; a sweep solves a set's whole
+# SNR axis at once and never revisits it, so the hits come from callers that
+# pass one SNR at a time, such as `wwb_value` along an SNR axis
 _SET_CACHE_SIZE = 64
 # a bound below the smallest normal double has lost digits or is 0
 _TINY = float(np.finfo(float).tiny)
@@ -121,15 +122,6 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
                               "node: its peak is narrower than the node spacing")
     out[live] = shift + np.log(sums) - prior.log_norm
     return out
-
-
-def _product_exponents(
-    prior: VonMisesPrior, K: int, s_i, s_j, h_i, h_j, quad: QuadratureSpec = DEFAULT_QUAD
-) -> tuple[np.ndarray, np.ndarray]:
-    """Data cores at snr = 1 and prior log-integrals, each of shape (4,), of the
-    four score products at one (s_i, s_j, h_i, h_j), before normalization."""
-    w, o = _products(s_i, s_j, h_i, h_j)
-    return _cores(w, o, K), _log_integrals(prior, *_supports(w, o), quad)
 
 
 @lru_cache(maxsize=_SET_CACHE_SIZE)

@@ -176,9 +176,13 @@ def draw_theta(prior: VonMisesPrior, rng) -> float:
 
 def estimate_one(config: SignalConfig, prior: VonMisesPrior, samples,
                  grid_size: int = 4096, refine: bool = True) -> float:
-    """MAP estimate from one observation: grid search, then refinement."""
-    return float(mapsim._estimate_batch(config, prior, np.asarray(samples)[None, :],
-                                        grid_size, refine)[0])
+    """MAP estimate from one observation: grid search, then refinement, both
+    on the `_fold` coefficients."""
+    z = mapsim._fold(config, prior, np.asarray(samples)[None, :])
+    peak = mapsim._grid_peak(z, grid_size)
+    if refine:
+        peak = mapsim._refine_peaks(z, peak, 2.0 * math.pi / grid_size)
+    return float(peak[0])
 
 
 @functools.lru_cache(maxsize=2)

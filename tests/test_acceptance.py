@@ -204,7 +204,7 @@ def test_08_bound_validity_on_reference_grid():
 def test_09_oracle_suites():
     from circbound.numerics import dirichlet_kernel, integrate
     from circbound.testpoints import TestPointSet
-    from circbound.wwb import _product_exponents
+    from circbound.wwb import _log_integrals, _products, _supports
 
     from conftest import (
         CROSS_LAYOUTS,
@@ -216,7 +216,7 @@ def test_09_oracle_suites():
     def gamma(prior, si, sj, h_i, h_j, quad=QuadratureSpec()):
         # prior log-integrals of the four score products; sj = 0, h_j = h_i
         # makes the first one the single-point normalizer of h_i
-        return _product_exponents(prior, 1, si, sj, h_i, h_j, quad)[1]
+        return _log_integrals(prior, *_supports(*_products(si, sj, h_i, h_j)), quad)
 
     checks = []
 

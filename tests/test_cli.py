@@ -407,6 +407,17 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert (out.startswith("usage: "), "error: " in err) == (code == 0, code == 2)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "-5", "--config", "2,0,1"], "invalid k: K must be >= 1"),
+        (["--k", "1"], "invalid testpoint_trio: K=1: no side lobes"),
+        (["--config", "3,9,10"], "invalid testpoint_trio: K=20: at most 2 close points"),
+    ])
+    def test_testpoints_invalid_input_names_field(self, flags, message, capsys):
+        # the same checks, and the same wording, as a sweep's WWB test-point sets
+        assert main(["testpoints", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
+
     def test_testpoints_unwritable_output(self, tmp_path, capsys):
         rc = main(["testpoints", "--out", str(tmp_path / "missing" / "pts.csv")])
         assert rc == 3

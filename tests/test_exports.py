@@ -1,5 +1,6 @@
-"""Every name that a module or the package exports in `__all__` resolves, and
-importing the package loads no scipy module."""
+"""Every name that a module or the package exports in `__all__` resolves, as
+does every name the benchmark looks up, and importing the package loads no
+scipy module."""
 import importlib
 import os
 import pkgutil
@@ -22,6 +23,24 @@ def test_module_exports_resolve(name):
 
 def test_package_exports_resolve():
     assert [n for n in circbound.__all__ if not hasattr(circbound, n)] == []
+
+
+# module attributes that perfbench/tracer.py wraps as spans or counters and
+# perfbench/workloads.py calls; the tracer records a missing name as a missing
+# span instead of failing, so a rename here would silently blank its metrics
+BENCHMARK_NAMES = (
+    "cli.main", "cli.emit", "wwb.wwb_value", "wwb.integrate", "wwb.dirichlet_kernel",
+    "testpoints.dirichlet_kernel", "testpoints.build", "mapsim.run_monte_carlo",
+    "mapsim._grid_peak", "mapsim._refine_peaks", "benchmarks.bcrb", "benchmarks.zzb",
+)
+
+
+def test_benchmark_names_resolve():
+    def resolves(path):
+        module, attr = path.split(".")
+        return callable(getattr(importlib.import_module(f"circbound.{module}"), attr, None))
+
+    assert [p for p in BENCHMARK_NAMES if not resolves(p)] == []
 
 
 def test_import_leaves_scipy_unloaded():

@@ -135,7 +135,6 @@ class TestGridPeak:
     def test_matches_full_product_oracle(self, K, grid_size):
         # at G 4096 and 4097 a block holds 32 and 31 rows, so 1,031 rows cross block boundaries
         config = SignalConfig(K=K, snr=10.0 ** -0.5, phi=0.3)
-        grid = mapsim._grid_table(K, grid_size)[0]
         for kappa in (0.0, 1.0, 50.0):
             for mu in (-math.pi, 0.0, 0.7):
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
@@ -143,7 +142,7 @@ class TestGridPeak:
                     mc = McConfig(trials=trials, seed=K + grid_size + trials)
                     _, samples = mapsim._trials(config, prior, mc, None)
                     want, near_tie = grid_peak_oracle(config, prior, samples, grid_size)
-                    got = mapsim._grid_peak(config, prior, samples, grid)
+                    got = mapsim._grid_peak(mapsim._fold(config, prior, samples), grid_size)
                     assert np.all((got == want) | near_tie)
                     # at K=1 the data term is flat, so kappa cos(g - mu) alone
                     # ties the two points next to mu = 0 on an odd grid
@@ -151,10 +150,8 @@ class TestGridPeak:
 
     @pytest.mark.parametrize("grid_size", [64, 65, 4096])
     def test_flat_objective_takes_first_point(self, grid_size):
-        # zero samples and kappa = 0 tie every grid point: argmax keeps -pi
-        config = SignalConfig(K=20, snr=1.0)
-        grid = mapsim._grid_table(20, grid_size)[0]
-        got = mapsim._grid_peak(config, VonMisesPrior(), np.zeros((3, 20), complex), grid)
+        # zero coefficients tie every grid point: argmax keeps -pi
+        got = mapsim._grid_peak(np.zeros((3, 20), complex), grid_size)
         assert np.array_equal(got, np.full(3, -math.pi))
 
     def test_no_score_matrix_per_chunk(self):
@@ -162,11 +159,11 @@ class TestGridPeak:
         config = SignalConfig(K=20, snr=1.0)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         _, samples = mapsim._trials(config, prior, McConfig(trials=1024, seed=1), None)
-        grid = mapsim._grid_table(20, 4096)[0]
-        mapsim._grid_peak(config, prior, samples, grid)  # fills the caches
+        z = mapsim._fold(config, prior, samples)
+        mapsim._grid_peak(z, 4096)  # fills the caches
         tracemalloc.start()
         try:
-            mapsim._grid_peak(config, prior, samples, grid)
+            mapsim._grid_peak(z, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,8 +179,9 @@ class TestRefinePeaks:
             config = SignalConfig(K=K, snr=10.0 ** (snr_db / 10.0))
             mc = McConfig(trials=32, seed=100 * K + snr_db + 20)
             _, samples = mapsim._trials(config, prior, mc, None)
-            centers = mapsim._grid_peak(config, prior, samples, mapsim._grid_table(K, 4096)[0])
-            got = mapsim._refine_peaks(config, prior, samples, centers, _CELL)
+            z = mapsim._fold(config, prior, samples)
+            centers = mapsim._grid_peak(z, 4096)
+            got = mapsim._refine_peaks(z, centers, _CELL)
             x0, offset = _dense_golden_peak(config, prior, samples, centers, _CELL)
             np.testing.assert_allclose(got, x0 + offset, rtol=0.0, atol=1e-9)
             # never lower than the reference, up to rounding of the rise itself
@@ -198,11 +196,11 @@ class TestRefinePeaks:
         config = SignalConfig(K=K, snr=10.0 ** -0.3)
         prior = VonMisesPrior(mu=0.7, kappa=1.0)
         _, samples = mapsim._trials(config, prior, McConfig(trials=1031, seed=K), None)
-        centers = mapsim._grid_peak(config, prior, samples, mapsim._grid_table(K, 4096)[0])
-        batch = mapsim._refine_peaks(config, prior, samples, centers, _CELL)
+        z = mapsim._fold(config, prior, samples)
+        centers = mapsim._grid_peak(z, 4096)
+        batch = mapsim._refine_peaks(z, centers, _CELL)
         for size in (1, 7):
-            parts = [mapsim._refine_peaks(config, prior, samples[i:i + size],
-                                          centers[i:i + size], _CELL)
+            parts = [mapsim._refine_peaks(z[i:i + size], centers[i:i + size], _CELL)
                      for i in range(0, 63, size)]
             assert np.array_equal(np.concatenate(parts), batch[:63])
 
@@ -212,20 +210,19 @@ class TestRefinePeaks:
         config = SignalConfig(K=20, snr=1.0)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         _, samples = mapsim._trials(config, prior, McConfig(trials=64, seed=4), None)
-        centers = mapsim._grid_peak(config, prior, samples, mapsim._grid_table(20, 4096)[0])
+        z = mapsim._fold(config, prior, samples)
+        centers = mapsim._grid_peak(z, 4096)
         above, below = centers + 1.5 * _CELL, centers - 1.5 * _CELL
-        got_above = mapsim._refine_peaks(config, prior, samples, above, _CELL)
-        got_below = mapsim._refine_peaks(config, prior, samples, below, _CELL)
+        got_above = mapsim._refine_peaks(z, above, _CELL)
+        got_below = mapsim._refine_peaks(z, below, _CELL)
         np.testing.assert_allclose(got_above, above - _CELL, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(got_below, below + _CELL, rtol=0.0, atol=1e-12)
 
     def test_flat_objective_stays_finite(self):
-        # zero samples and kappa = 0 make f, f' and f'' vanish everywhere
-        config = SignalConfig(K=20, snr=1.0)
+        # zero coefficients make f, f' and f'' vanish everywhere
         centers = np.array([-1.0, 0.0, 2.5])
         with np.errstate(all="raise"):
-            got = mapsim._refine_peaks(config, VonMisesPrior(), np.zeros((3, 20), complex),
-                                       centers, _CELL)
+            got = mapsim._refine_peaks(np.zeros((3, 20), complex), centers, _CELL)
         # no end is higher, so the left one is kept, as golden section does
         assert np.array_equal(got, centers - _CELL)
 
@@ -272,6 +269,21 @@ class TestMonteCarlo:
         config = SignalConfig(K=20, snr=1.0)
         mapsim._trials(config, VonMisesPrior(kappa=1.0), McConfig(trials=trials, seed=3), None)
         assert calls == [([3, 0],), ([3, 1],)]
+
+    def test_each_chunk_is_folded_once(self, monkeypatch):
+        # the grid search and the refinement share one fold per trial chunk:
+        # 2,500 trials are three chunks of at most 1,024
+        calls = []
+        fold = mapsim._fold
+
+        def counting(config, prior, samples):
+            calls.append(len(samples))
+            return fold(config, prior, samples)
+
+        monkeypatch.setattr(mapsim, "_fold", counting)
+        config = SignalConfig(K=20, snr=1.0)
+        run_monte_carlo(config, VonMisesPrior(kappa=1.0), McConfig(trials=2500, seed=3))
+        assert calls == [1024, 1024, 452]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -171,6 +171,12 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(TestPointConfig(2, 10, 0), 20)
 
+    @pytest.mark.parametrize("K", [0, -5])
+    def test_k_below_one_rejected(self, K):
+        # without side lobes nothing else in the set depends on K
+        with pytest.raises(DomainError):
+            build(TestPointConfig(2, 0, 1), K)
+
 
 class TestSetValidation:
     def test_rejects_nonpositive(self):

@@ -4,8 +4,8 @@ The strongest checks are against oracles derived from first principles:
 a Gaussian product-integral identity for the data exponents, direct-pdf
 adaptive quadrature for the prior integrals, and a Monte Carlo estimate of
 the defining score-product expectation for whole matrix entries. The
-exponents are read per score product from `_product_exponents`; whole
-entries come from the score matrices (`conftest.build_q`) of one- and
+exponents are read per score product from `_cores` and `_log_integrals` of
+the `_products` rows; whole entries come from the score matrices (`conftest.build_q`) of one- and
 two-point sets.
 """
 import math
@@ -22,9 +22,11 @@ from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, TestPointSet, build
 from circbound.wwb import (
     WwbResult,
+    _cores,
     _log_integrals,
-    _product_exponents,
+    _products,
     _set_parts,
+    _supports,
     best_s,
     wwb_axis,
     wwb_value,
@@ -39,13 +41,12 @@ from conftest import (
 )
 
 TIGHT_QUAD = QuadratureSpec(node_count=64, rel_tol=1e-12)
-FLAT = VonMisesPrior()
 S_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 def mu_cross(term, s_i, s_j, h_i, h_j, K, snr):
     """Data exponent of score product `term` (1..4)."""
-    return snr * float(_product_exponents(FLAT, K, s_i, s_j, h_i, h_j)[0][term - 1])
+    return snr * float(_cores(*_products(s_i, s_j, h_i, h_j), K)[term - 1])
 
 
 def mu_i(s, h, K, snr):
@@ -55,7 +56,7 @@ def mu_i(s, h, K, snr):
 
 def gamma_cross(term, prior, s_i, s_j, h_i, h_j, quad=DEFAULT_QUAD):
     """Prior log-integral of score product `term` (1..4); -inf on empty support."""
-    return float(_product_exponents(prior, 1, s_i, s_j, h_i, h_j, quad)[1][term - 1])
+    return float(_log_integrals(prior, *_supports(*_products(s_i, s_j, h_i, h_j)), quad)[term - 1])
 
 
 def gamma_i(prior, s, h, quad=DEFAULT_QUAD):
@@ -205,10 +206,11 @@ class TestQMatrix:
         for _ in range(50):
             h_a = float(rng.uniform(0.01, math.pi))
             h_b = float(rng.uniform(0.01, math.pi))
-            ab = _product_exponents(prior, config.K, 0.5, 0.5, h_a, h_b)
-            ba = _product_exponents(prior, config.K, 0.5, 0.5, h_b, h_a)
-            for x, y in zip(ab, ba):
-                assert x == pytest.approx(y[[0, 2, 1, 3]], rel=1e-10)
+            # column 0 holds (h_a, h_b), column 1 the swapped pair
+            w, o = _products(0.5, 0.5, np.array([h_a, h_b]), np.array([h_b, h_a]))
+            logs = _log_integrals(prior, *_supports(w, o), DEFAULT_QUAD).reshape(4, 2)
+            for x in (_cores(w, o, config.K), logs):
+                assert x[:, 0] == pytest.approx(x[[0, 2, 1, 3], 1], rel=1e-10)
 
     def test_monte_carlo_oracle_uniform_prior(self):
         prior = VonMisesPrior(mu=0.0, kappa=0.0)
