@@ -3,8 +3,9 @@
 The MAP objective is one trigonometric polynomial whose coefficients hold the
 samples and the prior; only `_fold` knows how. Each chunk of trials is folded
 once, and both stages take just the coefficients: the objective is maximised
-over a grid, scored in cache-sized blocks of trial rows (`_grid_peak`), and
-each grid peak is refined by Newton steps (`_refine_peaks`).
+over a grid by scoring every S-th point and then only the cells that can
+still hold the maximum, in cache-sized blocks of trial rows (`_grid_peak`),
+and each grid peak is refined by Newton steps (`_refine_peaks`).
 
 The randomness of a run comes from two streams seeded by (seed, 0) and
 (seed, 1): truths are drawn from the first as one von Mises array and the noise
@@ -28,7 +29,7 @@ __all__ = ["McConfig", "McResult", "wrap_error", "run_monte_carlo"]
 
 _NEWTON_STEPS = 4
 _TRIAL_CHUNK = 1024  # trials folded at once: bounds the fold and refinement temporaries
-_BLOCK_VALUES = 1 << 17  # grid scores per block: about 1 MiB, reduced while in cache
+_BLOCK_VALUES = 1 << 17  # values per block of scores or kept cells: about 1 MiB, reduced in cache
 
 
 @dataclass(frozen=True)
@@ -39,17 +40,15 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        object.__setattr__(self, "seed", seed)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.grid_size < 64:
-            raise ValueError(f"grid_size must be >= 64, got {self.grid_size}")
+        for name, least in (("trials", 1), ("grid_size", 64), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}") from None
+            if value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -77,30 +76,78 @@ def _fold(config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray) -> np
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_table(n_coef: int, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grid g (G,) on [-pi, pi) and [cos(k g); sin(k g)] (2 n_coef, G),
-    k < n_coef, matching `_fold` coefficients of that count."""
+def _grid_table(n_coef: int, grid_size: int) -> tuple:
+    """Read-only tables of the grid search for `_fold` coefficients of that
+    count, k < n_coef: the grid g (G,) on [-pi, pi); the stride S, the
+    largest divisor of G no greater than G / (8 n_coef) and sqrt(G), or 1;
+    [cos(k g); sin(k g)] (2 n_coef, G/S) at every S-th point; e^{-j k g}
+    (G/S, n_coef) at those points if S > 1, else None; and the offset table
+    (2 n_coef, S - 1) of cos(k d) in even and sin(k d) in odd rows, d = 2 pi
+    j / G for 0 < j < S."""
     grid = -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
-    kg = np.outer(np.arange(n_coef), grid)
-    table = np.concatenate([np.cos(kg), np.sin(kg)])
-    grid.flags.writeable = table.flags.writeable = False
-    return grid, table
+    limit = max(1, min(grid_size // (8 * n_coef), math.isqrt(grid_size)))
+    stride = max(s for s in range(1, limit + 1) if grid_size % s == 0)
+    kg = np.outer(np.arange(n_coef), grid[::stride])
+    coarse = np.concatenate([np.cos(kg), np.sin(kg)])
+    phasors = np.exp(-1j * kg.T) if stride > 1 else None
+    kd = np.outer(np.arange(n_coef), 2.0 * math.pi * np.arange(1, stride) / grid_size)
+    offsets = np.empty((2 * n_coef, stride - 1))
+    offsets[0::2], offsets[1::2] = np.cos(kd), np.sin(kd)
+    for array in (grid, coarse, phasors, offsets):
+        if array is not None:
+            array.flags.writeable = False
+    return grid, stride, coarse, phasors, offsets
 
 
 def _grid_peak(z: np.ndarray, grid_size: int) -> np.ndarray:
     """Argmax of the objective with `_fold` coefficients z over the
-    `_grid_table` grid, per row of z: the product [Re z | Im z] @ [cos; sin],
-    taken in blocks of about `_BLOCK_VALUES` scores, each reduced by argmax
-    while it is still in cache."""
-    grid, table = _grid_table(z.shape[1], grid_size)
-    parts = np.concatenate([z.real, z.imag], axis=1)
-    rows = max(1, _BLOCK_VALUES // grid_size)
-    scores = np.empty((min(rows, len(parts)), grid_size))
-    best = np.empty(len(parts), dtype=np.intp)
-    for i in range(0, len(parts), rows):
-        chunk = parts[i:i + rows]
-        np.matmul(chunk, table, out=scores[:len(chunk)])
-        np.argmax(scores[:len(chunk)], axis=1, out=best[i:i + rows])
+    `_grid_table` grid, per row of z, the first in grid order among equal
+    scores; only the cells that can hold it are scored in full.
+
+    The product [Re z | Im z] @ [cos; sin] scores every S-th point, in blocks
+    of about `_BLOCK_VALUES` scores. Cell c runs from point cS to (c + 1)S,
+    the last one to point 0. As |f''| <= M2 = sum k^2 |z_k|, f within a cell
+    of width D = 2 pi S / G exceeds the higher of its ends by at most
+    M2 D^2 / 8. A cell is kept when that bound, plus a rounding margin of
+    1e-12 sum (|Re z_k| + |Im z_k|), reaches the best scored point; the cell
+    holding the maximum always is. Each kept cell's S - 1 inner points are
+    scored by z_k e^{-j k g_c}, z rotated to the cell's start, times the
+    offset table, in chunks of about `_BLOCK_VALUES` values."""
+    n_coef = z.shape[1]
+    grid, stride, coarse, phasors, offsets = _grid_table(n_coef, grid_size)
+    cells = grid_size // stride
+    bend = np.arange(n_coef) ** 2.0 * (2.0 * math.pi * stride / grid_size) ** 2 / 8.0
+    rows = max(1, _BLOCK_VALUES // cells)
+    # a kept cell takes about 8 n_coef + S values: its gathered, rotated and
+    # interleaved coefficients, its scores and its indices
+    pairs = max(1, _BLOCK_VALUES // (8 * n_coef + stride))
+    scores = np.empty((min(rows, len(z)), cells))
+    best = np.empty(len(z), dtype=np.intp)
+    for i in range(0, len(z), rows):
+        block = z[i:i + rows]
+        parts = np.concatenate([block.real, block.imag], axis=1)
+        coarse_scores = np.matmul(parts, coarse, out=scores[:len(block)])
+        top = np.argmax(coarse_scores, axis=1)
+        value = np.take_along_axis(coarse_scores, top[:, None], axis=1)[:, 0]
+        index = top * stride
+        if stride > 1:
+            slack = np.abs(block) @ bend + 1e-12 * np.abs(parts).sum(axis=1)
+            near = coarse_scores >= (value - slack)[:, None]
+            kept = np.flatnonzero(near | np.roll(near, -1, axis=1))
+            for j in range(0, len(kept), pairs):
+                row, cell = np.divmod(kept[j:j + pairs], cells)
+                fine = (block[row] * phasors[cell]).view(np.float64) @ offsets
+                at = np.argmax(fine, axis=1)
+                peak = np.take_along_axis(fine, at[:, None], axis=1)[:, 0]
+                at += cell * stride + 1
+                # each row's highest point so far, the first in grid order among equals
+                high = value.copy()
+                np.maximum.at(high, row, peak)
+                index[high > value] = grid_size
+                tied = peak == high[row]
+                np.minimum.at(index, row[tied], at[tied])
+                value = high
+        best[i:i + rows] = index
     return grid[best]
 
 

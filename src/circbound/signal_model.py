@@ -40,6 +40,16 @@ def synthesize(config: SignalConfig, thetas: np.ndarray, normals: np.ndarray) ->
     outside = thetas[~((thetas >= -math.pi) & (thetas <= math.pi))]
     if outside.size:
         raise ValueError(f"theta outside [-pi, pi]: {outside[0]}")
-    clean = config.amplitude * np.exp(1j * (thetas[:, None] * np.arange(config.K) + config.phi))
-    return clean + (normals[:, 0] + 1j * normals[:, 1])
+    x = thetas[:, None] * np.arange(config.K) + config.phi
+    # A cos(x) + u and A sin(x) + v, the bits of A e^{ix} + (u + iv) without
+    # a complex exponential per sample
+    rows = np.empty(x.shape, dtype=complex)
+    re, im = rows.real, rows.imag
+    np.cos(x, out=re)
+    re *= config.amplitude
+    re += normals[:, 0]
+    np.sin(x, out=im)
+    im *= config.amplitude
+    im += normals[:, 1]
+    return rows
 

@@ -11,7 +11,7 @@ from circbound import mapsim
 from circbound.benchmarks import bcrb
 from circbound.mapsim import McConfig, run_monte_carlo, wrap_error
 from circbound.prior import VonMisesPrior
-from circbound.signal_model import SignalConfig
+from circbound.signal_model import SignalConfig, synthesize
 
 from conftest import draw_theta, estimate_one, grid_peak_oracle, observe
 
@@ -130,10 +130,11 @@ class TestMapEstimate:
 
 
 class TestGridPeak:
-    @pytest.mark.parametrize("K", [1, 2, 20, 200])
-    @pytest.mark.parametrize("grid_size", [64, 65, 4096, 4097])
+    @pytest.mark.parametrize("K", [1, 2, 5, 20, 60, 200])
+    @pytest.mark.parametrize("grid_size", [64, 65, 4096, 4097, 4099])
     def test_matches_full_product_oracle(self, K, grid_size):
-        # at G 4096 and 4097 a block holds 32 and 31 rows, so 1,031 rows cross block boundaries
+        # at G 4096 and 4097 a coarse block holds 512 and 543 rows at K=20 and 64
+        # and 31 at K=200, so 1,031 rows cross block boundaries
         config = SignalConfig(K=K, snr=10.0 ** -0.5, phi=0.3)
         for kappa in (0.0, 1.0, 50.0):
             for mu in (-math.pi, 0.0, 0.7):
@@ -153,6 +154,77 @@ class TestGridPeak:
         # zero coefficients tie every grid point: argmax keeps -pi
         got = mapsim._grid_peak(np.zeros((3, 20), complex), grid_size)
         assert np.array_equal(got, np.full(3, -math.pi))
+
+    @pytest.mark.parametrize(("n_coef", "grid_size", "stride"), [
+        (2, 4096, 64), (5, 4096, 64), (20, 4096, 16), (60, 4096, 8), (200, 4096, 2),
+        (256, 4096, 2), (257, 4096, 1), (20, 64, 1), (2, 64, 4), (2, 65, 1),
+        (8, 4098, 6), (20, 4097, 17), (2, 4097, 17), (20, 4099, 1)])
+    def test_stride_rule(self, n_coef, grid_size, stride):
+        # the largest divisor of G no greater than G / (8 n_coef) and sqrt(G)
+        got = mapsim._grid_table(n_coef, grid_size)[1]
+        assert got == stride
+        assert grid_size % got == 0
+
+    @pytest.mark.parametrize("K", [256, 257])
+    def test_matches_oracle_either_side_of_the_full_grid(self, K):
+        # at G 4096, K 256 is the largest count scored at stride 2; K 257 takes
+        # every point (stride 1) and has no inner points to score
+        config = SignalConfig(K=K, snr=10.0 ** -0.8, phi=0.3)
+        prior = VonMisesPrior(mu=0.7, kappa=1.0)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=200, seed=K), None)
+        want, near_tie = grid_peak_oracle(config, prior, samples, 4096)
+        got = mapsim._grid_peak(mapsim._fold(config, prior, samples), 4096)
+        assert np.all((got == want) | near_tie)
+
+    @pytest.mark.parametrize(("K", "grid_size"), [(8, 4096), (20, 4096), (20, 4097), (60, 4096)])
+    def test_near_tied_lobes(self, K, grid_size):
+        # two tones whose amplitudes differ by 1e-11 to 1e-3 relative, either
+        # one the larger: the two lobes tie within the cell bound, so cells
+        # around both are kept and scored
+        config = SignalConfig(K=K, snr=1.0)
+        prior = VonMisesPrior(kappa=0.0)
+        k = np.arange(K)
+        gap = np.concatenate([-np.logspace(-11, -3, 60), np.logspace(-11, -3, 60)])[:, None]
+        tones = np.exp(0.9j * k) + (1.0 + gap) * np.exp(-2.1j * k)
+        noise = 1e-3 * np.random.default_rng(K).standard_normal((len(gap), 2, K))
+        samples = tones + noise[:, 0] + 1j * noise[:, 1]
+        want, near_tie = grid_peak_oracle(config, prior, samples, grid_size)
+        got = mapsim._grid_peak(mapsim._fold(config, prior, samples), grid_size)
+        assert np.all((got == want) | near_tie)
+        # both lobes win some rows
+        assert np.any(np.abs(want - 0.9) < 0.1) and np.any(np.abs(want + 2.1) < 0.1)
+
+    @pytest.mark.parametrize("mu", [-math.pi, math.pi])
+    @pytest.mark.parametrize(("K", "grid_size"), [(5, 4096), (20, 4096), (20, 4097)])
+    def test_maximum_in_the_wrap_around_cell(self, K, mu, grid_size):
+        # truths within a few cells of pi and a prior centred there: the
+        # maximum falls in the last cell, whose far end is grid point 0, -pi
+        config = SignalConfig(K=K, snr=10.0)
+        prior = VonMisesPrior(mu=mu, kappa=20.0)
+        step = 2.0 * math.pi / grid_size
+        grid, stride = mapsim._grid_table(K, grid_size)[:2]
+        thetas = math.pi - np.linspace(0.0, (stride + 1.5) * step, 301)
+        noise = 1e-6 * np.random.default_rng(K).standard_normal((len(thetas), 2, K))
+        samples = synthesize(config, thetas, noise)
+        want, near_tie = grid_peak_oracle(config, prior, samples, grid_size)
+        got = mapsim._grid_peak(mapsim._fold(config, prior, samples), grid_size)
+        assert np.all((got == want) | near_tie)
+        index = np.searchsorted(grid, got)
+        assert np.any(index == 0) and np.any(index > grid_size - stride)
+
+    def test_flat_chunk_stays_in_blocks(self):
+        # zero coefficients keep every cell, so every grid point is scored,
+        # still in blocks: a 1,024 x 4,096 float64 score matrix alone is 32 MiB
+        z = np.zeros((1024, 20), complex)
+        mapsim._grid_peak(z, 4096)  # fills the caches
+        tracemalloc.start()
+        try:
+            got = mapsim._grid_peak(z, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.array_equal(got, np.full(1024, -math.pi))
 
     def test_no_score_matrix_per_chunk(self):
         # a 1,024 x 4,096 float64 score matrix alone is 32 MiB
@@ -299,6 +371,19 @@ class TestMonteCarlo:
     def test_numpy_integer_seed_is_taken_as_int(self):
         mc = McConfig(trials=3, seed=np.uint32(5))
         assert type(mc.seed) is int and mc == McConfig(trials=3, seed=5)
+
+    @pytest.mark.parametrize(("field", "value"), [
+        ("trials", 10.5), ("trials", 1000.0), ("trials", "3"), ("trials", None),
+        ("grid_size", 4096.0), ("grid_size", np.float64(128.0)), ("grid_size", "4096")])
+    def test_sizes_must_be_integers(self, field, value):
+        # a float size used to pass here and fail later inside run_monte_carlo
+        with pytest.raises(ValueError, match=field):
+            McConfig(**{field: value})
+
+    def test_numpy_integer_sizes_are_taken_as_int(self):
+        mc = McConfig(trials=np.int64(3), grid_size=np.int32(128))
+        assert type(mc.trials) is int and type(mc.grid_size) is int
+        assert mc == McConfig(trials=3, grid_size=128)
 
     def test_single_trial_reproducible(self):
         config = SignalConfig(K=20, snr=1.0)

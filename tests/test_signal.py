@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from circbound.signal_model import SignalConfig
+from circbound.signal_model import SignalConfig, synthesize
 
 from conftest import observe
 
@@ -51,6 +51,17 @@ class TestGenerate:
         re, im = rng.standard_normal(6), rng.standard_normal(6)
         clean = cfg.amplitude * np.exp(1j * (0.2 * np.arange(6) + cfg.phi))
         assert np.array_equal(got, clean + (re + 1j * im))
+
+    @pytest.mark.parametrize("K", [1, 20, 200])
+    def test_rows_equal_the_complex_exponential_form(self, K):
+        # cos and sin per sample give the bits of A e^{i(theta k + phi)} + (u + iv)
+        cfg = SignalConfig(K=K, snr=0.37, phi=-0.8)
+        rng = np.random.default_rng(K)
+        thetas = np.concatenate([rng.uniform(-math.pi, math.pi, 500), [-math.pi, 0.0, math.pi]])
+        normals = rng.standard_normal((len(thetas), 2, K))
+        x = thetas[:, None] * np.arange(K) + cfg.phi
+        want = cfg.amplitude * np.exp(1j * x) + (normals[:, 0] + 1j * normals[:, 1])
+        assert np.array_equal(synthesize(cfg, thetas, normals), want)
 
     def test_noise_variance(self):
         n = 1_000_000
