@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -64,18 +65,21 @@ class SweepSpec:
     seed: int = 0
     trials: int = 10_000
     mc_grid_size: int = 4096
-    # MAP: carrier phase, fixed true frequency (None samples the prior),
-    # peak refinement, and circular (wrapped) error scoring
-    phi: float = 0.0
+    # MAP: fixed true frequency (None samples the prior), peak refinement,
+    # and circular (wrapped) error scoring
     theta: float | None = None
     refine: bool = True
     wrap: bool = True
     quad_nodes: int = 32
     f_int_hz: float | None = None
-    output_path: str = "-"
-    output_format: str = "csv"
 
     def validate(self):
+        integers = [("k_values", k) for k in self.k_values] + [
+            ("seed", self.seed), ("trials", self.trials), ("grid_size", self.mc_grid_size),
+            ("quad_nodes", self.quad_nodes)]
+        for name, value in integers:  # a float K would label its rows with int(K)
+            if not isinstance(value, numbers.Integral):
+                raise SpecError(name, f"expected an integer, got {value!r}")
         if not self.snr_db:
             raise SpecError("snr_db", "empty SNR grid")
         if any(not (-45.0 <= v <= 30.0) for v in self.snr_db):
@@ -111,8 +115,6 @@ class SweepSpec:
             raise SpecError("seed", "must be >= 0")
         if self.quad_nodes < 16:
             raise SpecError("quad_nodes", "must be >= 16")
-        if not math.isfinite(self.phi):
-            raise SpecError("phi", "must be finite")
         if "MAP" in self.bound_kinds:
             if self.theta is not None and not -math.pi <= self.theta <= math.pi:
                 raise SpecError("theta", "must lie in [-pi, pi]")
@@ -120,8 +122,6 @@ class SweepSpec:
                 raise SpecError("grid_size", "must be >= 64")
         if self.f_int_hz is not None and not 0.0 < self.f_int_hz < math.inf:
             raise SpecError("f_int_hz", "must be finite and > 0")
-        if self.output_format not in ("csv", "json"):
-            raise SpecError("output_format", "must be csv or json")
         for name, values in (("snr_db", self.snr_db), ("k_values", self.k_values),
                              ("kappa_values", self.kappa_values), ("mu_values", self.mu_values),
                              ("bound_kinds", self.bound_kinds), ("testpoint_trio", self.trios),
@@ -222,7 +222,7 @@ def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index
             if isinstance(outcome, Exception):
                 raise outcome
         for trio, res in wwb_at_snr:
-            extra = {"s_grid": spec.s_grid} if spec.maximize_s else {}
+            extra = {"s_grid": list(spec.s_grid)} if spec.maximize_s else {}
             if res.dropped_points:
                 extra["dropped_points"] = list(res.dropped_points)
             if res.s_failed:
@@ -238,7 +238,7 @@ def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index
         point_seed = int(np.random.SeedSequence([spec.seed, point_index]).generate_state(1)[0])
         mc = mapsim.McConfig(trials=spec.trials, grid_size=spec.mc_grid_size,
                              refine=spec.refine, seed=point_seed)
-        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr, phi=spec.phi), prior, mc,
+        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc,
                                      theta_fixed=spec.theta, wrap=spec.wrap)
         rows.append(_row("MAP", snr_db, k, kappa, mu, None, None, res.mse,
                          {"trials": res.trials_used,
@@ -257,6 +257,8 @@ def _fmt(value) -> str:
 
 def emit(rows: list[dict], fmt: str, path: str) -> None:
     """Serialize result rows as CSV or JSON; floats carry 17 significant digits."""
+    if fmt not in ("csv", "json"):
+        raise SpecError("output_format", "must be csv or json")
     if not rows:
         raise SpecError("table", "no rows to emit")
     if fmt == "csv":
@@ -383,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="exponent value or comma grid (wwb: grid -> maximize)")
     sweep_flags.add_argument("--trials", default="10000")
     sweep_flags.add_argument("--grid-size", default="4096")
-    sweep_flags.add_argument("--phi", default="0")
     sweep_flags.add_argument("--theta", default=None, help="fix the true frequency instead of sampling")
     sweep_flags.add_argument("--no-refine", action="store_true")
     sweep_flags.add_argument("--linear-error", action="store_true",
@@ -479,14 +480,11 @@ def _make_spec(args) -> SweepSpec:
         seed=_int(args.seed, "seed"),
         trials=_int(args.trials, "trials"),
         mc_grid_size=_int(args.grid_size, "grid_size"),
-        phi=_float(args.phi, "phi"),
         theta=_float(args.theta, "theta") if args.theta is not None else None,
         refine=not args.no_refine,
         wrap=not args.linear_error,
         quad_nodes=_int(args.quad_nodes, "quad_nodes"),
         f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int else None,
-        output_path=args.out,
-        output_format=args.format,
     )
 
 
@@ -509,8 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         if args.command == "testpoints":
             return _cmd_testpoints(args)
-        spec = _make_spec(args)
-        emit(run_sweep(spec), spec.output_format, spec.output_path)
+        emit(run_sweep(_make_spec(args)), args.format, args.out)
         return 0
     except SystemExit as err:  # argparse's exit: 2 for a usage error, 0 after --help
         return err.code

@@ -67,10 +67,10 @@ def wrap_error(estimate, truth):
 def _fold(config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray) -> np.ndarray:
     """Coefficients z, (n, max(K, 2)), of the MAP objective written as one
     trigonometric polynomial f(theta) = Re sum_k z_k e^{-j theta k}: z_k =
-    2 snr e^{-j phi} x_k / A, and z_1 also holds the prior, since
+    2 snr x_k / A, and z_1 also holds the prior, since
     kappa cos(theta - mu) = Re(kappa e^{j mu} e^{-j theta})."""
     z = np.zeros((samples.shape[0], max(config.K, 2)), dtype=complex)
-    z[:, :config.K] = samples * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
+    z[:, :config.K] = samples * (2.0 * config.snr / config.amplitude)
     z[:, 1] += prior.kappa * np.exp(1j * prior.mu)
     return z
 

@@ -1,6 +1,6 @@
 """Discrete observation model for the normalized circular frequency.
 
-x_k = A e^{i(theta k + phi)} + n_k, k = 0..K-1, with circular complex white
+x_k = A e^{i theta k} + n_k, k = 0..K-1, with circular complex white
 Gaussian noise of variance 2 per sample (unit real and imaginary parts) and
 A = sqrt(2 SNR).
 Everything is in normalized radians per sample; Hz appears only in the CLI.
@@ -17,11 +17,10 @@ __all__ = ["SignalConfig", "synthesize"]
 
 @dataclass(frozen=True)
 class SignalConfig:
-    """K coherent samples at linear power ratio `snr`, known phase `phi`."""
+    """K coherent samples at linear power ratio `snr`."""
 
     K: int
     snr: float
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.K < 1:
@@ -36,11 +35,11 @@ class SignalConfig:
 
 
 def synthesize(config: SignalConfig, thetas: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Rows A e^{i(theta k + phi)} + u_k + i v_k; normals (n, 2, K) hold (u, v)."""
+    """Rows A e^{i theta k} + u_k + i v_k; normals (n, 2, K) hold (u, v)."""
     outside = thetas[~((thetas >= -math.pi) & (thetas <= math.pi))]
     if outside.size:
         raise ValueError(f"theta outside [-pi, pi]: {outside[0]}")
-    x = thetas[:, None] * np.arange(config.K) + config.phi
+    x = thetas[:, None] * np.arange(config.K)
     # A cos(x) + u and A sin(x) + v, the bits of A e^{ix} + (u + iv) without
     # a complex exponential per sample
     rows = np.empty(x.shape, dtype=complex)

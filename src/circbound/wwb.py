@@ -197,8 +197,9 @@ def wwb_axis(
     quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> list[list[WwbResult | RuntimeError]]:
     """The bound h Q^{-1} h^T of a fixed test-point set at every exponent of
-    `s_grid` and every linear SNR of the sequence `snr`: per s, a list over
-    SNR of the result or the error that point fails with.
+    `s_grid` and every linear SNR of the sequence `snr`, each finite and >= 0
+    (0 gives the prior-only bound): per s, a list over SNR of the result or
+    the error that point fails with.
 
     The bound is solved as g C^{-1} g^T, with C the correlation matrix of Q
     and g_a = h_a / sqrt(Q_aa), by one elimination over the stack of every
@@ -213,6 +214,8 @@ def wwb_axis(
     if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
         raise ValueError("s_grid must be non-empty with all values in (0, 1)")
     snr = np.asarray(snr, dtype=float)
+    if not np.all((snr >= 0.0) & (snr < np.inf)):
+        raise ValueError(f"snr must be finite and >= 0, got {snr.tolist()}")
     h = tuple(points.h.tolist())
     stacks, failed = [], {}
     for s in s_grid:

@@ -198,7 +198,7 @@ def grid_peak_oracle(config: SignalConfig, prior: VonMisesPrior, samples, grid_s
     argmax. Returns the grid value per row, and a mask of the rows whose two
     best scores lie within 1e-12 relative, where rounding may pick either."""
     grid, cos, sin = _oracle_table(config.K, grid_size)
-    z = np.asarray(samples) * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
+    z = np.asarray(samples) * (2.0 * config.snr / config.amplitude)
     scores = z.real @ cos + z.imag @ sin + prior.kappa * np.cos(grid - prior.mu)
     second, first = np.partition(scores, -2, axis=1)[:, -2:].T
     near_tie = first - second <= 1e-12 * np.abs(first)

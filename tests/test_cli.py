@@ -77,6 +77,32 @@ class TestSweepValidation:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: invalid {field}: value ")
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("k_values", dict(k_values=[20.5])),
+        ("k_values", dict(k_values=[20.0], bound_kinds=["MAP"])),
+        ("seed", dict(seed=1.5)),
+        ("trials", dict(trials=10.0, bound_kinds=["WWB", "MAP"])),
+        ("grid_size", dict(mc_grid_size=4096.0, bound_kinds=["WWB", "MAP"])),
+        ("quad_nodes", dict(quad_nodes=32.5)),
+    ])
+    def test_integer_fields_checked_before_any_work(self, field, overrides, monkeypatch):
+        # a float K would be computed at K = 20.5 and labelled k = 20
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bound was computed before the spec was checked")
+        monkeypatch.setattr("circbound.wwb.wwb_axis", no_work)
+        monkeypatch.setattr("circbound.mapsim.run_monte_carlo", no_work)
+        with pytest.raises(SpecError) as exc:
+            run_sweep(_small_spec(**overrides))
+        assert exc.value.fieldname == field and "expected an integer" in str(exc.value)
+
+    def test_numpy_integer_fields_accepted(self):
+        spec = _small_spec(k_values=[np.int64(20)], seed=np.uint32(3), trials=np.int32(20),
+                           mc_grid_size=np.int64(256), quad_nodes=np.int16(32),
+                           bound_kinds=["BCRB", "MAP"])
+        rows = run_sweep(spec)
+        assert all(r["k"] == 20 for r in rows)
+        assert rows[-1]["extra"]["trials"] == 20
+
 
 class TestRunSweep:
     def test_row_count_and_sorting(self):
@@ -102,6 +128,12 @@ class TestRunSweep:
         assert rows[0]["extra"]["trials"] == 50
         assert 0.0 <= rows[0]["extra"]["outlier_fraction"] <= 1.0
         assert 0.0 < rows[0]["extra"]["mse_se"] < math.inf
+
+    def test_wwb_rows_own_their_s_grid(self):
+        spec = _small_spec(bound_kinds=["WWB"], s_grid=[0.3, 0.5], maximize_s=True)
+        grids = [r["extra"]["s_grid"] for r in run_sweep(spec)]
+        assert len(grids) == 2 and all(g == [0.3, 0.5] for g in grids)
+        assert grids[0] is not grids[1] and all(g is not spec.s_grid for g in grids)
 
     def test_hz_conversion(self):
         spec = _small_spec(f_int_hz=1000.0)
@@ -156,6 +188,13 @@ class TestEmit:
         back = json.loads(out.read_text())
         assert len(back) == len(rows)
         assert back[0]["kind"] == rows[0]["kind"]
+
+    @pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+    def test_unknown_format_rejected(self, fmt, tmp_path):
+        out = tmp_path / "table"
+        with pytest.raises(SpecError) as exc:
+            emit(run_sweep(_small_spec()), fmt, str(out))
+        assert exc.value.fieldname == "output_format" and not out.exists()
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(SpecError):
@@ -265,7 +304,7 @@ class TestMainExitCodes:
         (["sweep", "--mu", "0,x"], "mu_values"),
         (["sweep", "--snr-db=0:x:1"], "snr_db"),
         (["bcrb", "--snr-db", "1,2dB"], "snr_db"),
-        (["map-sim", "--phi", "x"], "phi"),
+        (["zzb", "--kappa", "1,2,y"], "kappa_values"),
         (["map-sim", "--theta", "x"], "theta"),
         (["wwb", "--s", "x"], "s_grid"),
         (["wwb", "--f-int", "abc"], "f_int_hz"),
@@ -278,11 +317,6 @@ class TestMainExitCodes:
     def test_non_finite_snr_axis_names_field(self, axis, capsys):
         assert main(["sweep", f"--snr-db={axis}"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid snr_db: start, stop and step must be finite")
-
-    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
-    def test_non_finite_phi_rejected(self, phi, capsys):
-        assert main(["map-sim", f"--phi={phi}", "--trials", "50"]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid phi: must be finite")
 
     @pytest.mark.parametrize("f_int", ["-5", "0", "nan", "inf"])
     def test_f_int_must_be_finite_and_positive(self, f_int, capsys):
@@ -401,6 +435,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("argv, code", [
         (["wwb", "--bogus"], 2), (["sweep", "--figure", "99"], 2), (["wwb", "--help"], 0),
+        (["bcrb", "--format", "xml"], 2), (["map-sim", "--phi", "0.3"], 2),
     ])
     def test_argparse_exit_code_returned(self, argv, code, capsys):
         assert main(argv) == code
@@ -441,12 +476,12 @@ class TestMainExitCodes:
     def test_map_sim_options_reach_monte_carlo(self, tmp_path):
         out = tmp_path / "map.csv"
         rc = main(["map-sim", "--snr-db=-5", "--trials", "40", "--seed", "2",
-                   "--phi", "0.3", "--theta", "0.4", "--no-refine", "--linear-error",
+                   "--theta", "0.4", "--no-refine", "--linear-error",
                    "--out", str(out)])
         assert rc == 0
         seed = int(np.random.SeedSequence([2, 0]).generate_state(1)[0])
         want = mapsim.run_monte_carlo(
-            SignalConfig(K=20, snr=10.0 ** -0.5, phi=0.3), VonMisesPrior(mu=0.0, kappa=1.0),
+            SignalConfig(K=20, snr=10.0 ** -0.5), VonMisesPrior(mu=0.0, kappa=1.0),
             mapsim.McConfig(trials=40, refine=False, seed=seed),
             theta_fixed=0.4, wrap=False,
         )
@@ -503,7 +538,7 @@ class TestOneKindCommands:
         ("wwb", "WWB", ["--k", "24", "--kappa", "2", "--trio", "2,9,0", "--s", "0.3"]),
         ("bcrb", "BCRB", ["--k", "10,20", "--kappa", "0.5", "--mu", "1", "--f-int", "1000"]),
         ("zzb", "ZZB", ["--kappa", "0,3", "--format", "json"]),
-        ("map-sim", "MAP", ["--trials", "40", "--seed", "2", "--phi", "0.3", "--theta", "0.4",
+        ("map-sim", "MAP", ["--trials", "40", "--seed", "2", "--theta", "0.4",
                             "--no-refine", "--linear-error"]),
     ])
     def test_equals_one_kind_sweep_at_0_db(self, command, kind, flags, capsys):

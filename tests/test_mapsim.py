@@ -27,13 +27,13 @@ _CELL = 2.0 * math.pi / 4096
 
 def _rise(config, prior, samples, x0, delta):
     """f(x0 + delta) - f(x0) per row, f(theta) = Re sum_k z_k e^{-j theta k} +
-    kappa cos(theta - mu) with z = 2 snr e^{-j phi} x / A.
+    kappa cos(theta - mu) with z = 2 snr x / A.
 
     Summed from terms that vanish with delta, so differences near a peak stay
     accurate where f itself is flat to rounding.
     """
     k = np.arange(config.K)
-    z = samples * (2.0 * config.snr / config.amplitude * np.exp(-1j * config.phi))
+    z = samples * (2.0 * config.snr / config.amplitude)
     w0 = z * np.exp(-1j * x0[:, None] * k)
     kd = k * delta[:, None]
     data = (w0.imag * np.sin(kd) - 2.0 * w0.real * np.sin(0.5 * kd) ** 2).sum(axis=1)
@@ -135,7 +135,7 @@ class TestGridPeak:
     def test_matches_full_product_oracle(self, K, grid_size):
         # at G 4096 and 4097 a coarse block holds 512 and 543 rows at K=20 and 64
         # and 31 at K=200, so 1,031 rows cross block boundaries
-        config = SignalConfig(K=K, snr=10.0 ** -0.5, phi=0.3)
+        config = SignalConfig(K=K, snr=10.0 ** -0.5)
         for kappa in (0.0, 1.0, 50.0):
             for mu in (-math.pi, 0.0, 0.7):
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
@@ -169,7 +169,7 @@ class TestGridPeak:
     def test_matches_oracle_either_side_of_the_full_grid(self, K):
         # at G 4096, K 256 is the largest count scored at stride 2; K 257 takes
         # every point (stride 1) and has no inner points to score
-        config = SignalConfig(K=K, snr=10.0 ** -0.8, phi=0.3)
+        config = SignalConfig(K=K, snr=10.0 ** -0.8)
         prior = VonMisesPrior(mu=0.7, kappa=1.0)
         _, samples = mapsim._trials(config, prior, McConfig(trials=200, seed=K), None)
         want, near_tie = grid_peak_oracle(config, prior, samples, 4096)
@@ -306,7 +306,7 @@ class TestMonteCarlo:
         # noise from the (seed, 1) stream; kappa 1e7 takes numpy's
         # wrapped-normal branch of vonmises
         for kappa in (0.0, 2.0, 800.0, 1e7):
-            config = SignalConfig(K=7, snr=0.3, phi=0.2)
+            config = SignalConfig(K=7, snr=0.3)
             prior = VonMisesPrior(mu=0.5, kappa=kappa)
             mc = McConfig(trials=50, seed=12)
             truths, samples = mapsim._trials(config, prior, mc, theta_fixed)

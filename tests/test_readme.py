@@ -1,22 +1,28 @@
-"""The README's CLI examples parse with the parser as it is, so the two cannot
-drift apart. The commands are parsed and validated, not run."""
+"""The README's CLI examples parse with the parser as it is, and its CLI
+section names every flag, so the two cannot drift apart. The commands are
+parsed and validated, not run."""
+import argparse
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
 from circbound import testpoints
-from circbound.cli import _int, _make_spec, _parse_args, _trio
+from circbound.cli import _build_parser, _int, _make_spec, _parse_args, _trio
 from circbound.testpoints import TestPointConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _cli_section() -> str:
+    return README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _cli_commands() -> list[list[str]]:
     """The argv of every `circbound ...` line of the README's CLI block,
     with backslash continuations joined."""
-    section = README.read_text().split("\n## CLI\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("circbound ")]
 
@@ -33,3 +39,13 @@ def test_command_parses_into_a_valid_spec(argv):
         testpoints.build(TestPointConfig(*_trio(args.config)), _int(args.k, "k"))
     else:
         _make_spec(args).validate()
+
+
+def test_cli_section_names_every_flag():
+    # the section's prose also names `--flag=value` (argparse's form for a
+    # negative list) and `--kap` (an abbreviation of --kappa), which are not flags
+    named = set(re.findall(r"--[a-z](?:[a-z-]*[a-z])?", _cli_section())) - {"--flag", "--kap"}
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {option for command in sub.choices.values()
+             for option in command._option_string_actions if option.startswith("--")}
+    assert named == flags - {"--help"}

@@ -30,11 +30,11 @@ class TestConfig:
 
 class TestGenerate:
     def test_noiseless_samples_exact(self):
-        cfg = SignalConfig(K=8, snr=3.0, phi=math.pi / 6.0)
+        cfg = SignalConfig(K=8, snr=3.0)
         theta = 0.4 * math.pi
         samples = observe(cfg, theta, _ZeroNoise())
         k = np.arange(8)
-        want = cfg.amplitude * np.exp(1j * (theta * k + cfg.phi))
+        want = cfg.amplitude * np.exp(1j * theta * k)
         assert np.allclose(samples, want, atol=1e-15)
 
     def test_deterministic_given_seed(self):
@@ -45,21 +45,21 @@ class TestGenerate:
 
     def test_stream_order_real_then_imaginary_draws(self):
         # one trial's stream: K real noise parts, then K imaginary parts
-        cfg = SignalConfig(K=6, snr=0.7, phi=0.3)
+        cfg = SignalConfig(K=6, snr=0.7)
         got = observe(cfg, 0.2, np.random.default_rng(3))
         rng = np.random.default_rng(3)
         re, im = rng.standard_normal(6), rng.standard_normal(6)
-        clean = cfg.amplitude * np.exp(1j * (0.2 * np.arange(6) + cfg.phi))
+        clean = cfg.amplitude * np.exp(1j * 0.2 * np.arange(6))
         assert np.array_equal(got, clean + (re + 1j * im))
 
     @pytest.mark.parametrize("K", [1, 20, 200])
     def test_rows_equal_the_complex_exponential_form(self, K):
-        # cos and sin per sample give the bits of A e^{i(theta k + phi)} + (u + iv)
-        cfg = SignalConfig(K=K, snr=0.37, phi=-0.8)
+        # cos and sin per sample give the bits of A e^{i theta k} + (u + iv)
+        cfg = SignalConfig(K=K, snr=0.37)
         rng = np.random.default_rng(K)
         thetas = np.concatenate([rng.uniform(-math.pi, math.pi, 500), [-math.pi, 0.0, math.pi]])
         normals = rng.standard_normal((len(thetas), 2, K))
-        x = thetas[:, None] * np.arange(K) + cfg.phi
+        x = thetas[:, None] * np.arange(K)
         want = cfg.amplitude * np.exp(1j * x) + (normals[:, 0] + 1j * normals[:, 1])
         assert np.array_equal(synthesize(cfg, thetas, normals), want)
 

@@ -10,6 +10,7 @@ two-point sets.
 """
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -531,6 +532,24 @@ class TestSnrAxis:
                     assert isinstance(outcome, WwbResult)
                     assert math.isfinite(10.0 * math.log10(outcome.mse_bound))
                     assert outcome.mse_bound > 0.0
+
+    @pytest.mark.parametrize("snr", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_invalid_snr_rejected(self, snr):
+        # a negative SNR gives a meaningless value (7.5e8 rad^2 at -1), and NaN
+        # or inf drop every test point
+        points = build(TestPointConfig(2, 9, 10), 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+                wwb_axis(VonMisesPrior(mu=0.0, kappa=1.0), 20, points, [1.0, snr], [0.5])
+
+    def test_zero_snr_is_the_prior_only_bound(self):
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+        points = build(TestPointConfig(2, 9, 10), 20)
+        ((zero, tiny),) = wwb_axis(prior, 20, points, [0.0, 1e-12], [0.5])
+        assert zero.mse_bound == pytest.approx(1.603476, rel=1e-6)
+        assert zero.mse_bound == pytest.approx(tiny.mse_bound, rel=1e-9)
+        assert zero.mse_bound <= prior.variance()
 
     def test_s_grid_equals_one_s_calls(self):
         # at kappa = 5000 the set {0.1 pi, 0.9 pi} builds its score matrix at
