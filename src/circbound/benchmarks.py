@@ -5,25 +5,30 @@ import math
 
 from .numerics import gamma_p_3_2, normal_tail
 from .prior import VonMisesPrior
+from .signal_model import SignalConfig
 
 __all__ = ["fisher_information", "bcrb", "zzb"]
 
 
 def fisher_information(K: int, snr: float) -> float:
     """SNR * K(K-1)(2K-1)/3, i.e. 2 SNR sum_{k=0}^{K-1} k^2."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if snr <= 0.0:
-        raise ValueError(f"snr must be > 0, got {snr}")
+    SignalConfig(K, snr)  # an integer K >= 1 and 0 < snr < inf
     return snr * K * (K - 1) * (2 * K - 1) / 3.0
 
 
 def bcrb(prior: VonMisesPrior, K: int, snr: float) -> float:
-    """1 / (J_F + kappa I1(kappa)/I0(kappa))."""
+    """1 / (J_F + kappa I1(kappa)/I0(kappa)).
+
+    At K=1 the bound is about 2/kappa^2, which exceeds the largest double
+    below kappa ~ 1e-154: that raises OverflowError instead of returning inf.
+    """
     denom = fisher_information(K, snr) + prior.kappa * prior.bessel_ratio()
-    if denom == 0.0:
+    if prior.kappa == 0.0 and denom == 0.0:
         raise ZeroDivisionError("no data or prior information (K=1, kappa=0)")
-    return 1.0 / denom
+    bound = 1.0 / denom if denom > 0.0 else math.inf
+    if bound == math.inf:
+        raise OverflowError(f"BCRB exceeds the largest double: information {denom!r}")
+    return bound
 
 
 def zzb(prior: VonMisesPrior, K: int, snr: float) -> float:

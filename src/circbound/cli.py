@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import benchmarks, mapsim, testpoints, wwb
-from .numerics import QuadratureError, QuadratureSpec
+from .numerics import QuadratureSpec
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointConfig
@@ -40,10 +41,6 @@ class SpecError(ValueError):
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"invalid {fieldname}: {message}")
         self.fieldname = fieldname
-
-
-class GridPointError(RuntimeError):
-    """Numerical failure at a specific grid point."""
 
 
 class WriteError(Exception):
@@ -80,24 +77,14 @@ class SweepSpec:
         for name, value in integers:  # a float K would label its rows with int(K)
             if not isinstance(value, numbers.Integral):
                 raise SpecError(name, f"expected an integer, got {value!r}")
-        if not self.snr_db:
-            raise SpecError("snr_db", "empty SNR grid")
         if any(not (-45.0 <= v <= 30.0) for v in self.snr_db):
             raise SpecError("snr_db", "values must lie within [-45, 30] dB")
-        if not self.k_values:
-            raise SpecError("k_values", "empty list")
         if any(k < 1 for k in self.k_values):
             raise SpecError("k_values", "K must be >= 1")
-        if not self.kappa_values:
-            raise SpecError("kappa_values", "empty list")
         if any(not 0.0 <= k < math.inf for k in self.kappa_values):
             raise SpecError("kappa_values", "kappa must be finite and >= 0")
-        if not self.mu_values:
-            raise SpecError("mu_values", "empty list")
         if any(not (-math.pi <= m <= math.pi) for m in self.mu_values):
             raise SpecError("mu_values", "mu must lie in [-pi, pi]")
-        if not self.bound_kinds:
-            raise SpecError("bound_kinds", "empty list")
         if any(k not in KINDS for k in self.bound_kinds):
             raise SpecError("bound_kinds", f"kinds must be a subset of {KINDS}")
         if "BCRB" in self.bound_kinds and 1 in self.k_values and 0 in self.kappa_values:
@@ -105,10 +92,8 @@ class SweepSpec:
                             "neither the data nor the prior carries information")
         if "ZZB" in self.bound_kinds and any(k < 2 for k in self.k_values):
             raise SpecError("k_values", "ZZB needs K >= 2")
-        if not self.s_grid or any(not (0.0 < s < 1.0) for s in self.s_grid):
+        if any(not (0.0 < s < 1.0) for s in self.s_grid):
             raise SpecError("s_grid", "values must lie in (0, 1)")
-        if not self.trios:
-            raise SpecError("testpoint_trio", "empty list")
         if self.trials < 1:
             raise SpecError("trials", "must be >= 1")
         if self.seed < 0:
@@ -126,6 +111,8 @@ class SweepSpec:
                              ("kappa_values", self.kappa_values), ("mu_values", self.mu_values),
                              ("bound_kinds", self.bound_kinds), ("testpoint_trio", self.trios),
                              ("s_grid", self.s_grid)):
+            if not values:
+                raise SpecError(name, "empty list")
             repeated = [v for v, count in Counter(values).items() if count > 1]
             if repeated:  # a repeated value would repeat rows and their work
                 raise SpecError(name, f"value {repeated[0]!r} is repeated")
@@ -160,36 +147,34 @@ def _row(kind, snr_db, k, kappa, mu, s, trio, value, extra):
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the Cartesian product of sweep axes; one row per (kind, point).
 
-    Points are numbered in k x kappa x mu x SNR order. The MAP trials at
-    point i use the seed SeedSequence([spec.seed, i]), so a MAP row does not
-    depend on which other kinds the sweep evaluates. WWB is evaluated over
+    Every test-point set is built before any bound, so a trio that some K
+    cannot supply fails before any work. Points are numbered in k x kappa x
+    mu x SNR order. The MAP trials at point i use the seed
+    SeedSequence([spec.seed, i]), so a MAP row does not depend on which
+    other kinds the sweep evaluates. WWB is evaluated over
     the whole SNR axis per (k, kappa, mu) first; a failure it stores is
     raised when the loop reaches its grid point, so the first failure in
     loop order is the one reported.
     """
     spec.validate()
+    trios = spec.trios if "WWB" in spec.bound_kinds else []
+    point_sets = {k: {trio: _point_set(trio, k) for trio in trios} for k in spec.k_values}
     quad = QuadratureSpec(node_count=spec.quad_nodes)
     rows: list[dict] = []
     point_index = 0
-    for k in spec.k_values:
-        point_sets = {}
-        if "WWB" in spec.bound_kinds:
-            point_sets = {trio: _point_set(trio, k) for trio in spec.trios}
-        for kappa in spec.kappa_values:
-            for mu in spec.mu_values:
-                prior = VonMisesPrior(mu=mu, kappa=kappa)
-                wwb_outcomes = _wwb_axis(spec, quad, prior, k, point_sets)
-                for snr_db, wwb_at_snr in zip(spec.snr_db, wwb_outcomes):
-                    for kind in spec.bound_kinds:
-                        where = f"kind={kind} K={k} kappa={kappa} mu={mu} snr_db={snr_db}"
-                        try:
-                            rows.extend(_eval_point(
-                                kind, spec, prior, k, kappa, mu, snr_db,
-                                wwb_at_snr, point_index,
-                            ))
-                        except (QuadratureError, OverflowError, RuntimeError) as err:
-                            raise GridPointError(f"numerical failure at {where}: {err}") from err
-                    point_index += 1
+    for k, kappa, mu in itertools.product(spec.k_values, spec.kappa_values, spec.mu_values):
+        prior = VonMisesPrior(mu=mu, kappa=kappa)
+        wwb_outcomes = _wwb_axis(spec, quad, prior, k, point_sets[k])
+        for snr_db, wwb_at_snr in zip(spec.snr_db, wwb_outcomes):
+            for kind in spec.bound_kinds:
+                try:
+                    rows.extend(_eval_point(
+                        kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index,
+                    ))
+                except (OverflowError, RuntimeError) as err:
+                    where = f"kind={kind} K={k} kappa={kappa} mu={mu} snr_db={snr_db}"
+                    raise RuntimeError(f"numerical failure at {where}: {err}") from err
+            point_index += 1
     if spec.f_int_hz is not None:
         for row in rows:  # f_IF = theta * f_INT / (2 pi); RMS error converted the same way
             row["extra"]["rmse_hz"] = math.sqrt(row["value_rad2"]) * spec.f_int_hz / (2.0 * math.pi)
@@ -228,12 +213,9 @@ def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index
             if res.s_failed:
                 extra["s_failed"] = [list(pair) for pair in res.s_failed]
             rows.append(_row("WWB", snr_db, k, kappa, mu, res.s, trio, res.mse_bound, extra))
-    elif kind == "BCRB":
-        rows.append(_row("BCRB", snr_db, k, kappa, mu, None, None,
-                         benchmarks.bcrb(prior, k, snr), {}))
-    elif kind == "ZZB":
-        rows.append(_row("ZZB", snr_db, k, kappa, mu, None, None,
-                         benchmarks.zzb(prior, k, snr), {}))
+    elif kind in ("BCRB", "ZZB"):  # looked up per call, so a wrapper set on the module is seen
+        bound = getattr(benchmarks, kind.lower())
+        rows.append(_row(kind, snr_db, k, kappa, mu, None, None, bound(prior, k, snr), {}))
     elif kind == "MAP":
         point_seed = int(np.random.SeedSequence([spec.seed, point_index]).generate_state(1)[0])
         mc = mapsim.McConfig(trials=spec.trials, grid_size=spec.mc_grid_size,
@@ -252,7 +234,17 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
     return str(value)
+
+
+def _csv(header: list[str], records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(value) for value in record] for record in records)
+    return buf.getvalue()
 
 
 def emit(rows: list[dict], fmt: str, path: str) -> None:
@@ -262,17 +254,7 @@ def emit(rows: list[dict], fmt: str, path: str) -> None:
     if not rows:
         raise SpecError("table", "no rows to emit")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row["kind"], _fmt(row["snr_db"]), row["k"], _fmt(row["kappa"]),
-                _fmt(row["mu_rad"]), _fmt(row["s"]), row["trio"],
-                _fmt(row["value_rad2"]), _fmt(row["value_db"]),
-                json.dumps(row["extra"], sort_keys=True),
-            ])
-        text = buf.getvalue()
+        text = _csv(CSV_COLUMNS, ([row[column] for column in CSV_COLUMNS] for row in rows))
     else:
         text = json.dumps(rows, sort_keys=True, indent=1) + "\n"
     _write(text, path)
@@ -493,12 +475,8 @@ def _cmd_testpoints(args) -> int:
     if k < 1:
         raise SpecError("k", "K must be >= 1")
     points = _point_set(trio, k)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["h_rad", "h_over_pi", "provenance"])
-    for h, tag in zip(points.h, points.provenance):
-        writer.writerow([f"{h:.17g}", f"{h / math.pi:.17g}", tag])
-    _write(buf.getvalue(), args.out)
+    records = ((h, h / math.pi, tag) for h, tag in zip(points.h, points.provenance))
+    _write(_csv(["h_rad", "h_over_pi", "provenance"], records), args.out)
     return 0
 
 
@@ -511,10 +489,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except SystemExit as err:  # argparse's exit: 2 for a usage error, 0 after --help
         return err.code
-    except (SpecError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (GridPointError, QuadratureError, OverflowError, RuntimeError) as err:
+    except (OverflowError, RuntimeError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
     except WriteError as err:

@@ -8,6 +8,7 @@ Everything is in normalized radians per sample; Hz appears only in the CLI.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,14 @@ class SignalConfig:
     snr: float
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if self.snr <= 0.0:
-            raise ValueError(f"snr must be > 0, got {self.snr}")
+        try:
+            K = operator.index(self.K)
+        except TypeError:
+            raise ValueError(f"K must be an integer >= 1, got {self.K!r}") from None
+        if K < 1:
+            raise ValueError(f"K must be an integer >= 1, got {K}")
+        if not 0.0 < self.snr < math.inf:
+            raise ValueError(f"snr must be finite and > 0, got {self.snr}")
 
     @property
     def amplitude(self) -> float:

@@ -24,10 +24,16 @@ class TestFisherInformation:
             assert fisher_information(K, 0.7) == pytest.approx(want, rel=1e-12)
 
     def test_validation(self):
+        # K is an integer >= 1 and 0 < snr < inf
+        for K, snr in [(0, 1.0), (10, 0.0), (2.5, 1.0), (20, math.inf), (20, math.nan)]:
+            with pytest.raises(ValueError):
+                fisher_information(K, snr)
+
+    @pytest.mark.parametrize("bound", [bcrb, zzb])
+    @pytest.mark.parametrize("snr", [math.inf, math.nan])
+    def test_bounds_reject_non_finite_snr(self, bound, snr):
         with pytest.raises(ValueError):
-            fisher_information(0, 1.0)
-        with pytest.raises(ValueError):
-            fisher_information(10, 0.0)
+            bound(VonMisesPrior(kappa=1.0), 20, snr)
 
 
 class TestBcrb:
@@ -60,6 +66,15 @@ class TestBcrb:
     def test_no_information_at_all(self):
         with pytest.raises(ZeroDivisionError):
             bcrb(VonMisesPrior(kappa=0.0), 1, 1.0)
+
+    @pytest.mark.parametrize("kappa", [1e-200, 1e-160])
+    def test_single_sample_past_largest_double_overflows(self, kappa):
+        # at K=1 the bound is about 2/kappa^2: past 1.8e308 below kappa ~ 1e-154
+        with pytest.raises(OverflowError, match="exceeds the largest double"):
+            bcrb(VonMisesPrior(kappa=kappa), 1, 1.0)
+
+    def test_single_sample_tiny_concentration_value(self):
+        assert bcrb(VonMisesPrior(kappa=1e-150), 1, 1.0) == 1.9999999999999998e+300
 
 
 class TestZzb:

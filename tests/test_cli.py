@@ -387,6 +387,28 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: invalid {field}: must ")
 
+    def test_every_trio_checked_before_any_work(self, capsys, monkeypatch):
+        # K=5 cannot supply 9 side-lobe points; K=20, listed first, must not run
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bound was computed before every trio was checked")
+        monkeypatch.setattr("circbound.wwb.wwb_axis", no_work)
+        monkeypatch.setattr("circbound.mapsim.run_monte_carlo", no_work)
+        argv = ["sweep", "--kinds", "WWB,MAP", "--k", "20,5", "--trio", "2,9,0", "--snr-db=0"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid testpoint_trio: K=5:")
+
+    @pytest.mark.parametrize("argv", [
+        ["bcrb", "--k", "1", "--kappa", "1e-200"],
+        ["bcrb", "--k", "1", "--kappa", "1e-160"],
+        ["sweep", "--kinds", "BCRB", "--k", "1,20", "--kappa", "1e-160", "--snr-db=0"],
+    ])
+    def test_bcrb_past_largest_double_names_grid_point(self, argv, capsys):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical error: numerical failure at kind=BCRB K=1 ")
+        assert "exceeds the largest double" in err
+
     def test_zzb_single_sample_names_k(self, capsys):
         assert main(["zzb", "--k", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid k_values:")

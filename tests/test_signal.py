@@ -22,10 +22,11 @@ class TestConfig:
         assert cfg.amplitude == pytest.approx(2.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SignalConfig(K=0, snr=1.0)
-        with pytest.raises(ValueError):
-            SignalConfig(K=10, snr=0.0)
+        # K is an integer >= 1 and 0 < snr < inf
+        for K, snr in [(0, 1.0), (10, 0.0), (2.5, 1.0), (20.0, 1.0), ("20", 1.0),
+                       (20, math.inf), (20, math.nan)]:
+            with pytest.raises(ValueError):
+                SignalConfig(K=K, snr=snr)
 
 
 class TestGenerate:
