@@ -4,7 +4,6 @@ with a MAP Monte Carlo validation harness."""
 
 from .benchmarks import bcrb, fisher_information, zzb
 from .mapsim import McConfig, McResult, run_monte_carlo, wrap_error
-from .numerics import QuadratureSpec
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointConfig, TestPointSet, build, even_points, sidelobe_points
@@ -13,8 +12,7 @@ from .wwb import WwbResult, wwb_value
 __all__ = [
     "bcrb", "fisher_information", "zzb",
     "McConfig", "McResult", "run_monte_carlo", "wrap_error",
-    "QuadratureSpec", "VonMisesPrior",
-    "SignalConfig",
+    "VonMisesPrior", "SignalConfig",
     "TestPointConfig", "TestPointSet", "build", "even_points", "sidelobe_points",
     "WwbResult", "wwb_value",
 ]

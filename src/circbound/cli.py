@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import benchmarks, mapsim, testpoints, wwb
-from .numerics import QuadratureSpec
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointConfig
@@ -67,13 +66,11 @@ class SweepSpec:
     theta: float | None = None
     refine: bool = True
     wrap: bool = True
-    quad_nodes: int = 32
     f_int_hz: float | None = None
 
     def validate(self):
         integers = [("k_values", k) for k in self.k_values] + [
-            ("seed", self.seed), ("trials", self.trials), ("grid_size", self.mc_grid_size),
-            ("quad_nodes", self.quad_nodes)]
+            ("seed", self.seed), ("trials", self.trials), ("grid_size", self.mc_grid_size)]
         for name, value in integers:  # a float K would label its rows with int(K)
             if not isinstance(value, numbers.Integral):
                 raise SpecError(name, f"expected an integer, got {value!r}")
@@ -98,8 +95,6 @@ class SweepSpec:
             raise SpecError("trials", "must be >= 1")
         if self.seed < 0:
             raise SpecError("seed", "must be >= 0")
-        if self.quad_nodes < 16:
-            raise SpecError("quad_nodes", "must be >= 16")
         if "MAP" in self.bound_kinds:
             if self.theta is not None and not -math.pi <= self.theta <= math.pi:
                 raise SpecError("theta", "must lie in [-pi, pi]")
@@ -159,12 +154,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     spec.validate()
     trios = spec.trios if "WWB" in spec.bound_kinds else []
     point_sets = {k: {trio: _point_set(trio, k) for trio in trios} for k in spec.k_values}
-    quad = QuadratureSpec(node_count=spec.quad_nodes)
     rows: list[dict] = []
     point_index = 0
     for k, kappa, mu in itertools.product(spec.k_values, spec.kappa_values, spec.mu_values):
         prior = VonMisesPrior(mu=mu, kappa=kappa)
-        wwb_outcomes = _wwb_axis(spec, quad, prior, k, point_sets[k])
+        wwb_outcomes = _wwb_axis(spec, prior, k, point_sets[k])
         for snr_db, wwb_at_snr in zip(spec.snr_db, wwb_outcomes):
             for kind in spec.bound_kinds:
                 try:
@@ -185,14 +179,14 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _wwb_axis(spec, quad, prior, k, point_sets) -> list[tuple]:
+def _wwb_axis(spec, prior, k, point_sets) -> list[tuple]:
     """WWB outcomes of every test-point set over the whole SNR axis, one tuple
     per SNR of spec.snr_db: (trio, result) in row order, or (trio, error)
     for an error that the grid point raises when the SNR loop reaches it."""
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     columns = []
     for trio, points in point_sets.items():
-        per_s = wwb.wwb_axis(prior, k, points, snrs, spec.s_grid, quad)
+        per_s = wwb.wwb_axis(prior, k, points, snrs, spec.s_grid)
         if spec.maximize_s:
             per_s = [[wwb.best_s(spec.s_grid, outcomes) for outcomes in zip(*per_s)]]
         columns.extend([(trio, outcome) for outcome in outcomes] for outcomes in per_s)
@@ -354,8 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_flags = argparse.ArgumentParser(add_help=False, parents=[io_flags])
     sweep_flags.add_argument("--seed", default="0", help="master seed for all randomness")
     sweep_flags.add_argument("--format", default="csv", choices=("csv", "json"))
-    sweep_flags.add_argument("--quad-nodes", default="32",
-                             help="panel floor of each prior integral's x8 doubling budget")
     sweep_flags.add_argument("--f-int", default=None, help="integration rate in Hz for unit columns")
     sweep_flags.add_argument("--snr-db", default=None,
                              help="start:stop:step or comma list (default 0, sweep -20:10:1)")
@@ -465,7 +457,6 @@ def _make_spec(args) -> SweepSpec:
         theta=_float(args.theta, "theta") if args.theta is not None else None,
         refine=not args.no_refine,
         wrap=not args.linear_error,
-        quad_nodes=_int(args.quad_nodes, "quad_nodes"),
         f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int else None,
     )
 

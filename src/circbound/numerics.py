@@ -79,6 +79,8 @@ def dirichlet_kernel(h, K: int):
 # together until their nodes reach it (an entry with more is evaluated
 # alone); it bounds the node-sized temporaries of a pass at 64 KiB each
 _CHUNK_NODES = 8192
+# an integral still moving at this many panels fails: 64 x 256, the cap of a sized start
+_MAX_PANELS = 16384
 
 
 def _composite_gl(f, a, b, rows: np.ndarray, panels: np.ndarray) -> np.ndarray:
@@ -117,7 +119,7 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panels=None):
     entry its starting panel count (default `spec.node_count`). Each entry
     converges on its own, when one doubling of its panels changes it by at
     most `rel_tol` relatively; an entry still moving once its panels reach
-    8 * max(node_count, start) signals QuadratureError.
+    _MAX_PANELS signals QuadratureError.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a > b):
@@ -130,21 +132,20 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panels=None):
     out = np.zeros(a.shape)
     rows = np.flatnonzero(a < b)
     panels = start[rows]
-    limit = 8 * np.maximum(spec.node_count, panels)
     prev = _panel_sums(f, a, b, rows, panels)
     while rows.size:
         panels = 2 * panels
         cur = _panel_sums(f, a, b, rows, panels)
         done = np.abs(cur - prev) <= spec.rel_tol * np.maximum(np.abs(cur), 1e-300)
         out[rows[done]] = cur[done]
-        spent = ~done & (panels >= limit)
+        spent = ~done & (panels >= _MAX_PANELS)
         if np.any(spent):
             i = np.argmax(spent)
             raise QuadratureError(
                 f"integral on [{a[rows[i]]}, {b[rows[i]]}] did not converge to "
                 f"rel_tol={spec.rel_tol} after {panels[i]} panels"
             )
-        rows, panels, limit, prev = rows[~done], panels[~done], limit[~done], cur[~done]
+        rows, panels, prev = rows[~done], panels[~done], cur[~done]
     return out
 
 

@@ -92,7 +92,7 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
     factored out for stability at large kappa. Each integral starts from
     half the panels its length and curvature ask for, ceil(4 + L sqrt(amp))
     with amp = kappa |z|, so its first doubling reaches them; the start is
-    capped at 8 node_count, the most panels a start at node_count reaches.
+    capped at 8 node_count, which leaves doublings below `integrate`'s ceiling.
     The scaled integrand peaks at exactly 1 on its interval, so a zero sum
     means every node missed the peak: that raises QuadratureError.
     """
@@ -126,7 +126,7 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
 
 @lru_cache(maxsize=_SET_CACHE_SIZE)
 def _set_parts(
-    K: int, h: tuple[float, ...], s: float, prior: VonMisesPrior, quad: QuadratureSpec
+    K: int, h: tuple[float, ...], s: float, prior: VonMisesPrior
 ) -> tuple[np.ndarray, np.ndarray]:
     """SNR-free parts (core, gamma), each 4 x r x r, of the score matrix of the points `h`.
 
@@ -145,7 +145,7 @@ def _set_parts(
     w, o = _products(s, s_j, h_i, h_j)
     cores = _cores(w, o, K)
     supports = (np.concatenate([x[:, :n].ravel(), x[0, n:]]) for x in _supports(w, o))
-    logs = _log_integrals(prior, *supports, quad)
+    logs = _log_integrals(prior, *supports, DEFAULT_QUAD)
     parts = []
     for entries, norm in ((cores[:, :n], cores[0, n:]), (logs[:4 * n].reshape(4, n), logs[4 * n:])):
         full = np.empty((4, r, r))
@@ -189,12 +189,7 @@ def _outcome(s: float, bound: float, keep: list[bool]) -> WwbResult | RuntimeErr
 
 
 def wwb_axis(
-    prior: VonMisesPrior,
-    K: int,
-    points: TestPointSet,
-    snr,
-    s_grid,
-    quad: QuadratureSpec = DEFAULT_QUAD,
+    prior: VonMisesPrior, K: int, points: TestPointSet, snr, s_grid
 ) -> list[list[WwbResult | RuntimeError]]:
     """The bound h Q^{-1} h^T of a fixed test-point set at every exponent of
     `s_grid` and every linear SNR of the sequence `snr`, each finite and >= 0
@@ -220,7 +215,7 @@ def wwb_axis(
     stacks, failed = [], {}
     for s in s_grid:
         try:
-            stacks.append(_combine(*_set_parts(K, h, s, prior, quad), snr))
+            stacks.append(_combine(*_set_parts(K, h, s, prior), snr))
         except RuntimeError as err:
             failed[s] = err
     if stacks:
@@ -231,15 +226,10 @@ def wwb_axis(
             for s in s_grid]
 
 
-def wwb_value(
-    prior: VonMisesPrior,
-    config: SignalConfig,
-    points: TestPointSet,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-) -> WwbResult:
+def wwb_value(prior: VonMisesPrior, config: SignalConfig, points: TestPointSet) -> WwbResult:
     """The bound h Q^{-1} h^T for a fixed test-point set: `wwb_axis` at
     s = 0.5 and the one SNR of `config`, with its error raised."""
-    ((res,),) = wwb_axis(prior, config.K, points, [config.snr], [0.5], quad)
+    ((res,),) = wwb_axis(prior, config.K, points, [config.snr], [0.5])
     if isinstance(res, Exception):
         raise res
     return res

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from circbound import mapsim, wwb
-from circbound.numerics import DEFAULT_QUAD, dirichlet_kernel
+from circbound.numerics import dirichlet_kernel
 from circbound.prior import VonMisesPrior, wrap_angle
 from circbound.signal_model import SignalConfig, synthesize
 
@@ -251,10 +251,10 @@ def sidelobe_oracle(K: int, grid_step: float) -> np.ndarray:
     return np.array(sorted(peaks))
 
 
-def build_q(prior: VonMisesPrior, config: SignalConfig, points, s=0.5, quad=DEFAULT_QUAD) -> np.ndarray:
+def build_q(prior: VonMisesPrior, config: SignalConfig, points, s=0.5) -> np.ndarray:
     """The full symmetric score matrix of a test-point set at the exponent s
     and the SNR of `config`: Q_ab = C_ab exp(half_a + half_b)."""
-    core, gamma = wwb._set_parts(config.K, tuple(points.h.tolist()), s, prior, quad)
+    core, gamma = wwb._set_parts(config.K, tuple(points.h.tolist()), s, prior)
     (c,), (half,) = wwb._combine(core, gamma, np.array([config.snr]))
     return c * np.exp(half[:, None] + half[None, :])
 

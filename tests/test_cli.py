@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from circbound import mapsim
+from circbound import mapsim, testpoints, wwb
 from circbound.cli import (
     SpecError,
     SweepSpec,
@@ -19,6 +19,7 @@ from circbound.cli import (
 )
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
+from circbound.testpoints import TestPointConfig
 from conftest import parse_rows
 
 
@@ -83,7 +84,6 @@ class TestSweepValidation:
         ("seed", dict(seed=1.5)),
         ("trials", dict(trials=10.0, bound_kinds=["WWB", "MAP"])),
         ("grid_size", dict(mc_grid_size=4096.0, bound_kinds=["WWB", "MAP"])),
-        ("quad_nodes", dict(quad_nodes=32.5)),
     ])
     def test_integer_fields_checked_before_any_work(self, field, overrides, monkeypatch):
         # a float K would be computed at K = 20.5 and labelled k = 20
@@ -97,8 +97,7 @@ class TestSweepValidation:
 
     def test_numpy_integer_fields_accepted(self):
         spec = _small_spec(k_values=[np.int64(20)], seed=np.uint32(3), trials=np.int32(20),
-                           mc_grid_size=np.int64(256), quad_nodes=np.int16(32),
-                           bound_kinds=["BCRB", "MAP"])
+                           mc_grid_size=np.int64(256), bound_kinds=["BCRB", "MAP"])
         rows = run_sweep(spec)
         assert all(r["k"] == 20 for r in rows)
         assert rows[-1]["extra"]["trials"] == 20
@@ -274,6 +273,19 @@ class TestMainExitCodes:
         (row,) = parse_rows(out.read_text())
         assert row["value_rad2"] == 0.5171918780647798
 
+    def test_row_records_dropped_points(self, tmp_path):
+        # two samples cannot tell 62 offsets apart: most pivots from point 12 on fail
+        out = tmp_path / "w.csv"
+        argv = ["wwb", "--k", "2", "--trio", "2,0,60", "--kappa", "20", "--snr-db=-10", "--s", "0.1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        (row,) = parse_rows(out.read_text())
+        dropped = row["extra"]["dropped_points"]
+        assert dropped and all(isinstance(i, int) for i in dropped)
+        assert all(a < b for a, b in zip(dropped, dropped[1:]))
+        points = testpoints.build(TestPointConfig(2, 0, 60), 2)
+        ((res,),) = wwb.wwb_axis(VonMisesPrior(kappa=20.0), 2, points, [0.1], [0.1])
+        assert dropped == list(res.dropped_points)
+
     def test_map_sim_theta_outside_circle(self, capsys):
         rc = main(["map-sim", "--theta", "3.5", "--trials", "5"])
         assert rc == 2
@@ -290,7 +302,7 @@ class TestMainExitCodes:
         (["map-sim", "--grid-size", "4e3"], "grid_size"),
         (["sweep", "--trials", "1.5"], "trials"),
         (["sweep", "--grid-size", "x"], "grid_size"),
-        (["bcrb", "--quad-nodes", "32.0"], "quad_nodes"),
+        (["zzb", "--k", "10,2e1"], "k_values"),
         (["wwb", "--k", "20.5"], "k_values"),
         (["wwb", "--trio", "2,9,x"], "testpoint_trio"),
         (["testpoints", "--k", "ten"], "k"),
@@ -323,14 +335,17 @@ class TestMainExitCodes:
         assert main(["wwb", f"--f-int={f_int}"]) == 2
         assert capsys.readouterr().err.startswith("error: invalid f_int_hz: must be finite and > 0")
 
-    @pytest.mark.parametrize("argv", [
-        ["wwb", "--quad-nodes", "8"],
-        ["bcrb", "--quad-nodes", "15"],
-        ["sweep", "--kinds", "WWB,ZZB", "--snr-db=0", "--quad-nodes", "0"],
+    @pytest.mark.parametrize("argv, message", [
+        (["bcrb", "--k", "0"], "invalid k_values: K must be >= 1"),
+        (["bcrb", "--mu", "4"], "invalid mu_values: mu must lie in [-pi, pi]"),
+        (["bcrb", "--snr-db=0:10"], "invalid snr_db: expected start:stop:step"),
+        (["bcrb", "--snr-db=0:10:0"], "invalid snr_db: step must be > 0"),
+        (["wwb", "--trio", "2,9"], "invalid testpoint_trio: expected C,S,E"),
     ])
-    def test_quad_nodes_below_floor_names_field(self, argv, capsys):
+    def test_out_of_domain_flag_names_field(self, argv, message, capsys):
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: invalid quad_nodes:")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["bcrb", "--kappa=nan"], id="nan"),
@@ -377,6 +392,7 @@ class TestMainExitCodes:
         (["sweep", "--kinds", "WWB,MAP", "--grid-size", "10", "--snr-db=0"], "grid_size"),
         (["map-sim", "--theta", "-3.2", "--trials", "5"], "theta"),
         (["map-sim", "--grid-size", "63", "--trials", "5"], "grid_size"),
+        (["map-sim", "--trials", "0"], "trials"),
     ])
     def test_map_values_checked_before_any_work(self, argv, field, capsys, monkeypatch):
         def no_work(*args, **kwargs):
@@ -449,7 +465,7 @@ class TestMainExitCodes:
         assert len(lines) == 12  # header + legacy 11 points
 
     @pytest.mark.parametrize("flags", [
-        ["--format", "json"], ["--seed", "-4"], ["--quad-nodes", "3"], ["--f-int=-1"],
+        ["--format", "json"], ["--seed", "-4"], ["--trials", "3"], ["--f-int=-1"],
     ])
     def test_testpoints_rejects_flags_it_does_not_use(self, flags, capsys):
         assert main(["testpoints", *flags]) == 2
@@ -458,6 +474,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv, code", [
         (["wwb", "--bogus"], 2), (["sweep", "--figure", "99"], 2), (["wwb", "--help"], 0),
         (["bcrb", "--format", "xml"], 2), (["map-sim", "--phi", "0.3"], 2),
+        (["wwb", "--quad-nodes", "64"], 2),
     ])
     def test_argparse_exit_code_returned(self, argv, code, capsys):
         assert main(argv) == code
@@ -630,6 +647,7 @@ class TestConfigFile:
         ("testpoints", "kappa = 1", "kappa"),
         ("wwb", "command = sweep", "command"),
         ("wwb", "config-file = other.cfg", "config-file"),
+        ("wwb", "quad_nodes = 64", "quad_nodes"),
     ])
     def test_unknown_key_rejected(self, command, line, key, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -175,7 +175,7 @@ class TestIntegrate:
     def test_nonconvergence_signalled(self):
         spec = QuadratureSpec(node_count=16, rel_tol=1e-10)
         with pytest.raises(QuadratureError):
-            integrate(lambda t: np.cos(5.0e4 * t), 0.0, 1.0, spec)
+            integrate(lambda t: np.cos(5.0e6 * t), 0.0, 1.0, spec)
 
     def test_node_doubling_stability(self):
         coarse = integrate(lambda t: np.exp(np.cos(t)), -math.pi, math.pi,
@@ -257,13 +257,13 @@ class TestIntegrate:
         assert all(size <= 8192 or entries == 1 for size, entries in calls)
         assert (4096 * 8, 1) in calls and len(calls) > 8
 
-    @pytest.mark.parametrize("start, panels", [(2, 256), (100, 800)])
-    def test_nonconvergent_entry_names_its_interval(self, start, panels):
-        # entry 1 oscillates too fast for any budget; the budget is
-        # 8 * max(node_count, start) panels
-        freq = np.array([1.0, 5.0e4])
+    @pytest.mark.parametrize("start", [2, 256])
+    def test_nonconvergent_entry_names_its_interval(self, start):
+        # entry 1 oscillates too fast for any budget; whatever its start, it
+        # fails once its panels reach the ceiling of 16,384
+        freq = np.array([1.0, 5.0e6])
         f = lambda theta, rows: np.cos(freq[rows] * theta)
-        with pytest.raises(QuadratureError, match=rf"\[0\.25, 0\.75\].* after {panels} panels"):
+        with pytest.raises(QuadratureError, match=r"\[0\.25, 0\.75\].* after 16384 panels"):
             integrate(f, np.array([0.0, 0.25]), np.array([1.0, 0.75]), panels=np.array([start, start]))
 
     def test_per_entry_starts_keep_interval_rules(self):

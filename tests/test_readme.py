@@ -1,6 +1,7 @@
-"""The README's CLI examples parse with the parser as it is, and its CLI
-section names every flag, so the two cannot drift apart. The commands are
-parsed and validated, not run."""
+"""The README's CLI examples parse with the parser as it is, its CLI
+section names every flag, and its numerical notes name no flag the parser
+lacks, so the two cannot drift apart. The commands are parsed and
+validated, not run."""
 import argparse
 import re
 import shlex
@@ -15,14 +16,24 @@ from circbound.testpoints import TestPointConfig
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _cli_section() -> str:
-    return README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+def _section(title: str) -> str:
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _named_flags(text: str) -> set[str]:
+    return set(re.findall(r"--[a-z](?:[a-z-]*[a-z])?", text))
+
+
+def _parser_flags() -> set[str]:
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {option for command in sub.choices.values()
+            for option in command._option_string_actions if option.startswith("--")}
 
 
 def _cli_commands() -> list[list[str]]:
     """The argv of every `circbound ...` line of the README's CLI block,
     with backslash continuations joined."""
-    block = _cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("circbound ")]
 
@@ -44,8 +55,9 @@ def test_command_parses_into_a_valid_spec(argv):
 def test_cli_section_names_every_flag():
     # the section's prose also names `--flag=value` (argparse's form for a
     # negative list) and `--kap` (an abbreviation of --kappa), which are not flags
-    named = set(re.findall(r"--[a-z](?:[a-z-]*[a-z])?", _cli_section())) - {"--flag", "--kap"}
-    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {option for command in sub.choices.values()
-             for option in command._option_string_actions if option.startswith("--")}
-    assert named == flags - {"--help"}
+    named = _named_flags(_section("CLI")) - {"--flag", "--kap"}
+    assert named == _parser_flags() - {"--help"}
+
+
+def test_numerical_notes_name_only_parser_flags():
+    assert _named_flags(_section("Numerical notes")) <= _parser_flags()

@@ -190,3 +190,11 @@ class TestSetValidation:
     def test_rejects_beyond_pi(self):
         with pytest.raises(ValueError):
             TestPointSet(h=np.array([3.5]), provenance=("E",))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty test point set"):
+            TestPointSet(h=np.array([]), provenance=())
+
+    def test_rejects_provenance_length_mismatch(self):
+        with pytest.raises(ValueError, match="provenance length mismatch"):
+            TestPointSet(h=np.array([0.5, 1.0]), provenance=("C",))

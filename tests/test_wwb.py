@@ -131,23 +131,29 @@ class TestPriorExponents:
 
     def test_start_capped_at_fixed_start_maximum(self):
         # (4 + 2 pi sqrt(kappa)) / 2 would ask for 9,936 starting panels;
-        # capped at 8 node_count = 256 the budget ends at 2048 panels
+        # capped at 8 node_count = 256 the doublings end at the 16,384-panel ceiling
         prior = VonMisesPrior(mu=0.0, kappa=1e7)
-        with pytest.raises(QuadratureError, match="after 2048 panels"):
+        with pytest.raises(QuadratureError, match="after 16384 panels"):
             _log_integrals(prior, np.array([1.0]), np.array([-math.pi]), np.array([math.pi]),
                            DEFAULT_QUAD)
 
-    @pytest.mark.parametrize("kappa", [0.0, 1.0, 20.0, 100.0, 600.0])
+    # (kappa, mu): centred priors, then off-centre ones, whose end-peaked
+    # integrals take many doublings from either start
+    CONVERGE_CASES = [(k, 0.0) for k in (0.0, 1.0, 20.0, 100.0, 600.0)] + [
+        (k, m) for k in (150.0, 600.0) for m in (1.0, 2.8)]
+
+    @pytest.mark.parametrize("kappa, mu", CONVERGE_CASES,
+                             ids=[f"{k}" + (f"-mu{m}" if m else "") for k, m in CONVERGE_CASES])
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
-    def test_set_converges_wherever_fixed_starts_do(self, kappa, s, monkeypatch):
+    def test_set_converges_wherever_fixed_starts_do(self, kappa, mu, s, monkeypatch):
         # every integral starting at node_count panels, as the fixed-start
         # rule does, is the reference the sized starts must converge with
-        prior = VonMisesPrior(mu=0.0, kappa=kappa)
+        prior = VonMisesPrior(mu=mu, kappa=kappa)
         h = tuple(build(TestPointConfig(2, 9, 10), 20).h.tolist())
-        _, gamma = _set_parts.__wrapped__(20, h, s, prior, DEFAULT_QUAD)
+        _, gamma = _set_parts.__wrapped__(20, h, s, prior)
         monkeypatch.setattr(wwb, "integrate", lambda f, a, b, spec, panels: integrate(f, a, b, spec))
         try:
-            _, fixed = _set_parts.__wrapped__(20, h, s, prior, DEFAULT_QUAD)
+            _, fixed = _set_parts.__wrapped__(20, h, s, prior)
         except QuadratureError:
             return
         finite = np.isfinite(fixed)
@@ -503,6 +509,8 @@ class TestSnrAxis:
         snrs = [10.0 ** (v / 10.0) for v in (0.0, 18.0, 20.0)]
         ((low, mid, high),) = wwb_axis(prior, 200, points, snrs, [0.5])
         assert low == wwb_value(prior, SignalConfig(K=200, snr=1.0), points)
+        with pytest.raises(RuntimeError, match="^bound value 0 underflows double precision$"):
+            wwb_value(prior, SignalConfig(K=200, snr=1e3), points)
         assert isinstance(mid, RuntimeError) and isinstance(high, RuntimeError)
         assert str(mid) == "bound value 0 underflows double precision"
         assert str(high) == "bound value 0 underflows double precision"
@@ -552,13 +560,13 @@ class TestSnrAxis:
         assert zero.mse_bound <= prior.variance()
 
     def test_s_grid_equals_one_s_calls(self):
-        # at kappa = 5000 the set {0.1 pi, 0.9 pi} builds its score matrix at
+        # at kappa = 2e5 the set {0.1 pi, 0.9 pi} builds its score matrix at
         # s = 0.3 .. 0.7 only: the quadrature of s = 0.1 and 0.9 does not
         # converge, and that error is stored at every SNR of those s
         snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB]
         s_grid = [0.9, 0.1, 0.5, 0.3]
         wide = TestPointSet(h=np.array([0.1, 0.9]) * math.pi, provenance=("E", "E"))
-        cases = [(VonMisesPrior(kappa=5000.0), wide)]
+        cases = [(VonMisesPrior(kappa=2e5), wide)]
         cases += [(VonMisesPrior(mu=0.7, kappa=2.0), points) for points in self._sets()]
         failed = set()
         for prior, points in cases:
