@@ -6,8 +6,9 @@ WWB, ZZB, and BCRB, plus the Monte Carlo standard error so the reader can
 judge whether an apparent bound violation is just noise.
 
 Usage:
-    python3 scripts/map_vs_bounds.py [--kappa 1] [--k 20] [--trials 5000]
+    python3 scripts/map_vs_bounds.py [--kappa 1] [--mu 0] [--k 20] [--trials 5000]
                                      [--seed 0] [--snr-min -20] [--snr-max 10]
+                                     [--step 2]
 """
 
 from __future__ import annotations

@@ -61,9 +61,7 @@ class SweepSpec:
     seed: int = 0
     trials: int = 10_000
     mc_grid_size: int = 4096
-    # MAP: fixed true frequency (None samples the prior), peak refinement,
-    # and circular (wrapped) error scoring
-    theta: float | None = None
+    # MAP: peak refinement and circular (wrapped) error scoring
     refine: bool = True
     wrap: bool = True
     f_int_hz: float | None = None
@@ -95,11 +93,8 @@ class SweepSpec:
             raise SpecError("trials", "must be >= 1")
         if self.seed < 0:
             raise SpecError("seed", "must be >= 0")
-        if "MAP" in self.bound_kinds:
-            if self.theta is not None and not -math.pi <= self.theta <= math.pi:
-                raise SpecError("theta", "must lie in [-pi, pi]")
-            if self.mc_grid_size < 64:
-                raise SpecError("grid_size", "must be >= 64")
+        if "MAP" in self.bound_kinds and self.mc_grid_size < 64:
+            raise SpecError("grid_size", "must be >= 64")
         if self.f_int_hz is not None and not 0.0 < self.f_int_hz < math.inf:
             raise SpecError("f_int_hz", "must be finite and > 0")
         for name, values in (("snr_db", self.snr_db), ("k_values", self.k_values),
@@ -214,8 +209,7 @@ def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index
         point_seed = int(np.random.SeedSequence([spec.seed, point_index]).generate_state(1)[0])
         mc = mapsim.McConfig(trials=spec.trials, grid_size=spec.mc_grid_size,
                              refine=spec.refine, seed=point_seed)
-        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc,
-                                     theta_fixed=spec.theta, wrap=spec.wrap)
+        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc, wrap=spec.wrap)
         rows.append(_row("MAP", snr_db, k, kappa, mu, None, None, res.mse,
                          {"trials": res.trials_used,
                           "outlier_fraction": res.outlier_fraction,
@@ -359,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="exponent value or comma grid (wwb: grid -> maximize)")
     sweep_flags.add_argument("--trials", default="10000")
     sweep_flags.add_argument("--grid-size", default="4096")
-    sweep_flags.add_argument("--theta", default=None, help="fix the true frequency instead of sampling")
     sweep_flags.add_argument("--no-refine", action="store_true")
     sweep_flags.add_argument("--linear-error", action="store_true",
                              help="score estimate - truth without circular wrapping")
@@ -454,10 +447,9 @@ def _make_spec(args) -> SweepSpec:
         seed=_int(args.seed, "seed"),
         trials=_int(args.trials, "trials"),
         mc_grid_size=_int(args.grid_size, "grid_size"),
-        theta=_float(args.theta, "theta") if args.theta is not None else None,
         refine=not args.no_refine,
         wrap=not args.linear_error,
-        f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int else None,
+        f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int is not None else None,
     )
 
 

@@ -187,36 +187,30 @@ def _refine_peaks(z: np.ndarray, centers: np.ndarray, cell: float) -> np.ndarray
     return x
 
 
-def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig, theta_fixed) -> tuple:
+def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig) -> tuple:
     """Truths (N,) and samples (N, K) of `mc.trials` trials: the truths are
-    wrap_angle(default_rng([seed, 0]).vonmises(mu, kappa, N)), unless theta is
-    fixed, and the noise is default_rng([seed, 1]).standard_normal((N, 2, K)).
-    Both are filled in trial order, so the first n trials of any run of N >= n
-    trials are those of an n-trial run."""
+    wrap_angle(default_rng([seed, 0]).vonmises(mu, kappa, N)) and the noise is
+    default_rng([seed, 1]).standard_normal((N, 2, K)). Both are filled in
+    trial order, so the first n trials of any run of N >= n trials are those
+    of an n-trial run."""
     n = mc.trials
-    if theta_fixed is None:
-        truths = wrap_angle(np.random.default_rng([mc.seed, 0]).vonmises(prior.mu, prior.kappa, n))
-    else:
-        truths = np.full(n, float(theta_fixed))
+    truths = wrap_angle(np.random.default_rng([mc.seed, 0]).vonmises(prior.mu, prior.kappa, n))
     normals = np.random.default_rng([mc.seed, 1]).standard_normal((n, 2, config.K))
     return truths, synthesize(config, truths, normals)
 
 
 def run_monte_carlo(
-    config: SignalConfig,
-    prior: VonMisesPrior,
-    mc: McConfig,
-    theta_fixed: float | None = None,
-    wrap: bool = True,
+    config: SignalConfig, prior: VonMisesPrior, mc: McConfig, wrap: bool = True
 ) -> McResult:
     """Bayesian MSE of the MAP estimator over `mc.trials` independent trials.
 
-    Each trial draws theta from the prior (or uses `theta_fixed`), generates
-    observations, estimates, and scores the wrapped error; the MSE and its
-    standard error come from the same scored errors. The draws come from the
-    two streams of `_trials`, seeded by (mc.seed, 0) and (mc.seed, 1).
+    Each trial draws theta from the prior, generates observations, estimates,
+    and scores the wrapped error (the plain difference without `wrap`); the
+    MSE and its standard error come from the same scored errors. The draws
+    come from the two streams of `_trials`, seeded by (mc.seed, 0) and
+    (mc.seed, 1).
     """
-    truths, samples = _trials(config, prior, mc, theta_fixed)
+    truths, samples = _trials(config, prior, mc)
     estimates = np.empty(mc.trials)
     for i in range(0, mc.trials, _TRIAL_CHUNK):
         z = _fold(config, prior, samples[i:i + _TRIAL_CHUNK])

@@ -5,13 +5,10 @@ Everything here is pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUAD",
     "DomainError",
     "QuadratureError",
     "dirichlet_kernel",
@@ -29,22 +26,6 @@ class DomainError(ValueError):
 class QuadratureError(RuntimeError):
     """Composite quadrature failed to converge under node doubling."""
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Composite Gauss-Legendre rule: `node_count` panels, convergence at `rel_tol`."""
-
-    node_count: int = 32
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError(f"node_count must be >= 16, got {self.node_count}")
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError(f"rel_tol must be in (0, 1e-6], got {self.rel_tol}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 # order of the Gauss-Legendre rule inside each panel
 _GL_ORDER = 8
@@ -79,8 +60,14 @@ def dirichlet_kernel(h, K: int):
 # together until their nodes reach it (an entry with more is evaluated
 # alone); it bounds the node-sized temporaries of a pass at 64 KiB each
 _CHUNK_NODES = 8192
-# an integral still moving at this many panels fails: 64 x 256, the cap of a sized start
-_MAX_PANELS = 16384
+# panels of an integral whose start the caller does not size
+_START_PANELS = 32
+# an integral converges when one doubling of its panels moves it by at most this, relatively
+_REL_TOL = 1e-10
+# the cap on a start that a caller sizes, such as the prior integrals of the WWB
+_MAX_START = 8 * _START_PANELS
+# an integral still moving at this many panels fails: six doublings past the largest start
+_MAX_PANELS = 64 * _MAX_START
 
 
 def _composite_gl(f, a, b, rows: np.ndarray, panels: np.ndarray) -> np.ndarray:
@@ -109,24 +96,24 @@ def _panel_sums(f, a, b, rows: np.ndarray, panels: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panels=None):
+def integrate(f, a, b, panels=None):
     """Composite Gauss-Legendre integral of `f` over [a, b].
 
     With scalar limits `f` must accept an ndarray of abscissae and the result
     is a float. With 1-D array limits every entry is its own integral and the
     result is an array: `f(theta, rows)` gets a flat array of abscissae and
     the equally long array of the entries they belong to. `panels` gives each
-    entry its starting panel count (default `spec.node_count`). Each entry
+    entry its starting panel count (default _START_PANELS). Each entry
     converges on its own, when one doubling of its panels changes it by at
-    most `rel_tol` relatively; an entry still moving once its panels reach
+    most _REL_TOL relatively; an entry still moving once its panels reach
     _MAX_PANELS signals QuadratureError.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if np.any(a > b):
         raise DomainError(f"integration interval requires a <= b, got [{a}, {b}]")
     if a.ndim == 0:
-        return float(integrate(lambda t, _: f(t), a[None], b[None], spec)[0])
-    start = np.full(a.shape, spec.node_count) if panels is None else np.asarray(panels)
+        return float(integrate(lambda t, _: f(t), a[None], b[None])[0])
+    start = np.full(a.shape, _START_PANELS) if panels is None else np.asarray(panels)
     if start.shape != a.shape or not np.issubdtype(start.dtype, np.integer) or np.any(start < 1):
         raise DomainError(f"starting panels must be positive integers, one per entry, got {start}")
     out = np.zeros(a.shape)
@@ -136,14 +123,14 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panels=None):
     while rows.size:
         panels = 2 * panels
         cur = _panel_sums(f, a, b, rows, panels)
-        done = np.abs(cur - prev) <= spec.rel_tol * np.maximum(np.abs(cur), 1e-300)
+        done = np.abs(cur - prev) <= _REL_TOL * np.maximum(np.abs(cur), 1e-300)
         out[rows[done]] = cur[done]
         spent = ~done & (panels >= _MAX_PANELS)
         if np.any(spent):
             i = np.argmax(spent)
             raise QuadratureError(
                 f"integral on [{a[rows[i]]}, {b[rows[i]]}] did not converge to "
-                f"rel_tol={spec.rel_tol} after {panels[i]} panels"
+                f"rel_tol={_REL_TOL} after {panels[i]} panels"
             )
         rows, panels, prev = rows[~done], panels[~done], cur[~done]
     return out

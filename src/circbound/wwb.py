@@ -19,14 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_QUAD,
-    QuadratureError,
-    QuadratureSpec,
-    dirichlet_kernel,
-    integrate,
-    inverse_form,
-)
+from .numerics import _MAX_START, QuadratureError, dirichlet_kernel, integrate, inverse_form
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 from .testpoints import TestPointSet
@@ -84,7 +77,7 @@ def _supports(w: np.ndarray, o: np.ndarray):
     return z, -math.pi - np.min(o, axis=1), math.pi - np.max(o, axis=1)
 
 
-def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.ndarray:
+def _log_integrals(prior: VonMisesPrior, z, lo, hi) -> np.ndarray:
     """ln of the integral over [lo, hi] of exp(kappa Re(z e^{i(theta - mu)})) / (2 pi I0), per entry.
 
     A flat array, -inf on empty intervals. The exponent kappa |z| cos(theta - mu
@@ -92,7 +85,7 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
     factored out for stability at large kappa. Each integral starts from
     half the panels its length and curvature ask for, ceil(4 + L sqrt(amp))
     with amp = kappa |z|, so its first doubling reaches them; the start is
-    capped at 8 node_count, which leaves doublings below `integrate`'s ceiling.
+    capped at _MAX_START, which leaves doublings below `integrate`'s ceiling.
     The scaled integrand peaks at exactly 1 on its interval, so a zero sum
     means every node missed the peak: that raises QuadratureError.
     """
@@ -106,7 +99,7 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
     x_lo, x_hi = lo + phase, hi + phase
     peak_inside = 2.0 * math.pi * np.ceil(x_lo / (2.0 * math.pi)) <= x_hi
     shift = amp * np.where(peak_inside, 1.0, np.maximum(np.cos(x_lo), np.cos(x_hi)))
-    start = np.minimum(np.ceil(0.5 * (4.0 + (hi - lo) * np.sqrt(amp))), 8 * quad.node_count)
+    start = np.minimum(np.ceil(0.5 * (4.0 + (hi - lo) * np.sqrt(amp))), _MAX_START)
 
     def f(theta: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # in place, so a pass holds few node-sized temporaries
@@ -115,7 +108,7 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi, quad: QuadratureSpec) -> np.
         x -= shift[rows]
         return np.exp(x, out=x)
 
-    sums = integrate(f, lo, hi, quad, start.astype(int))
+    sums = integrate(f, lo, hi, start.astype(int))
     if not np.all(sums > 0.0):
         i = np.argmin(sums > 0.0)
         raise QuadratureError(f"integral on [{lo[i]}, {hi[i]}] underflows at every quadrature "
@@ -145,7 +138,7 @@ def _set_parts(
     w, o = _products(s, s_j, h_i, h_j)
     cores = _cores(w, o, K)
     supports = (np.concatenate([x[:, :n].ravel(), x[0, n:]]) for x in _supports(w, o))
-    logs = _log_integrals(prior, *supports, DEFAULT_QUAD)
+    logs = _log_integrals(prior, *supports)
     parts = []
     for entries, norm in ((cores[:, :n], cores[0, n:]), (logs[:4 * n].reshape(4, n), logs[4 * n:])):
         full = np.empty((4, r, r))

@@ -13,7 +13,6 @@ import pytest
 from circbound.benchmarks import bcrb, zzb
 from circbound.cli import main
 from circbound.mapsim import McConfig, run_monte_carlo
-from circbound.numerics import QuadratureSpec
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, build, sidelobe_points
@@ -213,10 +212,10 @@ def test_09_oracle_suites():
         von_mises_pdf,
     )
 
-    def gamma(prior, si, sj, h_i, h_j, quad=QuadratureSpec()):
+    def gamma(prior, si, sj, h_i, h_j):
         # prior log-integrals of the four score products; sj = 0, h_j = h_i
         # makes the first one the single-point normalizer of h_i
-        return _log_integrals(prior, *_supports(*_products(si, sj, h_i, h_j)), quad)
+        return _log_integrals(prior, *_supports(*_products(si, sj, h_i, h_j)))
 
     checks = []
 
@@ -229,17 +228,16 @@ def test_09_oracle_suites():
     checks.append(("a", abs(q[0, 0] - est) <= 3.0 * se))
 
     # (b) every prior integral vs direct-pdf quadrature
-    tight = QuadratureSpec(node_count=64, rel_tol=1e-12)
     prior_b = VonMisesPrior(mu=0.3, kappa=2.0)
     ok_b = True
     si, sj, h_i, h_j = 0.6, 0.4, 0.45 * math.pi, 0.2 * math.pi
     want = prior_power_integral_oracle(prior_b, (1.0 - si, si), (0.0, h_i))
-    ok_b &= abs(gamma(prior_b, si, 0.0, h_i, h_i, tight)[0] - want) < 1e-8
-    got = gamma(prior_b, si, sj, h_i, h_j, tight)
+    ok_b &= abs(gamma(prior_b, si, 0.0, h_i, h_i)[0] - want) < 1e-12
+    got = gamma(prior_b, si, sj, h_i, h_j)
     for term in (1, 2, 3, 4):
         weights, offsets = CROSS_LAYOUTS[term](si, sj, h_i, h_j)
         want = prior_power_integral_oracle(prior_b, weights, offsets)
-        ok_b &= abs(got[term - 1] - want) < 1e-8
+        ok_b &= abs(got[term - 1] - want) < 1e-12
     checks.append(("b", bool(ok_b)))
 
     # (c) uniform-prior closed forms

@@ -286,11 +286,6 @@ class TestMainExitCodes:
         ((res,),) = wwb.wwb_axis(VonMisesPrior(kappa=20.0), 2, points, [0.1], [0.1])
         assert dropped == list(res.dropped_points)
 
-    def test_map_sim_theta_outside_circle(self, capsys):
-        rc = main(["map-sim", "--theta", "3.5", "--trials", "5"])
-        assert rc == 2
-        assert "theta" in capsys.readouterr().err
-
     def test_negative_seed_names_field(self, capsys):
         rc = main(["map-sim", "--seed", "-1", "--trials", "5"])
         assert rc == 2
@@ -317,7 +312,7 @@ class TestMainExitCodes:
         (["sweep", "--snr-db=0:x:1"], "snr_db"),
         (["bcrb", "--snr-db", "1,2dB"], "snr_db"),
         (["zzb", "--kappa", "1,2,y"], "kappa_values"),
-        (["map-sim", "--theta", "x"], "theta"),
+        (["bcrb", "--f-int="], "f_int_hz"),
         (["wwb", "--s", "x"], "s_grid"),
         (["wwb", "--f-int", "abc"], "f_int_hz"),
     ])
@@ -387,10 +382,10 @@ class TestMainExitCodes:
         assert err.startswith("error: invalid kappa_values:") and "K=1" in err
 
     @pytest.mark.parametrize("argv, field", [
-        (["sweep", "--kinds", "WWB,MAP", "--theta", "4", "--snr-db=0"], "theta"),
-        (["sweep", "--kinds", "WWB,MAP", "--theta", "nan", "--snr-db=0"], "theta"),
+        (["sweep", "--kinds", "WWB,MAP", "--seed", "-1", "--snr-db=0"], "seed"),
+        (["sweep", "--kinds", "WWB,MAP", "--trials", "0", "--snr-db=0"], "trials"),
         (["sweep", "--kinds", "WWB,MAP", "--grid-size", "10", "--snr-db=0"], "grid_size"),
-        (["map-sim", "--theta", "-3.2", "--trials", "5"], "theta"),
+        (["map-sim", "--seed", "-1", "--trials", "5"], "seed"),
         (["map-sim", "--grid-size", "63", "--trials", "5"], "grid_size"),
         (["map-sim", "--trials", "0"], "trials"),
     ])
@@ -474,7 +469,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv, code", [
         (["wwb", "--bogus"], 2), (["sweep", "--figure", "99"], 2), (["wwb", "--help"], 0),
         (["bcrb", "--format", "xml"], 2), (["map-sim", "--phi", "0.3"], 2),
-        (["wwb", "--quad-nodes", "64"], 2),
+        (["wwb", "--quad-nodes", "64"], 2), (["map-sim", "--theta", "0.4"], 2),
     ])
     def test_argparse_exit_code_returned(self, argv, code, capsys):
         assert main(argv) == code
@@ -515,14 +510,13 @@ class TestMainExitCodes:
     def test_map_sim_options_reach_monte_carlo(self, tmp_path):
         out = tmp_path / "map.csv"
         rc = main(["map-sim", "--snr-db=-5", "--trials", "40", "--seed", "2",
-                   "--theta", "0.4", "--no-refine", "--linear-error",
+                   "--no-refine", "--linear-error",
                    "--out", str(out)])
         assert rc == 0
         seed = int(np.random.SeedSequence([2, 0]).generate_state(1)[0])
         want = mapsim.run_monte_carlo(
             SignalConfig(K=20, snr=10.0 ** -0.5), VonMisesPrior(mu=0.0, kappa=1.0),
-            mapsim.McConfig(trials=40, refine=False, seed=seed),
-            theta_fixed=0.4, wrap=False,
+            mapsim.McConfig(trials=40, refine=False, seed=seed), wrap=False,
         )
         (row,) = parse_rows(out.read_text())
         assert row["value_rad2"] == want.mse
@@ -577,8 +571,8 @@ class TestOneKindCommands:
         ("wwb", "WWB", ["--k", "24", "--kappa", "2", "--trio", "2,9,0", "--s", "0.3"]),
         ("bcrb", "BCRB", ["--k", "10,20", "--kappa", "0.5", "--mu", "1", "--f-int", "1000"]),
         ("zzb", "ZZB", ["--kappa", "0,3", "--format", "json"]),
-        ("map-sim", "MAP", ["--trials", "40", "--seed", "2", "--theta", "0.4",
-                            "--no-refine", "--linear-error"]),
+        ("map-sim", "MAP", ["--trials", "40", "--seed", "2", "--no-refine",
+                            "--linear-error"]),
     ])
     def test_equals_one_kind_sweep_at_0_db(self, command, kind, flags, capsys):
         assert main([command, *flags]) == 0
@@ -622,10 +616,13 @@ class TestConfigFile:
         assert rc == 0
         assert parse_rows(out.read_text())[0]["kappa"] == 5.0
 
-    def test_malformed_line_rejected(self, tmp_path):
+    def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("kappa 2\n")
         assert main(["bcrb", "--config-file", str(cfg)]) == 2
+        cfg.write_text("f_int =\n")  # an empty value is not a number
+        assert main(["bcrb", "--config-file", str(cfg)]) == 2
+        assert capsys.readouterr().err.endswith("invalid f_int_hz: expected a number, got ''\n")
 
     def test_short_flag_wins(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -648,6 +645,7 @@ class TestConfigFile:
         ("wwb", "command = sweep", "command"),
         ("wwb", "config-file = other.cfg", "config-file"),
         ("wwb", "quad_nodes = 64", "quad_nodes"),
+        ("map-sim", "theta = 0.4", "theta"),
     ])
     def test_unknown_key_rejected(self, command, line, key, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,8 @@
 """Every name that a module or the package exports in `__all__` resolves, as
-does every name the benchmark looks up, and importing the package loads no
-scipy module."""
+does every name the benchmark looks up, the benchmark's calls bind to their
+signatures, and importing the package loads no scipy module."""
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -41,6 +42,31 @@ def test_benchmark_names_resolve():
         return callable(getattr(importlib.import_module(f"circbound.{module}"), attr, None))
 
     assert [p for p in BENCHMARK_NAMES if not resolves(p)] == []
+
+
+# the call shapes of perfbench/workloads.py, as (callable path, positional
+# count, keywords); a signature change that breaks one would fail the
+# benchmark, not the suite, without this check
+BENCHMARK_CALLS = (
+    ("mapsim.McConfig", 0, ("trials", "seed")),
+    ("signal_model.SignalConfig", 0, ("K", "snr")),
+    ("prior.VonMisesPrior", 0, ("mu", "kappa")),
+    ("testpoints.TestPointConfig", 3, ()),
+    ("testpoints.build", 2, ()),
+    ("wwb.wwb_value", 3, ()),
+    ("benchmarks.zzb", 3, ()),
+    ("benchmarks.bcrb", 3, ()),
+    ("mapsim.run_monte_carlo", 3, ()),
+    ("cli.main", 1, ()),
+)
+
+
+@pytest.mark.parametrize("path, positional, keywords", BENCHMARK_CALLS,
+                         ids=[call[0] for call in BENCHMARK_CALLS])
+def test_benchmark_call_shapes_bind(path, positional, keywords):
+    module, attr = path.split(".")
+    target = getattr(importlib.import_module(f"circbound.{module}"), attr)
+    inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
 
 
 def test_import_leaves_scipy_unloaded():

@@ -141,7 +141,7 @@ class TestGridPeak:
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
                 for trials in (1, 1031):
                     mc = McConfig(trials=trials, seed=K + grid_size + trials)
-                    _, samples = mapsim._trials(config, prior, mc, None)
+                    _, samples = mapsim._trials(config, prior, mc)
                     want, near_tie = grid_peak_oracle(config, prior, samples, grid_size)
                     got = mapsim._grid_peak(mapsim._fold(config, prior, samples), grid_size)
                     assert np.all((got == want) | near_tie)
@@ -171,7 +171,7 @@ class TestGridPeak:
         # every point (stride 1) and has no inner points to score
         config = SignalConfig(K=K, snr=10.0 ** -0.8)
         prior = VonMisesPrior(mu=0.7, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=200, seed=K), None)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=200, seed=K))
         want, near_tie = grid_peak_oracle(config, prior, samples, 4096)
         got = mapsim._grid_peak(mapsim._fold(config, prior, samples), 4096)
         assert np.all((got == want) | near_tie)
@@ -230,7 +230,7 @@ class TestGridPeak:
         # a 1,024 x 4,096 float64 score matrix alone is 32 MiB
         config = SignalConfig(K=20, snr=1.0)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=1024, seed=1), None)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=1024, seed=1))
         z = mapsim._fold(config, prior, samples)
         mapsim._grid_peak(z, 4096)  # fills the caches
         tracemalloc.start()
@@ -250,7 +250,7 @@ class TestRefinePeaks:
         for snr_db in range(-20, 11, 5):
             config = SignalConfig(K=K, snr=10.0 ** (snr_db / 10.0))
             mc = McConfig(trials=32, seed=100 * K + snr_db + 20)
-            _, samples = mapsim._trials(config, prior, mc, None)
+            _, samples = mapsim._trials(config, prior, mc)
             z = mapsim._fold(config, prior, samples)
             centers = mapsim._grid_peak(z, 4096)
             got = mapsim._refine_peaks(z, centers, _CELL)
@@ -267,7 +267,7 @@ class TestRefinePeaks:
         # MAP rows would change with the chunk size
         config = SignalConfig(K=K, snr=10.0 ** -0.3)
         prior = VonMisesPrior(mu=0.7, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=1031, seed=K), None)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=1031, seed=K))
         z = mapsim._fold(config, prior, samples)
         centers = mapsim._grid_peak(z, 4096)
         batch = mapsim._refine_peaks(z, centers, _CELL)
@@ -281,7 +281,7 @@ class TestRefinePeaks:
         # shifted by 1.5 cells see f fall (or rise) all the way across
         config = SignalConfig(K=20, snr=1.0)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=64, seed=4), None)
+        _, samples = mapsim._trials(config, prior, McConfig(trials=64, seed=4))
         z = mapsim._fold(config, prior, samples)
         centers = mapsim._grid_peak(z, 4096)
         above, below = centers + 1.5 * _CELL, centers - 1.5 * _CELL
@@ -300,8 +300,7 @@ class TestRefinePeaks:
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("theta_fixed", [None, 0.4])
-    def test_trial_streams_match_per_trial_generation(self, theta_fixed):
+    def test_trial_streams_match_per_trial_generation(self):
         # reference: trial by trial, theta from the (seed, 0) stream and the
         # noise from the (seed, 1) stream; kappa 1e7 takes numpy's
         # wrapped-normal branch of vonmises
@@ -309,21 +308,19 @@ class TestMonteCarlo:
             config = SignalConfig(K=7, snr=0.3)
             prior = VonMisesPrior(mu=0.5, kappa=kappa)
             mc = McConfig(trials=50, seed=12)
-            truths, samples = mapsim._trials(config, prior, mc, theta_fixed)
+            truths, samples = mapsim._trials(config, prior, mc)
             truth_rng, noise_rng = (np.random.default_rng([mc.seed, i]) for i in (0, 1))
             for t in range(mc.trials):
-                theta = draw_theta(prior, truth_rng) if theta_fixed is None else theta_fixed
+                theta = draw_theta(prior, truth_rng)
                 assert truths[t] == theta
                 assert np.array_equal(samples[t], observe(config, theta, noise_rng))
 
-    @pytest.mark.parametrize("theta_fixed", [None, 0.4])
-    def test_trials_are_a_prefix_of_longer_runs(self, theta_fixed):
+    def test_trials_are_a_prefix_of_longer_runs(self):
         config = SignalConfig(K=20, snr=0.5)
         prior = VonMisesPrior(mu=-1.0, kappa=3.0)
-        truths, samples = mapsim._trials(config, prior, McConfig(trials=300, seed=21), theta_fixed)
+        truths, samples = mapsim._trials(config, prior, McConfig(trials=300, seed=21))
         for n in (1, 37, 299):
-            head, head_samples = mapsim._trials(config, prior, McConfig(trials=n, seed=21),
-                                                theta_fixed)
+            head, head_samples = mapsim._trials(config, prior, McConfig(trials=n, seed=21))
             assert np.array_equal(head, truths[:n])
             assert np.array_equal(head_samples, samples[:n])
 
@@ -339,7 +336,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(np.random, "default_rng", counting)
         config = SignalConfig(K=20, snr=1.0)
-        mapsim._trials(config, VonMisesPrior(kappa=1.0), McConfig(trials=trials, seed=3), None)
+        mapsim._trials(config, VonMisesPrior(kappa=1.0), McConfig(trials=trials, seed=3))
         assert calls == [([3, 0],), ([3, 1],)]
 
     def test_each_chunk_is_folded_once(self, monkeypatch):
@@ -450,12 +447,6 @@ class TestMonteCarlo:
         violations = sum(b > a for a, b in zip(fractions, fractions[1:]))
         assert violations <= 1
         assert fractions[-1] == 0.0
-
-    def test_fixed_truth_mode(self):
-        config = SignalConfig(K=20, snr=10.0)
-        prior = VonMisesPrior(mu=0.0, kappa=0.0)
-        res = run_monte_carlo(config, prior, McConfig(trials=200, seed=5), theta_fixed=0.4)
-        assert res.mse < 1e-3
 
     def test_linear_error_escape_hatch(self):
         config = SignalConfig(K=20, snr=0.01)

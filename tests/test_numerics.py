@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from circbound.numerics import (
     DomainError,
     QuadratureError,
-    QuadratureSpec,
     dirichlet_kernel,
     gamma_p_3_2,
     integrate,
@@ -173,16 +172,15 @@ class TestIntegrate:
             integrate(np.cos, 1.0, 0.0)
 
     def test_nonconvergence_signalled(self):
-        spec = QuadratureSpec(node_count=16, rel_tol=1e-10)
         with pytest.raises(QuadratureError):
-            integrate(lambda t: np.cos(5.0e6 * t), 0.0, 1.0, spec)
+            integrate(lambda t: np.cos(5.0e6 * t), 0.0, 1.0)
 
     def test_node_doubling_stability(self):
-        coarse = integrate(lambda t: np.exp(np.cos(t)), -math.pi, math.pi,
-                           QuadratureSpec(node_count=16))
-        fine = integrate(lambda t: np.exp(np.cos(t)), -math.pi, math.pi,
-                         QuadratureSpec(node_count=64))
-        assert coarse == pytest.approx(fine, rel=1e-10)
+        f = lambda t, rows: np.exp(np.cos(t))
+        a, b = np.array([-math.pi]), np.array([math.pi])
+        coarse = integrate(f, a, b, panels=np.array([16]))
+        fine = integrate(f, a, b, panels=np.array([64]))
+        assert coarse[0] == pytest.approx(fine[0], rel=1e-10)
 
     def test_batched_matches_scalar_entry_by_entry(self):
         # entry 2 oscillates fast enough to need 128 panels, the others
@@ -275,12 +273,6 @@ class TestIntegrate:
         for bad in (np.array([3, 0]), np.array([3]), np.array([3.0, 3.0])):
             with pytest.raises(DomainError):
                 integrate(f, np.array([0.0, 1.0]), np.array([0.5, 2.0]), panels=bad)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=8)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-3)
 
 
 class TestNormalTail:

@@ -72,7 +72,7 @@ class TestLogPdf:
 def _draws(prior: VonMisesPrior, seed: int, trials: int) -> np.ndarray:
     """The true frequencies of `trials` Monte Carlo trials at master seed `seed`."""
     truths, _ = mapsim._trials(SignalConfig(K=1, snr=1.0), prior,
-                               McConfig(trials=trials, seed=seed), None)
+                               McConfig(trials=trials, seed=seed))
     return truths
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from circbound import wwb
-from circbound.numerics import DEFAULT_QUAD, QuadratureError, QuadratureSpec, integrate
+from circbound.numerics import QuadratureError, integrate
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, TestPointSet, build
@@ -41,7 +41,6 @@ from conftest import (
     q_element_mc_oracle,
 )
 
-TIGHT_QUAD = QuadratureSpec(node_count=64, rel_tol=1e-12)
 S_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
@@ -55,14 +54,14 @@ def mu_i(s, h, K, snr):
     return mu_cross(1, s, 0.0, h, h, K, snr)
 
 
-def gamma_cross(term, prior, s_i, s_j, h_i, h_j, quad=DEFAULT_QUAD):
+def gamma_cross(term, prior, s_i, s_j, h_i, h_j):
     """Prior log-integral of score product `term` (1..4); -inf on empty support."""
-    return float(_log_integrals(prior, *_supports(*_products(s_i, s_j, h_i, h_j)), quad)[term - 1])
+    return float(_log_integrals(prior, *_supports(*_products(s_i, s_j, h_i, h_j)))[term - 1])
 
 
-def gamma_i(prior, s, h, quad=DEFAULT_QUAD):
+def gamma_i(prior, s, h):
     """Prior log-integral of the single-point normalizer."""
-    return gamma_cross(1, prior, s, 0.0, h, h, quad)
+    return gamma_cross(1, prior, s, 0.0, h, h)
 
 
 def q_entry(h_a, h_b, s, prior, config):
@@ -113,9 +112,10 @@ class TestPriorExponents:
         assert want == pytest.approx(math.log(0.95), abs=1e-12)
 
     def test_gamma_i_matches_tight_quadrature(self):
+        # scipy's adaptive quadrature of the density itself, at 1e-12 relative
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
-        got = gamma_i(prior, 0.5, 0.3 * math.pi)
-        assert got == pytest.approx(gamma_i(prior, 0.5, 0.3 * math.pi, TIGHT_QUAD), abs=1e-12)
+        want = prior_power_integral_oracle(prior, (0.5, 0.5), (0.0, 0.3 * math.pi))
+        assert gamma_i(prior, 0.5, 0.3 * math.pi) == pytest.approx(want, abs=1e-12)
 
     def test_sampled_gammas_vs_direct_pdf_quadrature(self):
         rng = np.random.default_rng(8)
@@ -131,11 +131,10 @@ class TestPriorExponents:
 
     def test_start_capped_at_fixed_start_maximum(self):
         # (4 + 2 pi sqrt(kappa)) / 2 would ask for 9,936 starting panels;
-        # capped at 8 node_count = 256 the doublings end at the 16,384-panel ceiling
+        # capped at 256 the doublings end at the 16,384-panel ceiling
         prior = VonMisesPrior(mu=0.0, kappa=1e7)
         with pytest.raises(QuadratureError, match="after 16384 panels"):
-            _log_integrals(prior, np.array([1.0]), np.array([-math.pi]), np.array([math.pi]),
-                           DEFAULT_QUAD)
+            _log_integrals(prior, np.array([1.0]), np.array([-math.pi]), np.array([math.pi]))
 
     # (kappa, mu): centred priors, then off-centre ones, whose end-peaked
     # integrals take many doublings from either start
@@ -146,12 +145,12 @@ class TestPriorExponents:
                              ids=[f"{k}" + (f"-mu{m}" if m else "") for k, m in CONVERGE_CASES])
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_set_converges_wherever_fixed_starts_do(self, kappa, mu, s, monkeypatch):
-        # every integral starting at node_count panels, as the fixed-start
-        # rule does, is the reference the sized starts must converge with
+        # every integral starting at integrate's default 32 panels, as the
+        # fixed-start rule does, is the reference the sized starts must converge with
         prior = VonMisesPrior(mu=mu, kappa=kappa)
         h = tuple(build(TestPointConfig(2, 9, 10), 20).h.tolist())
         _, gamma = _set_parts.__wrapped__(20, h, s, prior)
-        monkeypatch.setattr(wwb, "integrate", lambda f, a, b, spec, panels: integrate(f, a, b, spec))
+        monkeypatch.setattr(wwb, "integrate", lambda f, a, b, panels: integrate(f, a, b))
         try:
             _, fixed = _set_parts.__wrapped__(20, h, s, prior)
         except QuadratureError:
@@ -168,7 +167,7 @@ class TestPriorExponents:
         ]:
             prior = VonMisesPrior(mu=mu, kappa=kappa)
             want = prior_power_integral_oracle(prior, (1.0 - s, s), (0.0, h))
-            assert gamma_i(prior, s, h, TIGHT_QUAD) == pytest.approx(want, abs=1e-8)
+            assert gamma_i(prior, s, h) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("term", [1, 2, 3, 4])
     def test_gamma_cross_uniform_closed_forms(self, term):
@@ -194,8 +193,8 @@ class TestPriorExponents:
             prior = VonMisesPrior(mu=mu, kappa=kappa)
             weights, offsets = CROSS_LAYOUTS[term](si, sj, h_i, h_j)
             want = prior_power_integral_oracle(prior, weights, offsets)
-            got = gamma_cross(term, prior, si, sj, h_i, h_j, TIGHT_QUAD)
-            assert got == pytest.approx(want, abs=1e-8)
+            got = gamma_cross(term, prior, si, sj, h_i, h_j)
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_gamma_cross_empty_support(self):
         # term 2's interval [-pi + h_i, pi - h_j] vanishes at h_i = h_j = pi
@@ -215,7 +214,7 @@ class TestQMatrix:
             h_b = float(rng.uniform(0.01, math.pi))
             # column 0 holds (h_a, h_b), column 1 the swapped pair
             w, o = _products(0.5, 0.5, np.array([h_a, h_b]), np.array([h_b, h_a]))
-            logs = _log_integrals(prior, *_supports(w, o), DEFAULT_QUAD).reshape(4, 2)
+            logs = _log_integrals(prior, *_supports(w, o)).reshape(4, 2)
             for x in (_cores(w, o, config.K), logs):
                 assert x[:, 0] == pytest.approx(x[[0, 2, 1, 3], 1], rel=1e-10)
 
