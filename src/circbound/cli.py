@@ -60,15 +60,13 @@ class SweepSpec:
     maximize_s: bool = False
     seed: int = 0
     trials: int = 10_000
-    mc_grid_size: int = 4096
-    # MAP: peak refinement and circular (wrapped) error scoring
-    refine: bool = True
+    # MAP: circular (wrapped) error scoring
     wrap: bool = True
     f_int_hz: float | None = None
 
     def validate(self):
         integers = [("k_values", k) for k in self.k_values] + [
-            ("seed", self.seed), ("trials", self.trials), ("grid_size", self.mc_grid_size)]
+            ("seed", self.seed), ("trials", self.trials)]
         for name, value in integers:  # a float K would label its rows with int(K)
             if not isinstance(value, numbers.Integral):
                 raise SpecError(name, f"expected an integer, got {value!r}")
@@ -93,8 +91,6 @@ class SweepSpec:
             raise SpecError("trials", "must be >= 1")
         if self.seed < 0:
             raise SpecError("seed", "must be >= 0")
-        if "MAP" in self.bound_kinds and self.mc_grid_size < 64:
-            raise SpecError("grid_size", "must be >= 64")
         if self.f_int_hz is not None and not 0.0 < self.f_int_hz < math.inf:
             raise SpecError("f_int_hz", "must be finite and > 0")
         for name, values in (("snr_db", self.snr_db), ("k_values", self.k_values),
@@ -207,11 +203,10 @@ def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index
         rows.append(_row(kind, snr_db, k, kappa, mu, None, None, bound(prior, k, snr), {}))
     elif kind == "MAP":
         point_seed = int(np.random.SeedSequence([spec.seed, point_index]).generate_state(1)[0])
-        mc = mapsim.McConfig(trials=spec.trials, grid_size=spec.mc_grid_size,
-                             refine=spec.refine, seed=point_seed)
+        mc = mapsim.McConfig(trials=spec.trials, seed=point_seed)
         res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc, wrap=spec.wrap)
         rows.append(_row("MAP", snr_db, k, kappa, mu, None, None, res.mse,
-                         {"trials": res.trials_used,
+                         {"trials": mc.trials,
                           "outlier_fraction": res.outlier_fraction,
                           "mse_se": res.mse_se}))
     return rows
@@ -285,6 +280,9 @@ def _ints(text: str, fieldname: str) -> list[int]:
     return [_int(v, fieldname) for v in text.split(",") if v.strip() != ""]
 
 
+_SNR_POINTS_MAX = 10**6
+
+
 def _snr_axis(text: str) -> list[float]:
     """Either 'start:stop:step' or a comma list of dB values."""
     if ":" in text:
@@ -298,8 +296,10 @@ def _snr_axis(text: str) -> list[float]:
             raise SpecError("snr_db", "step must be > 0")
         # the last point is the largest start + i step not past stop; the
         # slack absorbs rounding of (stop - start) / step on exact multiples
-        n = math.floor((stop - start) / step + 1e-9)
-        return [start + i * step for i in range(n + 1)]
+        last = (stop - start) / step + 1e-9
+        if last >= _SNR_POINTS_MAX:  # counted before any point is built
+            raise SpecError("snr_db", f"an axis holds at most {_SNR_POINTS_MAX} points")
+        return [start + i * step for i in range(math.floor(last) + 1)]
     return _floats(text, "snr_db")
 
 
@@ -333,8 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # the flags of every subcommand
     io_flags = argparse.ArgumentParser(add_help=False)
     io_flags.add_argument("--out", "-o", default="-", help="output path, '-' for stdout")
-    io_flags.add_argument("--config-file", default=None,
-                          help="flat key=value file of flags; the command line wins")
 
     # every flag of a sweep. wwb, bcrb, zzb and map-sim are sweeps of their
     # one kind; the defaults that depend on the command are chosen in
@@ -352,15 +350,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_flags.add_argument("--s", default=None,
                              help="exponent value or comma grid (wwb: grid -> maximize)")
     sweep_flags.add_argument("--trials", default="10000")
-    sweep_flags.add_argument("--grid-size", default="4096")
-    sweep_flags.add_argument("--no-refine", action="store_true")
     sweep_flags.add_argument("--linear-error", action="store_true",
                              help="score estimate - truth without circular wrapping")
 
+    # `circbound wwb @flags.txt` reads flags from a file, split at white
+    # space, with `#` starting a comment; flags after the file win
     parser = argparse.ArgumentParser(
         prog="circbound",
         description="Bayesian lower bounds on circular frequency estimation error",
+        fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = lambda line: line.split("#", 1)[0].split()
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (("wwb", "evaluate the analytic bound"), ("bcrb", "evaluate the BCRB"),
                        ("zzb", "evaluate the ZZB"), ("map-sim", "Monte Carlo MAP estimator MSE")):
@@ -374,40 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", default=None, type=int, choices=sorted(FIGURE_PRESETS))
     p.add_argument("--kinds", default=None, help="comma subset of WWB,BCRB,ZZB,MAP")
     return parser
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse a command line. The key=value lines of a --config-file become
-    flags placed before the command line's own, so the command line wins."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not args.config_file:
-        return args
-    try:
-        with open(args.config_file) as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as err:
-        why = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
-        raise SpecError("config_file", f"cannot read {args.config_file}: {why}") from None
-    flags = []
-    for raw in lines:
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SpecError("config_file", f"expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest in ("command", "config_file") or dest not in vars(args):
-            raise SpecError("config_file", f"unknown key {key!r}")
-        flag = "--" + dest.replace("_", "-")
-        if not isinstance(getattr(args, dest), bool):
-            flags.append(f"{flag}={value}")
-        elif value not in ("true", "false"):  # a switch
-            raise SpecError("config_file", f"{key} must be true or false, got {value!r}")
-        elif value == "true":
-            flags.append(flag)
-    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def _make_spec(args) -> SweepSpec:
@@ -446,8 +412,6 @@ def _make_spec(args) -> SweepSpec:
         maximize_s=args.command == "wwb" and len(s_grid) > 1,
         seed=_int(args.seed, "seed"),
         trials=_int(args.trials, "trials"),
-        mc_grid_size=_int(args.grid_size, "grid_size"),
-        refine=not args.no_refine,
         wrap=not args.linear_error,
         f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int is not None else None,
     )
@@ -465,7 +429,7 @@ def _cmd_testpoints(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
+        args = _build_parser().parse_args(sys.argv[1:] if argv is None else argv)
         if args.command == "testpoints":
             return _cmd_testpoints(args)
         emit(run_sweep(_make_spec(args)), args.format, args.out)

@@ -8,10 +8,10 @@ still hold the maximum, in cache-sized blocks of trial rows (`_grid_peak`),
 and each grid peak is refined by Newton steps (`_refine_peaks`).
 
 The randomness of a run comes from two streams seeded by (seed, 0) and
-(seed, 1): truths are drawn from the first as one von Mises array and the noise
-from the second as one normal array, both filled in trial order. So trial t is
-the same in every run of t + 1 or more trials, and results do not depend on how
-the trials are split into estimation chunks.
+(seed, 1): truths are drawn from the first by von Mises draws and the noise
+from the second by normal draws, chunk by chunk in trial order. A chunked draw
+equals one whole draw, so trial t is the same in every run of t + 1 or more
+trials, and memory grows with the chunk, not with the trial count.
 """
 from __future__ import annotations
 
@@ -28,19 +28,17 @@ from .signal_model import SignalConfig, synthesize
 __all__ = ["McConfig", "McResult", "wrap_error", "run_monte_carlo"]
 
 _NEWTON_STEPS = 4
-_TRIAL_CHUNK = 1024  # trials folded at once: bounds the fold and refinement temporaries
+_TRIAL_CHUNK = 1024  # trials drawn and estimated at once: bounds every per-trial temporary
 _BLOCK_VALUES = 1 << 17  # values per block of scores or kept cells: about 1 MiB, reduced in cache
 
 
 @dataclass(frozen=True)
 class McConfig:
     trials: int = 10_000
-    grid_size: int = 4096
-    refine: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("trials", 1), ("grid_size", 64), ("seed", 0)):
+        for name, least in (("trials", 1), ("seed", 0)):
             value = getattr(self, name)
             try:
                 value = operator.index(value)
@@ -54,7 +52,6 @@ class McConfig:
 @dataclass(frozen=True)
 class McResult:
     mse: float
-    trials_used: int
     outlier_fraction: float
     mse_se: float  # std(err^2)/sqrt(N); inf for a single trial
 
@@ -187,16 +184,18 @@ def _refine_peaks(z: np.ndarray, centers: np.ndarray, cell: float) -> np.ndarray
     return x
 
 
-def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig) -> tuple:
-    """Truths (N,) and samples (N, K) of `mc.trials` trials: the truths are
-    wrap_angle(default_rng([seed, 0]).vonmises(mu, kappa, N)) and the noise is
-    default_rng([seed, 1]).standard_normal((N, 2, K)). Both are filled in
-    trial order, so the first n trials of any run of N >= n trials are those
-    of an n-trial run."""
-    n = mc.trials
-    truths = wrap_angle(np.random.default_rng([mc.seed, 0]).vonmises(prior.mu, prior.kappa, n))
-    normals = np.random.default_rng([mc.seed, 1]).standard_normal((n, 2, config.K))
-    return truths, synthesize(config, truths, normals)
+def _trials(config: SignalConfig, prior: VonMisesPrior, mc: McConfig):
+    """Truths (n,) and samples (n, K) of the `mc.trials` trials, chunk by
+    chunk of at most `_TRIAL_CHUNK` trials: the truths are wrapped
+    default_rng([seed, 0]).vonmises(mu, kappa, n) draws and the noise
+    default_rng([seed, 1]).standard_normal((n, 2, K)) draws. Both streams are
+    drawn in trial order, so the trials equal those of one whole draw, and the
+    first n trials of any run of N >= n trials are those of an n-trial run."""
+    truth_rng, noise_rng = (np.random.default_rng([mc.seed, i]) for i in (0, 1))
+    for i in range(0, mc.trials, _TRIAL_CHUNK):
+        n = min(_TRIAL_CHUNK, mc.trials - i)
+        truths = wrap_angle(truth_rng.vonmises(prior.mu, prior.kappa, n))
+        yield truths, synthesize(config, truths, noise_rng.standard_normal((n, 2, config.K)))
 
 
 def run_monte_carlo(
@@ -208,23 +207,22 @@ def run_monte_carlo(
     and scores the wrapped error (the plain difference without `wrap`); the
     MSE and its standard error come from the same scored errors. The draws
     come from the two streams of `_trials`, seeded by (mc.seed, 0) and
-    (mc.seed, 1).
+    (mc.seed, 1). The grid of the search has max(4096, 4K) points, at least
+    four per main-lobe width 2 pi / K, and each grid peak is refined.
     """
-    truths, samples = _trials(config, prior, mc)
-    estimates = np.empty(mc.trials)
-    for i in range(0, mc.trials, _TRIAL_CHUNK):
-        z = _fold(config, prior, samples[i:i + _TRIAL_CHUNK])
-        peaks = _grid_peak(z, mc.grid_size)
-        if mc.refine:
-            peaks = _refine_peaks(z, peaks, 2.0 * math.pi / mc.grid_size)
-        estimates[i:i + len(z)] = peaks
+    grid_size = max(4096, 4 * config.K)
+    errors = np.empty(mc.trials)
+    i = 0
+    for truths, samples in _trials(config, prior, mc):
+        z = _fold(config, prior, samples)
+        estimates = _refine_peaks(z, _grid_peak(z, grid_size), 2.0 * math.pi / grid_size)
+        errors[i:i + len(z)] = wrap_error(estimates, truths) if wrap else estimates - truths
+        i += len(z)
 
-    errors = wrap_error(estimates, truths) if wrap else estimates - truths
     sq = errors**2
     mse = float(np.mean(sq))
     return McResult(
         mse=mse,
-        trials_used=mc.trials,
         outlier_fraction=float(np.mean(np.abs(errors) > 0.5 * math.pi)),
         mse_se=float(np.std(sq, ddof=1) / math.sqrt(mc.trials)) if mc.trials > 1 else math.inf,
     )

@@ -174,6 +174,13 @@ def draw_theta(prior: VonMisesPrior, rng) -> float:
     return float(wrap_angle(rng.vonmises(prior.mu, prior.kappa)))
 
 
+def trials_of(config: SignalConfig, prior: VonMisesPrior, mc: mapsim.McConfig) -> tuple:
+    """Truths (N,) and samples (N, K) of every trial of a run: the chunks
+    that `mapsim._trials` draws, joined."""
+    truths, samples = zip(*mapsim._trials(config, prior, mc))
+    return np.concatenate(truths), np.concatenate(samples)
+
+
 def estimate_one(config: SignalConfig, prior: VonMisesPrior, samples,
                  grid_size: int = 4096, refine: bool = True) -> float:
     """MAP estimate from one observation: grid search, then refinement, both

@@ -10,8 +10,8 @@ from circbound import mapsim, testpoints, wwb
 from circbound.cli import (
     SpecError,
     SweepSpec,
+    _build_parser,
     _make_spec,
-    _parse_args,
     _snr_axis,
     emit,
     main,
@@ -83,7 +83,6 @@ class TestSweepValidation:
         ("k_values", dict(k_values=[20.0], bound_kinds=["MAP"])),
         ("seed", dict(seed=1.5)),
         ("trials", dict(trials=10.0, bound_kinds=["WWB", "MAP"])),
-        ("grid_size", dict(mc_grid_size=4096.0, bound_kinds=["WWB", "MAP"])),
     ])
     def test_integer_fields_checked_before_any_work(self, field, overrides, monkeypatch):
         # a float K would be computed at K = 20.5 and labelled k = 20
@@ -97,10 +96,10 @@ class TestSweepValidation:
 
     def test_numpy_integer_fields_accepted(self):
         spec = _small_spec(k_values=[np.int64(20)], seed=np.uint32(3), trials=np.int32(20),
-                           mc_grid_size=np.int64(256), bound_kinds=["BCRB", "MAP"])
+                           bound_kinds=["BCRB", "MAP"])
         rows = run_sweep(spec)
         assert all(r["k"] == 20 for r in rows)
-        assert rows[-1]["extra"]["trials"] == 20
+        assert type(rows[-1]["extra"]["trials"]) is int and rows[-1]["extra"]["trials"] == 20
 
 
 class TestRunSweep:
@@ -294,9 +293,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv, field", [
         (["map-sim", "--seed", "1.5"], "seed"),
         (["map-sim", "--trials", "x"], "trials"),
-        (["map-sim", "--grid-size", "4e3"], "grid_size"),
+        (["map-sim", "--trials", "4e3"], "trials"),
         (["sweep", "--trials", "1.5"], "trials"),
-        (["sweep", "--grid-size", "x"], "grid_size"),
+        (["sweep", "--seed", "x"], "seed"),
         (["zzb", "--k", "10,2e1"], "k_values"),
         (["wwb", "--k", "20.5"], "k_values"),
         (["wwb", "--trio", "2,9,x"], "testpoint_trio"),
@@ -336,6 +335,8 @@ class TestMainExitCodes:
         (["bcrb", "--snr-db=0:10"], "invalid snr_db: expected start:stop:step"),
         (["bcrb", "--snr-db=0:10:0"], "invalid snr_db: step must be > 0"),
         (["wwb", "--trio", "2,9"], "invalid testpoint_trio: expected C,S,E"),
+        # 3e13 points, counted before any is built
+        (["bcrb", "--snr-db=0:30:1e-12"], "invalid snr_db: an axis holds at most 1000000"),
     ])
     def test_out_of_domain_flag_names_field(self, argv, message, capsys):
         assert main(argv) == 2
@@ -384,9 +385,9 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("argv, field", [
         (["sweep", "--kinds", "WWB,MAP", "--seed", "-1", "--snr-db=0"], "seed"),
         (["sweep", "--kinds", "WWB,MAP", "--trials", "0", "--snr-db=0"], "trials"),
-        (["sweep", "--kinds", "WWB,MAP", "--grid-size", "10", "--snr-db=0"], "grid_size"),
+        (["sweep", "--kinds", "MAP,WWB", "--trials", "-3", "--snr-db=0"], "trials"),
         (["map-sim", "--seed", "-1", "--trials", "5"], "seed"),
-        (["map-sim", "--grid-size", "63", "--trials", "5"], "grid_size"),
+        (["map-sim", "--trials", "-1", "--seed", "5"], "trials"),
         (["map-sim", "--trials", "0"], "trials"),
     ])
     def test_map_values_checked_before_any_work(self, argv, field, capsys, monkeypatch):
@@ -510,13 +511,12 @@ class TestMainExitCodes:
     def test_map_sim_options_reach_monte_carlo(self, tmp_path):
         out = tmp_path / "map.csv"
         rc = main(["map-sim", "--snr-db=-5", "--trials", "40", "--seed", "2",
-                   "--no-refine", "--linear-error",
-                   "--out", str(out)])
+                   "--linear-error", "--out", str(out)])
         assert rc == 0
         seed = int(np.random.SeedSequence([2, 0]).generate_state(1)[0])
         want = mapsim.run_monte_carlo(
             SignalConfig(K=20, snr=10.0 ** -0.5), VonMisesPrior(mu=0.0, kappa=1.0),
-            mapsim.McConfig(trials=40, refine=False, seed=seed), wrap=False,
+            mapsim.McConfig(trials=40, seed=seed), wrap=False,
         )
         (row,) = parse_rows(out.read_text())
         assert row["value_rad2"] == want.mse
@@ -571,8 +571,7 @@ class TestOneKindCommands:
         ("wwb", "WWB", ["--k", "24", "--kappa", "2", "--trio", "2,9,0", "--s", "0.3"]),
         ("bcrb", "BCRB", ["--k", "10,20", "--kappa", "0.5", "--mu", "1", "--f-int", "1000"]),
         ("zzb", "ZZB", ["--kappa", "0,3", "--format", "json"]),
-        ("map-sim", "MAP", ["--trials", "40", "--seed", "2", "--no-refine",
-                            "--linear-error"]),
+        ("map-sim", "MAP", ["--trials", "40", "--seed", "2", "--linear-error"]),
     ])
     def test_equals_one_kind_sweep_at_0_db(self, command, kind, flags, capsys):
         assert main([command, *flags]) == 0
@@ -583,7 +582,7 @@ class TestOneKindCommands:
 
     def test_sweep_default_axis_kept(self, tmp_path):
         # the one-kind commands' 0 dB default must not leak into sweep
-        assert _make_spec(_parse_args(["wwb"])).snr_db == [0.0]
+        assert _make_spec(_build_parser().parse_args(["wwb"])).snr_db == [0.0]
         out = tmp_path / "f6.csv"
         assert main(["sweep", "--figure", "6", "--out", str(out)]) == 0
         rows = parse_rows(out.read_text())
@@ -592,50 +591,56 @@ class TestOneKindCommands:
 
     def test_only_wwb_maximizes_over_s(self):
         argv = ["--s", "0.3,0.5"]
-        assert _make_spec(_parse_args(["wwb", *argv])).maximize_s
-        assert not _make_spec(_parse_args(["sweep", *argv])).maximize_s
+        parser = _build_parser()
+        assert _make_spec(parser.parse_args(["wwb", *argv])).maximize_s
+        assert not _make_spec(parser.parse_args(["sweep", *argv])).maximize_s
 
 
 class TestConfigFile:
+    """`@file` reads flags from a file, split at white space, `#` to the end
+    of a line a comment; flags after the file win over it."""
+
     def test_file_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("snr_db = -5\nkappa = 2  # concentrated\n")
+        cfg = tmp_path / "run.txt"
+        cfg.write_text("# a comment line\n\n--snr-db=-5\n--kappa 2  # concentrated\n")
         out = tmp_path / "out.csv"
-        rc = main(["bcrb", "--config-file", str(cfg), "--out", str(out)])
+        rc = main(["bcrb", f"@{cfg}", "--out", str(out)])
         assert rc == 0
         rows = parse_rows(out.read_text())
         assert rows[0]["snr_db"] == -5.0
         assert rows[0]["kappa"] == 2.0
 
     def test_explicit_flag_wins(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kappa = 2\n")
+        cfg = tmp_path / "run.txt"
+        cfg.write_text("--kappa 2\n")
         out = tmp_path / "out.csv"
-        rc = main(["bcrb", "--config-file", str(cfg), "--kappa", "5",
-                   "--out", str(out)])
-        assert rc == 0
+        assert main(["bcrb", f"@{cfg}", "--kappa", "5", "--out", str(out)]) == 0
         assert parse_rows(out.read_text())[0]["kappa"] == 5.0
+        # a flag before the file loses to it
+        assert main(["bcrb", "--kappa", "5", f"@{cfg}", "--out", str(out)]) == 0
+        assert parse_rows(out.read_text())[0]["kappa"] == 2.0
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kappa 2\n")
-        assert main(["bcrb", "--config-file", str(cfg)]) == 2
-        cfg.write_text("f_int =\n")  # an empty value is not a number
-        assert main(["bcrb", "--config-file", str(cfg)]) == 2
+        cfg = tmp_path / "run.txt"
+        cfg.write_text("kappa 2\n")  # no dashes: not a flag
+        assert main(["bcrb", f"@{cfg}"]) == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: kappa 2\n")
+        cfg.write_text("--f-int=\n")  # an empty value is not a number
+        assert main(["bcrb", f"@{cfg}"]) == 2
         assert capsys.readouterr().err.endswith("invalid f_int_hz: expected a number, got ''\n")
 
     def test_short_flag_wins(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"out = {tmp_path / 'from_file.csv'}\n")
+        cfg = tmp_path / "run.txt"
+        cfg.write_text(f"--out {tmp_path / 'from_file.csv'}\n")
         out = tmp_path / "from_flag.csv"
-        assert main(["bcrb", "--config-file", str(cfg), "-o", str(out)]) == 0
+        assert main(["bcrb", f"@{cfg}", "-o", str(out)]) == 0
         assert out.exists() and not (tmp_path / "from_file.csv").exists()
 
     def test_abbreviated_flag_wins(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("kappa = 2\n")
+        cfg = tmp_path / "run.txt"
+        cfg.write_text("--kappa 2\n")
         out = tmp_path / "out.csv"
-        assert main(["bcrb", "--config-file", str(cfg), "--kap", "5", "--out", str(out)]) == 0
+        assert main(["bcrb", f"@{cfg}", "--kap", "5", "--out", str(out)]) == 0
         assert parse_rows(out.read_text())[0]["kappa"] == 5.0
 
     @pytest.mark.parametrize("command, line, key", [
@@ -648,44 +653,61 @@ class TestConfigFile:
         ("map-sim", "theta = 0.4", "theta"),
     ])
     def test_unknown_key_rejected(self, command, line, key, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        assert main([command, "--config-file", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: invalid config_file: unknown key {key!r}\n"
+        # a key that is no flag of the command is refused, whether in the
+        # key = value lines that --config-file once read or as a flag
+        value = line.split("=")[1].strip()
+        cfg = tmp_path / "run.txt"
+        for text in (line, f"--{key} {value}"):
+            cfg.write_text(text + "\n")
+            assert main([command, f"@{cfg}"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.endswith(f"error: unrecognized arguments: {text}\n")
 
-    def test_switch_keys_take_true_or_false(self, tmp_path, capsys):
+    def test_switch_in_file_acts_as_flag(self, tmp_path, capsys):
         argv = ["map-sim", "--trials", "40", "--seed", "2", "--snr-db=-5"]
+        (tmp_path / "switch.txt").write_text("--linear-error\n")
         runs = {}
-        for name, extra, text in [
-            ("default", [], None), ("flag", ["--no-refine", "--linear-error"], None),
-            ("false", [], "no_refine = false\nlinear_error = false\n"),
-            ("true", [], "no-refine = true\nlinear_error = true\n"),
-        ]:
-            if text is not None:
-                (tmp_path / f"{name}.cfg").write_text(text)
-                extra = ["--config-file", str(tmp_path / f"{name}.cfg")]
+        for name, extra in [("default", []), ("flag", ["--linear-error"]),
+                            ("file", [f"@{tmp_path / 'switch.txt'}"])]:
             assert main(argv + extra) == 0
             runs[name] = capsys.readouterr().out
-        assert runs["false"] == runs["default"] != runs["flag"] == runs["true"]
+        assert runs["default"] != runs["flag"] == runs["file"]
 
     @pytest.mark.parametrize("value", ["yes", "False", "1", ""])
     def test_switch_key_other_value_rejected(self, value, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"no_refine = {value}\n")
-        assert main(["map-sim", "--config-file", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: invalid config_file: no_refine must be true or false")
+        # a switch takes no value, so `linear_error = true` has no misread form
+        cfg = tmp_path / "run.txt"
+        cfg.write_text(f"--linear-error={value}\n")
+        assert main(["map-sim", f"@{cfg}"]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --linear-error: ignored explicit argument {value!r}\n")
 
-    @pytest.mark.parametrize("name", ["missing", "directory", "binary"])
+    @pytest.mark.parametrize("name", ["missing", "directory", "binary", "empty"])
     def test_unreadable_file_rejected(self, name, tmp_path, capsys):
         path = tmp_path / name
         if name == "directory":
             path.mkdir()
         elif name == "binary":
-            path.write_bytes(b"\xff\xfe kappa = 2\n")
-        assert main(["bcrb", "--config-file", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: invalid config_file: cannot read {path}: ")
+            path.write_bytes(b"\xff\xfe --kappa 2\n")
+        arg = "@" if name == "empty" else f"@{path}"
+        assert main(["bcrb", arg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(("usage: ", "error: "))
+
+    def test_at_sign_inside_a_value_is_literal(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bcrb", "--out=@x.csv"]) == 0
+        assert parse_rows((tmp_path / "@x.csv").read_text())[0]["kind"] == "BCRB"
+
+    @pytest.mark.parametrize("argv", [
+        ["bcrb", "--config-file", "run.txt"],
+        ["bcrb", "--config-file="],
+        ["map-sim", "--no-refine"],
+        ["map-sim", "--grid-size", "8192"],
+    ])
+    def test_removed_flags_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
 
 
 class TestFigurePresets:

@@ -13,7 +13,7 @@ from circbound.mapsim import McConfig, run_monte_carlo, wrap_error
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig, synthesize
 
-from conftest import draw_theta, estimate_one, grid_peak_oracle, observe
+from conftest import draw_theta, estimate_one, grid_peak_oracle, observe, trials_of
 
 
 class _ZeroNoise:
@@ -141,7 +141,7 @@ class TestGridPeak:
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
                 for trials in (1, 1031):
                     mc = McConfig(trials=trials, seed=K + grid_size + trials)
-                    _, samples = mapsim._trials(config, prior, mc)
+                    _, samples = trials_of(config, prior, mc)
                     want, near_tie = grid_peak_oracle(config, prior, samples, grid_size)
                     got = mapsim._grid_peak(mapsim._fold(config, prior, samples), grid_size)
                     assert np.all((got == want) | near_tie)
@@ -171,7 +171,7 @@ class TestGridPeak:
         # every point (stride 1) and has no inner points to score
         config = SignalConfig(K=K, snr=10.0 ** -0.8)
         prior = VonMisesPrior(mu=0.7, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=200, seed=K))
+        _, samples = trials_of(config, prior, McConfig(trials=200, seed=K))
         want, near_tie = grid_peak_oracle(config, prior, samples, 4096)
         got = mapsim._grid_peak(mapsim._fold(config, prior, samples), 4096)
         assert np.all((got == want) | near_tie)
@@ -230,7 +230,7 @@ class TestGridPeak:
         # a 1,024 x 4,096 float64 score matrix alone is 32 MiB
         config = SignalConfig(K=20, snr=1.0)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=1024, seed=1))
+        _, samples = trials_of(config, prior, McConfig(trials=1024, seed=1))
         z = mapsim._fold(config, prior, samples)
         mapsim._grid_peak(z, 4096)  # fills the caches
         tracemalloc.start()
@@ -250,7 +250,7 @@ class TestRefinePeaks:
         for snr_db in range(-20, 11, 5):
             config = SignalConfig(K=K, snr=10.0 ** (snr_db / 10.0))
             mc = McConfig(trials=32, seed=100 * K + snr_db + 20)
-            _, samples = mapsim._trials(config, prior, mc)
+            _, samples = trials_of(config, prior, mc)
             z = mapsim._fold(config, prior, samples)
             centers = mapsim._grid_peak(z, 4096)
             got = mapsim._refine_peaks(z, centers, _CELL)
@@ -267,7 +267,7 @@ class TestRefinePeaks:
         # MAP rows would change with the chunk size
         config = SignalConfig(K=K, snr=10.0 ** -0.3)
         prior = VonMisesPrior(mu=0.7, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=1031, seed=K))
+        _, samples = trials_of(config, prior, McConfig(trials=1031, seed=K))
         z = mapsim._fold(config, prior, samples)
         centers = mapsim._grid_peak(z, 4096)
         batch = mapsim._refine_peaks(z, centers, _CELL)
@@ -281,7 +281,7 @@ class TestRefinePeaks:
         # shifted by 1.5 cells see f fall (or rise) all the way across
         config = SignalConfig(K=20, snr=1.0)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
-        _, samples = mapsim._trials(config, prior, McConfig(trials=64, seed=4))
+        _, samples = trials_of(config, prior, McConfig(trials=64, seed=4))
         z = mapsim._fold(config, prior, samples)
         centers = mapsim._grid_peak(z, 4096)
         above, below = centers + 1.5 * _CELL, centers - 1.5 * _CELL
@@ -300,15 +300,16 @@ class TestRefinePeaks:
 
 
 class TestMonteCarlo:
-    def test_trial_streams_match_per_trial_generation(self):
+    def test_trial_streams_match_per_trial_generation(self, monkeypatch):
         # reference: trial by trial, theta from the (seed, 0) stream and the
         # noise from the (seed, 1) stream; kappa 1e7 takes numpy's
-        # wrapped-normal branch of vonmises
+        # wrapped-normal branch of vonmises. Chunks of 7 put seams in the draws
+        monkeypatch.setattr(mapsim, "_TRIAL_CHUNK", 7)
         for kappa in (0.0, 2.0, 800.0, 1e7):
             config = SignalConfig(K=7, snr=0.3)
             prior = VonMisesPrior(mu=0.5, kappa=kappa)
             mc = McConfig(trials=50, seed=12)
-            truths, samples = mapsim._trials(config, prior, mc)
+            truths, samples = trials_of(config, prior, mc)
             truth_rng, noise_rng = (np.random.default_rng([mc.seed, i]) for i in (0, 1))
             for t in range(mc.trials):
                 theta = draw_theta(prior, truth_rng)
@@ -318,9 +319,9 @@ class TestMonteCarlo:
     def test_trials_are_a_prefix_of_longer_runs(self):
         config = SignalConfig(K=20, snr=0.5)
         prior = VonMisesPrior(mu=-1.0, kappa=3.0)
-        truths, samples = mapsim._trials(config, prior, McConfig(trials=300, seed=21))
+        truths, samples = trials_of(config, prior, McConfig(trials=300, seed=21))
         for n in (1, 37, 299):
-            head, head_samples = mapsim._trials(config, prior, McConfig(trials=n, seed=21))
+            head, head_samples = trials_of(config, prior, McConfig(trials=n, seed=21))
             assert np.array_equal(head, truths[:n])
             assert np.array_equal(head_samples, samples[:n])
 
@@ -336,7 +337,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(np.random, "default_rng", counting)
         config = SignalConfig(K=20, snr=1.0)
-        mapsim._trials(config, VonMisesPrior(kappa=1.0), McConfig(trials=trials, seed=3))
+        trials_of(config, VonMisesPrior(kappa=1.0), McConfig(trials=trials, seed=3))
         assert calls == [([3, 0],), ([3, 1],)]
 
     def test_each_chunk_is_folded_once(self, monkeypatch):
@@ -354,11 +355,37 @@ class TestMonteCarlo:
         run_monte_carlo(config, VonMisesPrior(kappa=1.0), McConfig(trials=2500, seed=3))
         assert calls == [1024, 1024, 452]
 
+    def test_memory_follows_the_chunk_not_the_trials(self):
+        # one whole draw of 20,480 trials at K=20 holds 13 MiB of noise and samples
+        config = SignalConfig(K=20, snr=1.0)
+        prior = VonMisesPrior(kappa=1.0)
+        run_monte_carlo(config, prior, McConfig(trials=1))  # fills the caches
+        tracemalloc.start()
+        try:
+            run_monte_carlo(config, prior, McConfig(trials=20_480, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(("K", "grid_size"), [
+        (1, 4096), (20, 4096), (1024, 4096), (1025, 4100), (2048, 8192)])
+    def test_grid_holds_four_points_per_main_lobe(self, K, grid_size, monkeypatch):
+        # G = max(4096, 4K); at K=2048 the 4096-point grid missed main lobes
+        # (MSE 5.5e-7 against 1.9e-9 at G=8192 and a BCRB of 1.75e-9)
+        sizes = []
+
+        def grid_peak(z, size):  # records G and skips the search
+            sizes.append(size)
+            return np.zeros(len(z))
+
+        monkeypatch.setattr(mapsim, "_grid_peak", grid_peak)
+        run_monte_carlo(SignalConfig(K=K, snr=1.0), VonMisesPrior(kappa=1.0), McConfig(trials=3))
+        assert sizes == [grid_size]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
-        with pytest.raises(ValueError):
-            McConfig(grid_size=32)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
@@ -370,17 +397,15 @@ class TestMonteCarlo:
         assert type(mc.seed) is int and mc == McConfig(trials=3, seed=5)
 
     @pytest.mark.parametrize(("field", "value"), [
-        ("trials", 10.5), ("trials", 1000.0), ("trials", "3"), ("trials", None),
-        ("grid_size", 4096.0), ("grid_size", np.float64(128.0)), ("grid_size", "4096")])
+        ("trials", 10.5), ("trials", 1000.0), ("trials", "3"), ("trials", None)])
     def test_sizes_must_be_integers(self, field, value):
         # a float size used to pass here and fail later inside run_monte_carlo
         with pytest.raises(ValueError, match=field):
             McConfig(**{field: value})
 
     def test_numpy_integer_sizes_are_taken_as_int(self):
-        mc = McConfig(trials=np.int64(3), grid_size=np.int32(128))
-        assert type(mc.trials) is int and type(mc.grid_size) is int
-        assert mc == McConfig(trials=3, grid_size=128)
+        mc = McConfig(trials=np.int64(3))
+        assert type(mc.trials) is int and mc == McConfig(trials=3)
 
     def test_single_trial_reproducible(self):
         config = SignalConfig(K=20, snr=1.0)
@@ -398,8 +423,8 @@ class TestMonteCarlo:
         assert run_monte_carlo(config, prior, mc) == run_monte_carlo(config, prior, mc)
 
     def test_chunking_invariant(self, monkeypatch):
-        # the result must not depend on how trials split into estimation
-        # batches, since every trial is drawn before the split
+        # the result must not depend on how trials split into chunks, since
+        # a chunked draw equals one whole draw and rows are estimated alone
         config = SignalConfig(K=20, snr=10.0 ** -0.2)
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         mc = McConfig(trials=300, seed=3)

@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from circbound import mapsim
 from circbound.mapsim import McConfig
 from circbound.numerics import integrate
 from circbound.prior import UNIFORM_VARIANCE, VonMisesPrior
 from circbound.signal_model import SignalConfig
 
-from conftest import bessel_series_oracle, von_mises_pdf
+from conftest import bessel_series_oracle, trials_of, von_mises_pdf
 
 
 class TestConstruction:
@@ -71,8 +70,8 @@ class TestLogPdf:
 
 def _draws(prior: VonMisesPrior, seed: int, trials: int) -> np.ndarray:
     """The true frequencies of `trials` Monte Carlo trials at master seed `seed`."""
-    truths, _ = mapsim._trials(SignalConfig(K=1, snr=1.0), prior,
-                               McConfig(trials=trials, seed=seed))
+    truths, _ = trials_of(SignalConfig(K=1, snr=1.0), prior,
+                          McConfig(trials=trials, seed=seed))
     return truths
 
 

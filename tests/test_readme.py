@@ -1,7 +1,7 @@
 """The README's CLI examples parse with the parser as it is, its CLI
-section names every flag, and its numerical notes name no flag the parser
-lacks, so the two cannot drift apart. The commands are parsed and
-validated, not run."""
+section names every flag and the prefix of a flag file, and its numerical
+notes name no flag the parser lacks, so the two cannot drift apart. The
+commands are parsed and validated, not run."""
 import argparse
 import re
 import shlex
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from circbound import testpoints
-from circbound.cli import _build_parser, _int, _make_spec, _parse_args, _trio
+from circbound.cli import _build_parser, _int, _make_spec, _trio
 from circbound.testpoints import TestPointConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,7 +45,7 @@ def test_block_has_every_command():
 
 @pytest.mark.parametrize("argv", _cli_commands(), ids=" ".join)
 def test_command_parses_into_a_valid_spec(argv):
-    args = _parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "testpoints":
         testpoints.build(TestPointConfig(*_trio(args.config)), _int(args.k, "k"))
     else:
@@ -57,6 +57,12 @@ def test_cli_section_names_every_flag():
     # negative list) and `--kap` (an abbreviation of --kappa), which are not flags
     named = _named_flags(_section("CLI")) - {"--flag", "--kap"}
     assert named == _parser_flags() - {"--help"}
+
+
+def test_cli_section_names_the_flag_file_prefix():
+    # a flag file is named in the prose as `circbound <command> <prefix>name`
+    prefix = re.escape(_build_parser().fromfile_prefix_chars)
+    assert re.search(rf"`circbound [a-z-]+ {prefix}\w", _section("CLI"))
 
 
 def test_numerical_notes_name_only_parser_flags():
