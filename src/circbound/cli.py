@@ -329,6 +329,18 @@ FIGURE_PRESETS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def _read_args_from_files(self, arg_strings):
+        # argparse reports an @file it cannot open, but not one it cannot decode
+        out = []
+        for arg in arg_strings:
+            try:
+                out += super()._read_args_from_files([arg])
+            except UnicodeDecodeError as err:
+                self.error(f"cannot decode flag file {arg[1:]!r}: {err}")
+        return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # the flags of every subcommand
     io_flags = argparse.ArgumentParser(add_help=False)
@@ -355,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # `circbound wwb @flags.txt` reads flags from a file, split at white
     # space, with `#` starting a comment; flags after the file win
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="circbound",
         description="Bayesian lower bounds on circular frequency estimation error",
         fromfile_prefix_chars="@",

@@ -72,7 +72,8 @@ def _fold(config: SignalConfig, prior: VonMisesPrior, samples: np.ndarray) -> np
     return z
 
 
-@functools.lru_cache(maxsize=4)
+# one table: `run_sweep` walks K outermost, so the MAP points of one K run in a row
+@functools.lru_cache(maxsize=1)
 def _grid_table(n_coef: int, grid_size: int) -> tuple:
     """Read-only tables of the grid search for `_fold` coefficients of that
     count, k < n_coef: the grid g (G,) on [-pi, pi); the stride S, the
@@ -84,9 +85,11 @@ def _grid_table(n_coef: int, grid_size: int) -> tuple:
     grid = -math.pi + 2.0 * math.pi * np.arange(grid_size) / grid_size
     limit = max(1, min(grid_size // (8 * n_coef), math.isqrt(grid_size)))
     stride = max(s for s in range(1, limit + 1) if grid_size % s == 0)
-    kg = np.outer(np.arange(n_coef), grid[::stride])
-    coarse = np.concatenate([np.cos(kg), np.sin(kg)])
+    coarse = np.empty((2 * n_coef, grid_size // stride))
+    kg = np.multiply.outer(np.arange(n_coef), grid[::stride], out=coarse[:n_coef])
     phasors = np.exp(-1j * kg.T) if stride > 1 else None
+    np.sin(kg, out=coarse[n_coef:])
+    np.cos(kg, out=kg)  # in place: the table is built without a copy
     kd = np.outer(np.arange(n_coef), 2.0 * math.pi * np.arange(1, stride) / grid_size)
     offsets = np.empty((2 * n_coef, stride - 1))
     offsets[0::2], offsets[1::2] = np.cos(kd), np.sin(kd)

@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "DomainError",
     "QuadratureError",
     "dirichlet_kernel",
     "gamma_p_3_2",
@@ -17,10 +16,6 @@ __all__ = [
     "inverse_form",
     "normal_tail",
 ]
-
-
-class DomainError(ValueError):
-    """Argument outside the supported domain."""
 
 
 class QuadratureError(RuntimeError):
@@ -43,9 +38,9 @@ def dirichlet_kernel(h, K: int):
     """
     h = np.asarray(h, dtype=float)
     if np.count_nonzero(np.isfinite(h)) != h.size:
-        raise DomainError(f"kernel offset must be finite, got {h}")
+        raise ValueError(f"kernel offset must be finite, got {h}")
     if K < 1:
-        raise DomainError(f"sample count must be >= 1, got {K}")
+        raise ValueError(f"sample count must be >= 1, got {K}")
     s = np.sin(0.5 * h)
     near = np.abs(s) < 5e-3
     # adding `near` keeps the divisor of the entries replaced below nonzero
@@ -60,12 +55,10 @@ def dirichlet_kernel(h, K: int):
 # together until their nodes reach it (an entry with more is evaluated
 # alone); it bounds the node-sized temporaries of a pass at 64 KiB each
 _CHUNK_NODES = 8192
-# panels of an integral whose start the caller does not size
-_START_PANELS = 32
 # an integral converges when one doubling of its panels moves it by at most this, relatively
 _REL_TOL = 1e-10
 # the cap on a start that a caller sizes, such as the prior integrals of the WWB
-_MAX_START = 8 * _START_PANELS
+_MAX_START = 256
 # an integral still moving at this many panels fails: six doublings past the largest start
 _MAX_PANELS = 64 * _MAX_START
 
@@ -96,26 +89,21 @@ def _panel_sums(f, a, b, rows: np.ndarray, panels: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate(f, a, b, panels=None):
-    """Composite Gauss-Legendre integral of `f` over [a, b].
-
-    With scalar limits `f` must accept an ndarray of abscissae and the result
-    is a float. With 1-D array limits every entry is its own integral and the
-    result is an array: `f(theta, rows)` gets a flat array of abscissae and
-    the equally long array of the entries they belong to. `panels` gives each
-    entry its starting panel count (default _START_PANELS). Each entry
-    converges on its own, when one doubling of its panels changes it by at
-    most _REL_TOL relatively; an entry still moving once its panels reach
-    _MAX_PANELS signals QuadratureError.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+def integrate(f, a, b, panels):
+    """Composite Gauss-Legendre integrals of `f` over [a_i, b_i] for the 1-D
+    arrays `a` and `b`: `f(theta, rows)` gets a flat array of abscissae and
+    the equally long array of the entries they belong to, and `panels` gives
+    each entry its starting panel count. Each entry converges on its own,
+    when one doubling of its panels changes it by at most _REL_TOL
+    relatively; one still moving once its panels reach _MAX_PANELS signals
+    QuadratureError."""
+    a, b, start = np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(panels)
+    if a.ndim != 1 or b.shape != a.shape:
+        raise ValueError(f"integration limits must be 1-D arrays of one shape, got {a} and {b}")
     if np.any(a > b):
-        raise DomainError(f"integration interval requires a <= b, got [{a}, {b}]")
-    if a.ndim == 0:
-        return float(integrate(lambda t, _: f(t), a[None], b[None])[0])
-    start = np.full(a.shape, _START_PANELS) if panels is None else np.asarray(panels)
+        raise ValueError(f"integration interval requires a <= b, got [{a}, {b}]")
     if start.shape != a.shape or not np.issubdtype(start.dtype, np.integer) or np.any(start < 1):
-        raise DomainError(f"starting panels must be positive integers, one per entry, got {start}")
+        raise ValueError(f"starting panels must be positive integers, one per entry, got {start}")
     out = np.zeros(a.shape)
     rows = np.flatnonzero(a < b)
     panels = start[rows]
@@ -147,7 +135,7 @@ def gamma_p_3_2(z: float) -> float:
     z = 0.5, where that difference cancels, its series
     z^{3/2} e^-z / Gamma(5/2) * sum_n z^n / ((5/2)(7/2)...(n + 3/2))."""
     if z < 0.0:
-        raise DomainError(f"upper limit must be >= 0, got {z}")
+        raise ValueError(f"upper limit must be >= 0, got {z}")
     if z >= 0.5:
         z = min(z, 1e3)  # P rounds to 1 long before; the cap keeps z = inf off inf * 0
         return math.erf(math.sqrt(z)) - 2.0 * math.sqrt(z / math.pi) * math.exp(-z)
@@ -181,7 +169,7 @@ def inverse_form(c: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore"):
         scale = np.maximum(np.max(np.abs(c), axis=(1, 2)), 1e-300)
         if np.any(np.max(np.abs(c - c.transpose(0, 2, 1)), axis=(1, 2)) > 1e-9 * scale):
-            raise DomainError("matrix is not symmetric within 1e-9 relative")
+            raise ValueError("matrix is not symmetric within 1e-9 relative")
         for j in range(r):
             pivot = a[j, j]
             keep = np.isfinite(pivot) & (pivot > 1e-14)

@@ -11,8 +11,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import DomainError
-
 __all__ = ["VonMisesPrior", "UNIFORM_VARIANCE", "wrap_angle"]
 
 # variance of the uniform distribution on [-pi, pi]; the normal-approximation
@@ -37,7 +35,7 @@ class VonMisesPrior:
             raise ValueError(f"mu must lie in [-pi, pi], got {self.mu}")
         # kappa is the argument of the Bessel functions I0 and I1
         if not (0.0 <= self.kappa < math.inf):
-            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
 
     @cached_property
     def scaled_bessel(self) -> tuple[float, float, float]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, dirichlet_kernel
+from .numerics import dirichlet_kernel
 
 __all__ = [
     "TestPointConfig",
@@ -32,6 +32,7 @@ __all__ = [
 DEDUP_TOL = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-8  # width at which a golden-section bracket stops
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,18 @@ def close_points() -> np.ndarray:
     return np.array([0.001 * math.pi, 0.01 * math.pi])
 
 
-def _golden_max(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _golden_max(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Golden-section search for the maximizer of f on every bracket [a, b] at once.
 
     Each lane takes exactly the steps of a scalar search, with one call of f on
-    all lanes per step. Only a and b stop once a lane is no wider than tol:
+    all lanes per step. Only a and b stop once a lane is no wider than _GOLDEN_TOL:
     whether a lane still searches depends on b - a alone, so a finished lane's
     probes may move on without effect.
     """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
-    live = b - a > tol
+    live = b - a > _GOLDEN_TOL
     while live.any():
         up = f1 < f2
         a = np.where(live & up, x1, a)
@@ -101,7 +102,7 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarra
         x1, x2 = np.where(up, x2, b - _GOLDEN * (b - a)), np.where(up, a + _GOLDEN * (b - a), x1)
         fx = f(np.where(up, x2, x1))
         f1, f2 = np.where(up, f2, fx), np.where(up, fx, f1)
-        live = b - a > tol
+        live = b - a > _GOLDEN_TOL
     return 0.5 * (a + b)
 
 
@@ -114,7 +115,7 @@ def sidelobe_points(K: int, grid_step: float | None = None) -> np.ndarray:
     of odd K peaks there): that lane keeps pi unless the search beat it.
     """
     if K < 2:
-        raise DomainError(f"no side lobes exist for K < 2, got K={K}")
+        raise ValueError(f"no side lobes exist for K < 2, got K={K}")
     if grid_step is None:
         grid_step = math.pi / (64 * K)
     first_null = 2.0 * math.pi / K
@@ -148,7 +149,7 @@ def build(config: TestPointConfig, K: int) -> TestPointSet:
     kept; a point closer than DEDUP_TOL to the last kept one is dropped.
     """
     if K < 1:
-        raise DomainError(f"K must be >= 1, got K={K}")
+        raise ValueError(f"K must be >= 1, got K={K}")
     lobes = sidelobe_points(K) if config.s_count else np.empty(0)
     if config.s_count > lobes.size:
         raise ValueError(

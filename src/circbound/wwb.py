@@ -26,10 +26,6 @@ from .testpoints import TestPointSet
 
 __all__ = ["WwbResult", "wwb_axis", "wwb_value", "best_s"]
 
-# test-point sets whose SNR-free parts are kept; a sweep solves a set's whole
-# SNR axis at once and never revisits it, so the hits come from callers that
-# pass one SNR at a time, such as `wwb_value` along an SNR axis
-_SET_CACHE_SIZE = 64
 # a bound below the smallest normal double has lost digits or is 0
 _TINY = float(np.finfo(float).tiny)
 
@@ -117,7 +113,8 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=_SET_CACHE_SIZE)
+# the last set's parts are kept: `wwb_value` along an SNR axis reuses them
+@lru_cache(maxsize=1)
 def _set_parts(
     K: int, h: tuple[float, ...], s: float, prior: VonMisesPrior
 ) -> tuple[np.ndarray, np.ndarray]:

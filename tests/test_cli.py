@@ -682,17 +682,24 @@ class TestConfigFile:
         assert capsys.readouterr().err.endswith(
             f"error: argument --linear-error: ignored explicit argument {value!r}\n")
 
-    @pytest.mark.parametrize("name", ["missing", "directory", "binary", "empty"])
+    @pytest.mark.parametrize("name", ["missing", "directory", "binary", "empty", "names-binary"])
     def test_unreadable_file_rejected(self, name, tmp_path, capsys):
-        path = tmp_path / name
+        # the message names the file that cannot be read or decoded, also
+        # when another @file names it
+        path = bad = tmp_path / name
         if name == "directory":
             path.mkdir()
         elif name == "binary":
             path.write_bytes(b"\xff\xfe --kappa 2\n")
+        elif name == "names-binary":
+            bad = tmp_path / "binary"
+            bad.write_bytes(b"\xff\xfe")
+            path.write_text(f"--kappa 2 @{bad}\n")
         arg = "@" if name == "empty" else f"@{path}"
         assert main(["bcrb", arg]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(("usage: ", "error: "))
+        assert repr("" if name == "empty" else str(bad)) in err
 
     def test_at_sign_inside_a_value_is_literal(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

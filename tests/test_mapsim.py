@@ -165,6 +165,19 @@ class TestGridPeak:
         assert got == stride
         assert grid_size % got == 0
 
+    def test_table_built_in_place(self):
+        # the coarse table of 600 rows by 4,096 points is 18.75 MiB; its build
+        # peaks near that, not at k g, its cosine and sine and their
+        # concatenation held at once (2.5 tables)
+        tracemalloc.start()
+        try:
+            coarse = mapsim._grid_table.__wrapped__(300, 4096)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coarse.shape == (600, 4096)
+        assert peak < 1.1 * coarse.nbytes
+
     @pytest.mark.parametrize("K", [256, 257])
     def test_matches_oracle_either_side_of_the_full_grid(self, K):
         # at G 4096, K 256 is the largest count scored at stride 2; K 257 takes

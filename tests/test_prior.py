@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.integrate import quad
 
 from circbound.mapsim import McConfig
-from circbound.numerics import integrate
 from circbound.prior import UNIFORM_VARIANCE, VonMisesPrior
 from circbound.signal_model import SignalConfig
 
@@ -32,7 +32,8 @@ class TestConstruction:
     @pytest.mark.parametrize("mu", [-math.pi / 2.0, 0.0, math.pi / 2.0])
     def test_pdf_normalizes(self, kappa, mu):
         prior = VonMisesPrior(mu=mu, kappa=kappa)
-        mass = integrate(lambda t: np.exp(kappa * np.cos(t - mu) - prior.log_norm), -math.pi, math.pi)
+        mass, _ = quad(lambda t: math.exp(kappa * math.cos(t - mu) - prior.log_norm), -math.pi, math.pi,
+                       epsabs=1e-13, epsrel=1e-13)
         assert mass == pytest.approx(1.0, abs=1e-8)
 
 
@@ -44,8 +45,8 @@ class TestPdf:
     def test_peak_value_vs_normalization_oracle(self):
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         # normalize the unnormalized kernel by quadrature instead of I0
-        kernel = lambda t: np.exp(2.0 * np.cos(t))
-        norm = integrate(kernel, -math.pi, math.pi)
+        kernel = lambda t: math.exp(2.0 * math.cos(t))
+        norm, _ = quad(kernel, -math.pi, math.pi, epsabs=0.0, epsrel=1e-13)
         assert math.exp(2.0 - prior.log_norm) == pytest.approx(math.exp(2.0) / norm, rel=1e-9)
 
 
@@ -94,7 +95,7 @@ class TestSampling:
         edges = np.linspace(-math.pi, math.pi, 41)
         observed, _ = np.histogram(draws, bins=edges)
         expected = np.array([
-            integrate(von_mises_pdf(prior), float(a), float(b))
+            quad(von_mises_pdf(prior), a, b, epsabs=1e-13, epsrel=1e-12)[0]
             for a, b in zip(edges[:-1], edges[1:])
         ]) * draws.size
         result = stats.chisquare(observed, expected * observed.sum() / expected.sum())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from circbound import testpoints
-from circbound.numerics import DomainError, dirichlet_kernel
+from circbound.numerics import dirichlet_kernel
 from circbound.testpoints import (
     DEDUP_TOL,
     TestPointConfig,
@@ -111,7 +111,7 @@ class TestSidelobePoints:
         assert len(calls) < 50
 
     def test_too_few_samples(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             sidelobe_points(1)
 
     def test_two_samples_have_no_side_lobes(self):
@@ -174,7 +174,7 @@ class TestBuild:
     @pytest.mark.parametrize("K", [0, -5])
     def test_k_below_one_rejected(self, K):
         # without side lobes nothing else in the set depends on K
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             build(TestPointConfig(2, 0, 1), K)
 
 

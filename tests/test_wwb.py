@@ -145,12 +145,13 @@ class TestPriorExponents:
                              ids=[f"{k}" + (f"-mu{m}" if m else "") for k, m in CONVERGE_CASES])
     @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
     def test_set_converges_wherever_fixed_starts_do(self, kappa, mu, s, monkeypatch):
-        # every integral starting at integrate's default 32 panels, as the
-        # fixed-start rule does, is the reference the sized starts must converge with
+        # every integral starting at 32 panels, as the fixed-start rule does,
+        # is the reference the sized starts must converge with
         prior = VonMisesPrior(mu=mu, kappa=kappa)
         h = tuple(build(TestPointConfig(2, 9, 10), 20).h.tolist())
         _, gamma = _set_parts.__wrapped__(20, h, s, prior)
-        monkeypatch.setattr(wwb, "integrate", lambda f, a, b, panels: integrate(f, a, b))
+        fixed_start = lambda f, a, b, panels: integrate(f, a, b, np.full(a.shape, 32))
+        monkeypatch.setattr(wwb, "integrate", fixed_start)
         try:
             _, fixed = _set_parts.__wrapped__(20, h, s, prior)
         except QuadratureError:
