@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import gamma_p_3_2, normal_tail
+from .numerics import gamma_p_3_2
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
 
@@ -34,12 +34,13 @@ def bcrb(prior: VonMisesPrior, K: int, snr: float) -> float:
 def zzb(prior: VonMisesPrior, K: int, snr: float) -> float:
     """Closed-form Ziv-Zakai bound.
 
-    J_F^{-1} Gamma_{1.5}(0.5 K SNR) + sigma_theta^2 * 2 Phi(sqrt(K SNR)),
-    where sigma_theta^2 is the clamped prior variance surrogate.
+    J_F^{-1} Gamma_{1.5}(0.5 K SNR) + sigma_theta^2 * 2 Q(sqrt(K SNR)), with Q
+    the standard normal tail and sigma_theta^2 the clamped prior variance surrogate.
     """
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     ks = K * snr
     asymptotic = gamma_p_3_2(0.5 * ks) / fisher_information(K, snr)
-    floor = prior.variance() * 2.0 * normal_tail(math.sqrt(ks))
+    # 2 Q(x) = erfc(x / sqrt 2)
+    floor = prior.variance() * math.erfc(math.sqrt(ks) / math.sqrt(2.0))
     return asymptotic + floor

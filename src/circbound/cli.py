@@ -42,10 +42,6 @@ class SpecError(ValueError):
         self.fieldname = fieldname
 
 
-class WriteError(Exception):
-    """The output file cannot be written."""
-
-
 @dataclass
 class SweepSpec:
     snr_db: list[float]
@@ -248,11 +244,8 @@ def _write(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise WriteError(f"cannot write {path}: {err}") from err
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +324,18 @@ FIGURE_PRESETS = {
 
 class _Parser(argparse.ArgumentParser):
     def _read_args_from_files(self, arg_strings):
-        # argparse reports an @file it cannot open, but not one it cannot decode
+        # argparse reports an @file it cannot open, but not one it cannot
+        # decode: before Python 3.12 it raises UnicodeDecodeError, and later it
+        # decodes each bad byte to a lone surrogate, which the round trip refuses
         out = []
         for arg in arg_strings:
             try:
-                out += super()._read_args_from_files([arg])
+                words = super()._read_args_from_files([arg])
+                for word in words if arg.startswith("@") else ():
+                    word.encode("utf-8", "surrogateescape").decode("utf-8")
             except UnicodeDecodeError as err:
                 self.error(f"cannot decode flag file {arg[1:]!r}: {err}")
+            out += words
         return out
 
 
@@ -454,8 +452,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, RuntimeError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
-    except WriteError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except OSError as err:  # argparse reports an @file it cannot read: only _write gets here
+        print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
         return 3
 
 

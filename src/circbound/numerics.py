@@ -14,7 +14,6 @@ __all__ = [
     "gamma_p_3_2",
     "integrate",
     "inverse_form",
-    "normal_tail",
 ]
 
 
@@ -30,13 +29,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 def dirichlet_kernel(h, K: int):
     """sum_{k=0}^{K-1} cos(h k), evaluated in closed form away from the 0/0 points.
 
-    `h` may be a scalar (a float is returned) or an array (evaluated entry by
-    entry). Near h = 2 pi m the closed form is 0/0 and loses accuracy well
-    before the exact singularity (the ratio amplifies rounding by ~K/sin^2);
-    fall back to the direct sum, which is the definition, wherever the closed
-    form cannot deliver 1e-10 absolute accuracy for K up to a few hundred.
+    `h` is evaluated entry by entry; a scalar gives a one-entry array. Near
+    h = 2 pi m the closed form is 0/0 and loses accuracy well before the
+    exact singularity (the ratio amplifies rounding by ~K/sin^2); fall back
+    to the direct sum, which is the definition, wherever the closed form
+    cannot deliver 1e-10 absolute accuracy for K up to a few hundred.
     """
-    h = np.asarray(h, dtype=float)
+    h = np.atleast_1d(np.asarray(h, dtype=float))
     if np.count_nonzero(np.isfinite(h)) != h.size:
         raise ValueError(f"kernel offset must be finite, got {h}")
     if K < 1:
@@ -46,9 +45,8 @@ def dirichlet_kernel(h, K: int):
     # adding `near` keeps the divisor of the entries replaced below nonzero
     out = np.cos(0.5 * h * (K - 1)) * np.sin(0.5 * h * K) / (s + near)
     if np.count_nonzero(near):
-        out = np.array(out)
         out[near] = np.sum(np.cos(np.multiply.outer(h[near], np.arange(K))), axis=-1)
-    return float(out) if h.ndim == 0 else out
+    return out
 
 
 # nodes of one flattened pass of a batched integral: entries are evaluated
@@ -122,11 +120,6 @@ def integrate(f, a, b, panels):
             )
         rows, panels, prev = rows[~done], panels[~done], cur[~done]
     return out
-
-
-def normal_tail(z: float) -> float:
-    """P(N(0,1) > z), via the complementary error function."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def gamma_p_3_2(z: float) -> float:

@@ -33,6 +33,7 @@ DEDUP_TOL = 1e-6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-8  # width at which a golden-section bracket stops
+_SCAN_POINTS = 64  # side-lobe scan points per pi / K
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def sidelobe_points(K: int, grid_step: float | None = None) -> np.ndarray:
+def sidelobe_points(K: int) -> np.ndarray:
     """Positive-valued side-lobe peak locations of D(h) = sum cos(h k) on (0, pi].
 
     Fine-grid scan beyond the first null at 2 pi / K, then one golden-section
@@ -116,12 +117,11 @@ def sidelobe_points(K: int, grid_step: float | None = None) -> np.ndarray:
     """
     if K < 2:
         raise ValueError(f"no side lobes exist for K < 2, got K={K}")
-    if grid_step is None:
-        grid_step = math.pi / (64 * K)
+    step = math.pi / (_SCAN_POINTS * K)
     first_null = 2.0 * math.pi / K
     if first_null >= math.pi:  # K = 2: the main lobe fills (0, pi]
         return np.empty(0)
-    grid = np.arange(first_null + grid_step, math.pi + 0.5 * grid_step, grid_step)
+    grid = np.arange(first_null + step, math.pi + 0.5 * step, step)
     grid[-1] = math.pi
     vals = dirichlet_kernel(grid, K)
     last = grid.size - 1

@@ -242,7 +242,7 @@ def sidelobe_oracle(K: int, grid_step: float) -> np.ndarray:
     vals = dirichlet_kernel(grid, K)
 
     def d(h: float) -> float:
-        return dirichlet_kernel(h, K)
+        return dirichlet_kernel(h, K)[0]
 
     peaks = []
     for i in range(1, len(grid) - 1):

@@ -108,3 +108,18 @@ class TestZzb:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             zzb(VonMisesPrior(kappa=1.0), 1, 1.0)
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 5.0])
+    def test_matches_scipy_closed_form(self, kappa):
+        # P(3/2, KS/2) / J_F + variance * 2 Q(sqrt(KS)), with scipy's
+        # incomplete gamma and normal tail and J_F = 2 SNR sum k^2
+        from scipy.special import gammainc
+        from scipy.stats import norm
+
+        K, prior = 20, VonMisesPrior(kappa=kappa)
+        for snr_db in np.arange(-20.0, 10.25, 0.25):
+            snr = 10.0 ** (snr_db / 10.0)
+            ks = K * snr
+            j_f = 2.0 * snr * sum(k * k for k in range(K))
+            want = gammainc(1.5, 0.5 * ks) / j_f + prior.variance() * 2.0 * norm.sf(math.sqrt(ks))
+            assert zzb(prior, K, snr) == pytest.approx(want, rel=1e-13, abs=0.0), snr_db

@@ -1,4 +1,6 @@
 """Command-line surface: sweeps, presets, serialization, exit codes."""
+import argparse
+import functools
 import json
 import math
 import warnings
@@ -700,6 +702,30 @@ class TestConfigFile:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(("usage: ", "error: "))
         assert repr("" if name == "empty" else str(bad)) in err
+
+    @pytest.mark.parametrize("name", ["binary", "names-binary", "bad-value"])
+    def test_undecodable_file_rejected_when_bytes_are_escaped(
+        self, name, tmp_path, monkeypatch, capsys
+    ):
+        # from Python 3.12 on argparse reads an @file with surrogateescape, so
+        # a bad byte arrives as a lone surrogate instead of a decode error
+        monkeypatch.setattr(argparse, "open", functools.partial(open, errors="surrogateescape"),
+                            raising=False)
+        monkeypatch.chdir(tmp_path)
+        path = bad = tmp_path / name
+        if name == "binary":
+            path.write_bytes(b"\xff\xfe --kappa 2\n")
+        elif name == "names-binary":
+            bad = tmp_path / "binary"
+            bad.write_bytes(b"\xff\xfe")
+            path.write_text(f"--kappa 2 @{bad}\n")
+        else:  # a latin-1 value, which would name another output file
+            path.write_bytes("--out caf\xe9.csv\n".encode("latin-1"))
+        assert main(["bcrb", f"@{path}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+        assert f"error: cannot decode flag file {str(bad)!r}: " in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({name, bad.name})
 
     def test_at_sign_inside_a_value_is_literal(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from circbound import mapsim
 from circbound.benchmarks import bcrb
-from circbound.mapsim import McConfig, run_monte_carlo, wrap_error
-from circbound.prior import VonMisesPrior
+from circbound.mapsim import McConfig, run_monte_carlo
+from circbound.prior import VonMisesPrior, wrap_angle
 from circbound.signal_model import SignalConfig, synthesize
 
 from conftest import draw_theta, estimate_one, grid_peak_oracle, observe, trials_of
@@ -65,14 +65,16 @@ def _dense_golden_peak(config, prior, samples, centers, cell):
 
 
 class TestWrapError:
+    """The wrapped error `wrap_angle(estimate - truth)` that `run_monte_carlo` scores."""
+
     def test_small_error_unchanged(self):
-        assert wrap_error(0.1, 0.0) == pytest.approx(0.1)
+        assert wrap_angle(0.1 - 0.0) == pytest.approx(0.1)
 
     def test_three_half_pi_wraps(self):
-        assert wrap_error(1.5 * math.pi, 0.0) == pytest.approx(-0.5 * math.pi)
+        assert wrap_angle(1.5 * math.pi - 0.0) == pytest.approx(-0.5 * math.pi)
 
     def test_seam_shortest_arc(self):
-        got = wrap_error(math.pi - 0.01, -math.pi + 0.01)
+        got = wrap_angle((math.pi - 0.01) - (-math.pi + 0.01))
         assert got == pytest.approx(-0.02)
 
     @given(
@@ -81,9 +83,9 @@ class TestWrapError:
     )
     @settings(max_examples=300, deadline=None)
     def test_range_and_zero_property(self, est, truth):
-        err = float(wrap_error(est, truth))
+        err = float(wrap_angle(est - truth))
         assert -math.pi <= err < math.pi
-        assert float(wrap_error(truth, truth)) == 0.0
+        assert float(wrap_angle(truth - truth)) == 0.0
 
     @given(
         st.floats(min_value=-math.pi, max_value=math.pi),
@@ -91,8 +93,8 @@ class TestWrapError:
     )
     @settings(max_examples=300, deadline=None)
     def test_congruent_inputs_agree(self, est, truth):
-        a = float(wrap_error(est, truth))
-        b = float(wrap_error(est + 2.0 * math.pi, truth))
+        a = float(wrap_angle(est - truth))
+        b = float(wrap_angle(est + 2.0 * math.pi - truth))
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -456,7 +458,7 @@ class TestMonteCarlo:
         for _ in range(mc.trials):
             theta = draw_theta(prior, truth_rng)
             est = estimate_one(config, prior, observe(config, theta, noise_rng))
-            sq.append(float(wrap_error(est, theta)) ** 2)
+            sq.append(float(wrap_angle(est - theta)) ** 2)
         res = run_monte_carlo(config, prior, mc)
         assert res.mse == pytest.approx(np.mean(sq), rel=1e-9)
         assert res.mse_se == pytest.approx(np.std(sq, ddof=1) / math.sqrt(mc.trials), rel=1e-9)

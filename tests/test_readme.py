@@ -1,7 +1,6 @@
-"""The README's CLI examples parse with the parser as it is, its CLI
-section names every flag and the prefix of a flag file, and its numerical
-notes name no flag the parser lacks, so the two cannot drift apart. The
-commands are parsed and validated, not run."""
+"""The README's CLI examples parse with the parser as it is and run to a
+CSV, its CLI section names every flag and the prefix of a flag file, and its
+numerical notes name no flag the parser lacks, so the two cannot drift apart."""
 import argparse
 import re
 import shlex
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from circbound import testpoints
-from circbound.cli import _build_parser, _int, _make_spec, _trio
+from circbound.cli import CSV_COLUMNS, _build_parser, _int, _make_spec, _trio, main
 from circbound.testpoints import TestPointConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,6 +49,16 @@ def test_command_parses_into_a_valid_spec(argv):
         testpoints.build(TestPointConfig(*_trio(args.config)), _int(args.k, "k"))
     else:
         _make_spec(args).validate()
+
+
+@pytest.mark.parametrize("argv", _cli_commands(), ids=" ".join)
+def test_command_runs(argv, tmp_path, capsys):
+    # a later --out wins, so each command writes its CSV into tmp_path
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    header = "h_rad,h_over_pi,provenance" if argv[0] == "testpoints" else ",".join(CSV_COLUMNS)
+    assert out.read_text().split("\n", 1)[0] == header
 
 
 def test_cli_section_names_every_flag():

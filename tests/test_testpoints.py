@@ -57,16 +57,18 @@ class TestSidelobePoints:
     def test_positive_local_maxima(self, K):
         eps = 1e-5
         for h in sidelobe_points(K):
-            val = dirichlet_kernel(h, K)
+            val = dirichlet_kernel(h, K)[0]
             assert val > 0.0
-            left = dirichlet_kernel(max(h - eps, 1e-9), K)
-            right = dirichlet_kernel(min(h + eps, math.pi), K)
+            left = dirichlet_kernel(max(h - eps, 1e-9), K)[0]
+            right = dirichlet_kernel(min(h + eps, math.pi), K)[0]
             assert val >= left - 1e-9 and val >= right - 1e-9
 
-    def test_grid_step_halving_stability(self):
+    def test_grid_step_halving_stability(self, monkeypatch):
         K = 20
-        coarse = sidelobe_points(K, grid_step=math.pi / (64 * K))
-        fine = sidelobe_points(K, grid_step=math.pi / (128 * K))
+        monkeypatch.setattr(testpoints, "_SCAN_POINTS", 64)
+        coarse = sidelobe_points(K)
+        monkeypatch.setattr(testpoints, "_SCAN_POINTS", 128)
+        fine = sidelobe_points(K)
         assert coarse.size == fine.size
         assert np.max(np.abs(coarse - fine)) < 1e-6
 
@@ -89,13 +91,13 @@ class TestSidelobePoints:
         # odd sample counts put the last positive lobe exactly at the boundary
         pts = sidelobe_points(21)
         assert pts[-1] == pytest.approx(math.pi)
-        assert dirichlet_kernel(math.pi, 21) == pytest.approx(1.0)
+        assert dirichlet_kernel(math.pi, 21)[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("K", [*range(2, 65), 99, 100, 101, 200, 201])
     @pytest.mark.parametrize("per_sample", [64, 128])
-    def test_matches_per_lobe_search_bit_for_bit(self, K, per_sample):
-        grid_step = math.pi / (per_sample * K)
-        assert np.array_equal(sidelobe_points(K, grid_step), sidelobe_oracle(K, grid_step))
+    def test_matches_per_lobe_search_bit_for_bit(self, K, per_sample, monkeypatch):
+        monkeypatch.setattr(testpoints, "_SCAN_POINTS", per_sample)
+        assert np.array_equal(sidelobe_points(K), sidelobe_oracle(K, math.pi / (per_sample * K)))
 
     @pytest.mark.parametrize("K", [20, 200])
     def test_one_search_for_every_lobe(self, K, monkeypatch):
