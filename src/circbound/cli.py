@@ -7,6 +7,7 @@ the optional --f-int conversion.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
@@ -172,8 +173,8 @@ def _wwb_axis(spec, prior, k, point_sets) -> list[tuple]:
     for an error that the grid point raises when the SNR loop reaches it."""
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     columns = []
-    for trio, points in point_sets.items():
-        per_s = wwb.wwb_axis(prior, k, points, snrs, spec.s_grid)
+    per_set = wwb.wwb_axis(prior, k, list(point_sets.values()), snrs, spec.s_grid)
+    for trio, per_s in zip(point_sets, per_set):
         if spec.maximize_s:
             per_s = [[wwb.best_s(spec.s_grid, outcomes) for outcomes in zip(*per_s)]]
         columns.extend([(trio, outcome) for outcome in outcomes] for outcomes in per_s)
@@ -326,13 +327,20 @@ class _Parser(argparse.ArgumentParser):
     def _read_args_from_files(self, arg_strings):
         # argparse reports an @file it cannot open, but not one it cannot
         # decode: before Python 3.12 it raises UnicodeDecodeError, and later it
-        # decodes each bad byte to a lone surrogate, which the round trip refuses
+        # decodes each bad byte to a lone surrogate, which the round trip
+        # refuses; the file's bytes are then decoded again, so the error gives
+        # the position in the file on every Python
         out = []
         for arg in arg_strings:
             try:
                 words = super()._read_args_from_files([arg])
-                for word in words if arg.startswith("@") else ():
-                    word.encode("utf-8", "surrogateescape").decode("utf-8")
+                try:
+                    for word in words if arg.startswith("@") else ():
+                        word.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError:
+                    with contextlib.suppress(OSError), open(arg[1:], "rb") as fh:
+                        fh.read().decode("utf-8")
+                    raise
             except UnicodeDecodeError as err:
                 self.error(f"cannot decode flag file {arg[1:]!r}: {err}")
             out += words

@@ -6,8 +6,8 @@ pattern, and 'E' points evenly spaced across [0.1 pi, pi]. The side-lobe
 peaks come from one golden-section search whose lanes are the lobes, a lobe
 peaking at pi included; each lane takes the steps of a scalar search. A set
 holds only offsets and their provenance: the bound's other hyperparameter,
-the exponent s, is an argument of `wwb.wwb_axis`, which evaluates one set
-over a whole (s, SNR) grid as one stack.
+the exponent s, is an argument of `wwb.wwb_axis`, which evaluates the sets
+of one K over a whole (s, SNR) grid, one stack per pool of nested sets.
 """
 from __future__ import annotations
 

@@ -4,12 +4,14 @@ The four score products are laid out once, as (weights, offsets) in
 `_products`; their closed-form data exponents (Dirichlet-kernel sums) and
 their prior-only log integrals over the von Mises support derive from that
 table. The exponents of Q are snr * core + gamma: the data cores and the prior
-log-integrals gamma are computed once per test-point set and exponent s, as
-arrays. `wwb_axis` forms the correlation matrices of Q in the exponent at
-every (s, SNR) of its grid and eliminates them as one stack, which drops the
-points of singular pivots; the bound h Q^{-1} h^T sits on that stack.
-`best_s` picks the maximizing s at one SNR, and `wwb_value` is the bound at
-s = 0.5 and one SNR.
+log-integrals gamma are computed once per pool of test-point sets and
+exponent s, as arrays. `wwb_axis` takes the sets of one K; a set that nests in
+another joins the larger one's pool (`_pools`). It forms the correlation
+matrices of Q in the exponent at every (s, SNR) of its grid once per pool,
+slices out each member set by its mask and eliminates the member's matrices
+as one stack, which drops the points of singular pivots; the bound
+h Q^{-1} h^T sits on that stack. `best_s` picks the maximizing s at one SNR,
+and `wwb_value` is the bound of one set at s = 0.5 and one SNR.
 """
 from __future__ import annotations
 
@@ -178,22 +180,51 @@ def _outcome(s: float, bound: float, keep: list[bool]) -> WwbResult | RuntimeErr
     return WwbResult(mse_bound=bound, s=s, dropped_points=dropped)
 
 
+def _pools(sets: list[TestPointSet]) -> list[tuple[np.ndarray, list[tuple[int, np.ndarray]]]]:
+    """The test-point sets grouped into pools, as (pool points, members).
+
+    A pool is one of the sets, and its first member. Taken largest first,
+    each set joins the first pool that holds all of its points bit for bit,
+    as (set index, mask of its points in the pool), or starts a pool of its
+    own. Both offset arrays are strictly increasing, so a binary search
+    finds the points; nothing is sorted or made unique.
+    """
+    pools = []
+    for i in sorted(range(len(sets)), key=lambda i: -len(sets[i])):
+        h = sets[i].h
+        for pool, members in pools:
+            at = np.minimum(np.searchsorted(pool, h), pool.size - 1)
+            if np.array_equal(pool[at], h):
+                mask = np.zeros(pool.size, dtype=bool)
+                mask[at] = True
+                members.append((i, mask))
+                break
+        else:
+            pools.append((h, [(i, np.ones(h.size, dtype=bool))]))
+    return pools
+
+
 def wwb_axis(
-    prior: VonMisesPrior, K: int, points: TestPointSet, snr, s_grid
-) -> list[list[WwbResult | RuntimeError]]:
-    """The bound h Q^{-1} h^T of a fixed test-point set at every exponent of
-    `s_grid` and every linear SNR of the sequence `snr`, each finite and >= 0
-    (0 gives the prior-only bound): per s, a list over SNR of the result or
-    the error that point fails with.
+    prior: VonMisesPrior, K: int, sets: list[TestPointSet], snr, s_grid
+) -> list[list[list[WwbResult | RuntimeError]]]:
+    """The bound h Q^{-1} h^T of each fixed test-point set of the sequence
+    `sets` at every exponent of `s_grid` and every linear SNR of the
+    sequence `snr`, each finite and >= 0 (0 gives the prior-only bound):
+    per set, per s, a list over SNR of the result or the error that point
+    fails with.
 
     The bound is solved as g C^{-1} g^T, with C the correlation matrix of Q
-    and g_a = h_a / sqrt(Q_aa), by one elimination over the stack of every
-    (s, SNR). Near-duplicate or redundant test points make C numerically
-    singular; each matrix drops the points whose pivots fail, as if their
-    rows and columns were deleted, and records them in its result. A point
-    holds a RuntimeError when every test point drops or the bound
-    underflows; an s whose score matrix cannot be built, for instance
-    because its quadrature does not converge, holds its error at every SNR.
+    and g_a = h_a / sqrt(Q_aa). C and g are built once per s for each pool
+    of nested sets (`_pools`); a member set takes the rows and columns of
+    its mask, which are its own C and g, and one elimination runs over the
+    stack of all its (s, SNR). Near-duplicate or redundant test points
+    make C numerically singular; each matrix drops the points whose pivots
+    fail, as if their rows and columns were deleted, and records them in
+    its result. A point holds a RuntimeError when every test point drops or
+    the bound underflows; an s whose score matrix cannot be built, for
+    instance because its quadrature does not converge, holds its error at
+    every SNR. A pool's other members are then built alone at that s, so
+    that each set holds the error it fails with on its own.
     """
     s_grid = list(s_grid)
     if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
@@ -201,25 +232,36 @@ def wwb_axis(
     snr = np.asarray(snr, dtype=float)
     if not np.all((snr >= 0.0) & (snr < np.inf)):
         raise ValueError(f"snr must be finite and >= 0, got {snr.tolist()}")
-    h = tuple(points.h.tolist())
-    stacks, failed = [], {}
-    for s in s_grid:
-        try:
-            stacks.append(_combine(*_set_parts(K, h, s, prior), snr))
-        except RuntimeError as err:
-            failed[s] = err
-    if stacks:
+
+    out = [[None] * len(s_grid) for _ in sets]
+    for pool, members in _pools(sets):
+        stacks, solved = [], []
+        for k, s in enumerate(s_grid):
+            try:
+                stacks.append(_combine(*_set_parts(K, tuple(pool.tolist()), s, prior), snr))
+            except RuntimeError as err:
+                for i, mask in members:  # each other set is built alone, to fail as it does alone
+                    out[i][k] = ([err] * snr.size if mask.all()
+                                 else wwb_axis(prior, K, [sets[i]], snr, [s])[0][0])
+                continue
+            solved.append(k)
+        if not solved:
+            continue
         c, half = (np.concatenate(parts) for parts in zip(*stacks))
-        values, kept = inverse_form(c, points.h * np.exp(-half))
-        solved = iter(zip(values.tolist(), kept.tolist()))
-    return [[failed[s]] * snr.size if s in failed else [_outcome(s, *next(solved)) for _ in snr]
-            for s in s_grid]
+        g = pool * np.exp(-half)
+        for i, mask in members:
+            values, kept = inverse_form(c[:, mask][:, :, mask], g[:, mask])
+            values = values.reshape(len(solved), snr.size).tolist()
+            kept = kept.reshape(len(solved), snr.size, -1).tolist()
+            for k, v, keep in zip(solved, values, kept):
+                out[i][k] = [_outcome(s_grid[k], *pair) for pair in zip(v, keep)]
+    return out
 
 
 def wwb_value(prior: VonMisesPrior, config: SignalConfig, points: TestPointSet) -> WwbResult:
     """The bound h Q^{-1} h^T for a fixed test-point set: `wwb_axis` at
     s = 0.5 and the one SNR of `config`, with its error raised."""
-    ((res,),) = wwb_axis(prior, config.K, points, [config.snr], [0.5])
+    (((res,),),) = wwb_axis(prior, config.K, [points], [config.snr], [0.5])
     if isinstance(res, Exception):
         raise res
     return res

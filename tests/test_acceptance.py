@@ -35,7 +35,7 @@ def test_01_exponent_optimality_and_symmetry():
     points = build(TestPointConfig(2, 9, 0), 20)
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in (-15.0, -10.0, -5.0, 0.0, 5.0)]
     s_grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-    per_s = wwb_axis(prior, 20, points, snrs, s_grid)
+    per_s = wwb_axis(prior, 20, [points], snrs, s_grid)[0]
     winners = [best_s(s_grid, outcomes).s for outcomes in zip(*per_s)]
     sym_errs = []
     for i in range(4):  # s = 0.1 .. 0.4 against 1 - s = 0.9 .. 0.6

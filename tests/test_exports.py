@@ -78,3 +78,20 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_wwb_commands_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma, which added about 1 MB of peak memory to a
+    # sweep; grouping test-point sets into pools must not need it
+    env = dict(os.environ, PYTHONPATH=str(Path(circbound.__file__).parents[1]))
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from circbound import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = [cli.main(['sweep', '--figure', '8', '--snr-db=-20:10:5']),",
+        "             cli.main(['wwb', '--s', '0.1,0.5'])]",
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[0, 0] []"

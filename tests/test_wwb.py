@@ -17,14 +17,16 @@ import numpy as np
 import pytest
 
 from circbound import wwb
-from circbound.numerics import QuadratureError, integrate
+from circbound.numerics import QuadratureError, integrate, inverse_form
 from circbound.prior import VonMisesPrior
 from circbound.signal_model import SignalConfig
 from circbound.testpoints import TestPointConfig, TestPointSet, build
 from circbound.wwb import (
     WwbResult,
+    _combine,
     _cores,
     _log_integrals,
+    _pools,
     _products,
     _set_parts,
     _supports,
@@ -340,7 +342,7 @@ class TestBoundValue:
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         config = SignalConfig(K=20, snr=1.0)
         points = build(TestPointConfig(2, 9, 0), 20)
-        (lo,), (hi,) = wwb_axis(prior, config.K, points, [config.snr], [s, 1.0 - s])
+        (lo,), (hi,) = wwb_axis(prior, config.K, [points], [config.snr], [s, 1.0 - s])[0]
         assert lo.mse_bound == pytest.approx(hi.mse_bound, rel=1e-9)
 
     def test_point_monotonicity_nested_sets(self):
@@ -363,7 +365,7 @@ class TestBoundValue:
 
 def _one_snr_search(prior, config, points, s_grid=S_GRID):
     """`best_s` of `wwb_axis` at the one SNR of `config`: the result or the error."""
-    per_s = wwb_axis(prior, config.K, points, [config.snr], s_grid)
+    per_s = wwb_axis(prior, config.K, [points], [config.snr], s_grid)[0]
     return best_s(s_grid, [outcome for (outcome,) in per_s])
 
 
@@ -463,9 +465,9 @@ class TestSnrAxis:
                 prior = VonMisesPrior(mu=mu, kappa=kappa)
                 for points in self._sets():
                     for s in (0.1, 0.5, 0.9):
-                        (axis,) = wwb_axis(prior, K, points, snrs, [s])
+                        (axis,) = wwb_axis(prior, K, [points], snrs, [s])[0]
                         for snr, outcome in zip(snrs, axis):
-                            ((one,),) = wwb_axis(prior, K, points, [snr], [s])
+                            ((one,),) = wwb_axis(prior, K, [points], [snr], [s])[0]
                             assert _stored(outcome) == _stored(one)
                             if s == 0.5:
                                 config = SignalConfig(K=K, snr=snr)
@@ -480,9 +482,9 @@ class TestSnrAxis:
         for kappa in (0.0, 2.0):
             prior = VonMisesPrior(mu=0.7, kappa=kappa)
             for points in self._sets():
-                per_s = {s: wwb_axis(prior, 20, points, snrs, [s])[0] for s in s_grid}
+                per_s = {s: wwb_axis(prior, 20, [points], snrs, [s])[0][0] for s in s_grid}
                 axis = [best_s(s_grid, outcomes)
-                        for outcomes in zip(*wwb_axis(prior, 20, points, snrs, s_grid))]
+                        for outcomes in zip(*wwb_axis(prior, 20, [points], snrs, s_grid)[0])]
                 for i, res in enumerate(axis):
                     assert replace(res, s_failed=()) == per_s[res.s][i]
 
@@ -494,7 +496,7 @@ class TestSnrAxis:
         snrs = [10.0 ** (v / 10.0) for v in self.SNR_DB + [15.0, 20.0]]
         s_grid = [0.9, 0.1, 0.5]
         axis = [best_s(s_grid, outcomes)
-                for outcomes in zip(*wwb_axis(prior, 200, points, snrs, s_grid))]
+                for outcomes in zip(*wwb_axis(prior, 200, [points], snrs, s_grid)[0])]
         failed = set()
         for snr, outcome in zip(snrs, axis):
             config = SignalConfig(K=200, snr=snr)
@@ -507,7 +509,7 @@ class TestSnrAxis:
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         points = build(TestPointConfig(2, 9, 10), 200)
         snrs = [10.0 ** (v / 10.0) for v in (0.0, 18.0, 20.0)]
-        ((low, mid, high),) = wwb_axis(prior, 200, points, snrs, [0.5])
+        ((low, mid, high),) = wwb_axis(prior, 200, [points], snrs, [0.5])[0]
         assert low == wwb_value(prior, SignalConfig(K=200, snr=1.0), points)
         with pytest.raises(RuntimeError, match="^bound value 0 underflows double precision$"):
             wwb_value(prior, SignalConfig(K=200, snr=1e3), points)
@@ -520,7 +522,7 @@ class TestSnrAxis:
         # only with lost digits, so it is reported as an underflow too
         prior = VonMisesPrior(mu=0.0, kappa=2.0)
         points = build(TestPointConfig(2, 9, 10), 60)
-        ((outcome,),) = wwb_axis(prior, 60, points, [10.0 ** 2.8], [0.1])
+        ((outcome,),) = wwb_axis(prior, 60, [points], [10.0 ** 2.8], [0.1])[0]
         assert isinstance(outcome, RuntimeError)
         assert re.fullmatch(r"bound value [1-9][.0-9]*e-3[01]\d underflows double precision",
                             str(outcome))
@@ -534,8 +536,8 @@ class TestSnrAxis:
         snr_db = np.arange(-45.0, 31.0)
         points = build(TestPointConfig(2, 9, 10), K)
         for kappa in (0.0, 2.0, 20.0):
-            for axis in wwb_axis(VonMisesPrior(kappa=kappa), K, points, 10.0 ** (snr_db / 10.0),
-                                 s_values):
+            for axis in wwb_axis(VonMisesPrior(kappa=kappa), K, [points], 10.0 ** (snr_db / 10.0),
+                                 s_values)[0]:
                 for outcome in axis:
                     assert isinstance(outcome, WwbResult)
                     assert math.isfinite(10.0 * math.log10(outcome.mse_bound))
@@ -549,12 +551,12 @@ class TestSnrAxis:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="snr must be finite and >= 0"):
-                wwb_axis(VonMisesPrior(mu=0.0, kappa=1.0), 20, points, [1.0, snr], [0.5])
+                wwb_axis(VonMisesPrior(mu=0.0, kappa=1.0), 20, [points], [1.0, snr], [0.5])[0]
 
     def test_zero_snr_is_the_prior_only_bound(self):
         prior = VonMisesPrior(mu=0.0, kappa=1.0)
         points = build(TestPointConfig(2, 9, 10), 20)
-        ((zero, tiny),) = wwb_axis(prior, 20, points, [0.0, 1e-12], [0.5])
+        ((zero, tiny),) = wwb_axis(prior, 20, [points], [0.0, 1e-12], [0.5])[0]
         assert zero.mse_bound == pytest.approx(1.603476, rel=1e-6)
         assert zero.mse_bound == pytest.approx(tiny.mse_bound, rel=1e-9)
         assert zero.mse_bound <= prior.variance()
@@ -570,13 +572,104 @@ class TestSnrAxis:
         cases += [(VonMisesPrior(mu=0.7, kappa=2.0), points) for points in self._sets()]
         failed = set()
         for prior, points in cases:
-            grid = wwb_axis(prior, 20, points, snrs, s_grid)
+            grid = wwb_axis(prior, 20, [points], snrs, s_grid)[0]
             assert len(grid) == len(s_grid)
             for s, axis in zip(s_grid, grid):
-                (one,) = wwb_axis(prior, 20, points, snrs, [s])
+                (one,) = wwb_axis(prior, 20, [points], snrs, [s])[0]
                 assert [_stored(o) for o in axis] == [_stored(o) for o in one]
                 assert all(o.s == s for o in axis if isinstance(o, WwbResult))
                 if isinstance(axis[0], QuadratureError):
                     assert all(o is axis[0] for o in axis)
                     failed.add(s)
         assert failed == {0.9, 0.1}
+
+
+def _subset(h: np.ndarray) -> TestPointSet:
+    return TestPointSet(h=h, provenance=("E",) * h.size)
+
+
+class TestPools:
+    """Nested test-point sets solved as masks of one pool against each set on
+    its own: `wwb_axis` of several sets must report for each what it
+    reports alone."""
+
+    SNRS = 10.0 ** (np.arange(-20.0, 11.0, 2.5) / 10.0)
+    S_GRID = [0.1, 0.5, 0.9]
+
+    @staticmethod
+    def _sets():
+        big = np.array([0.001, 0.01, 0.1, 0.3, 0.3, 0.7, 0.9]) * math.pi
+        big[4] += 1e-13  # a near-duplicate pair forces drops
+        return [
+            _subset(big[[0, 2, 3, 4, 5]]),
+            _subset(big),
+            _subset(big[[1, 5]]),
+            _subset(np.array([0.2, 0.5]) * math.pi),  # nests in no other set
+            _subset(big[[1, 5]]),  # equal to a set before it
+        ]
+
+    def test_nested_sets_share_the_largest(self):
+        sets = self._sets()
+        (big, members), (other, alone) = _pools(sets)
+        assert big is sets[1].h and other is sets[3].h
+        assert [i for i, _ in members] == [1, 0, 2, 4] and [i for i, _ in alone] == [3]
+        for i, mask in members:
+            assert np.array_equal(big[mask], sets[i].h)
+
+    @pytest.mark.parametrize("K", [5, 20, 60])
+    def test_members_equal_their_slice_of_the_pool(self, K):
+        # bit for bit: a member is solved from the pool's SNR-free parts
+        # sliced to its mask, drops included
+        sets = self._sets()
+        (pool, members), _ = _pools(sets)
+        dropped = 0
+        for kappa, mu in ((0.0, 0.0), (2.0, 0.7), (20.0, 0.0)):
+            prior = VonMisesPrior(mu=mu, kappa=kappa)
+            pooled = wwb_axis(prior, K, sets, self.SNRS, self.S_GRID)
+            for k, s in enumerate(self.S_GRID):
+                core, gamma = _set_parts(K, tuple(pool.tolist()), s, prior)
+                for i, mask in members:
+                    at = np.flatnonzero(mask)
+                    c, half = _combine(core[:, at[:, None], at], gamma[:, at[:, None], at], self.SNRS)
+                    values, kept = inverse_form(c, pool[at] * np.exp(-half))
+                    for outcome, value, keep in zip(pooled[i][k], values.tolist(), kept.tolist()):
+                        assert _stored(outcome) == _stored(wwb._outcome(s, value, keep))
+                        dropped += keep.count(False)
+        assert dropped > 0
+
+    @pytest.mark.parametrize("K", [5, 20, 60])
+    def test_each_set_reports_what_it_reports_alone(self, K):
+        sets = self._sets()
+        for kappa, mu in ((0.0, 0.0), (2.0, 0.7), (20.0, 0.0)):
+            prior = VonMisesPrior(mu=mu, kappa=kappa)
+            pooled = wwb_axis(prior, K, sets, self.SNRS, self.S_GRID)
+            assert len(pooled) == len(sets)
+            for i, (per_s, points) in enumerate(zip(pooled, sets)):
+                (alone,) = wwb_axis(prior, K, [points], self.SNRS, self.S_GRID)
+                for got, want in zip(sum(per_s, []), sum(alone, [])):
+                    if isinstance(want, RuntimeError):
+                        assert _stored(got) == _stored(want)
+                        continue
+                    assert (got.s, got.dropped_points) == (want.s, want.dropped_points)
+                    # the pool's own set is bit for bit; a member's prior
+                    # integrals may round apart in the last bit (CHANGES.md)
+                    tol = 0.0 if i in (1, 3) else 1e-14
+                    assert got.mse_bound == pytest.approx(want.mse_bound, rel=tol, abs=0.0)
+
+    def test_errors_stay_per_set(self):
+        # at kappa = 2e5 the set {0.1 pi, 0.5 pi, 0.9 pi} fails at every s
+        # on an entry that the set {0.1 pi, 0.9 pi} lacks; that set, built
+        # alone, fails at s = 0.1 on its own entry and holds an underflow at 0.5
+        h = np.array([0.1, 0.5, 0.9]) * math.pi
+        sets = [_subset(h[[0, 2]]), _subset(h)]
+        prior = VonMisesPrior(kappa=2e5)
+        pooled = wwb_axis(prior, 20, sets, [1.0, 10.0], [0.1, 0.5])
+        for per_s, points in zip(pooled, sets):
+            (alone,) = wwb_axis(prior, 20, [points], [1.0, 10.0], [0.1, 0.5])
+            assert [[_stored(o) for o in axis] for axis in per_s] == [
+                [_stored(o) for o in axis] for axis in alone]
+        assert str(pooled[0][0][0]) != str(pooled[1][0][0])
+        assert isinstance(pooled[0][0][0], QuadratureError)
+
+    def test_no_sets_no_results(self):
+        assert wwb_axis(VonMisesPrior(kappa=1.0), 20, [], [1.0], [0.5]) == []
