@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,6 +108,8 @@ def _golden_max(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (a + b)
 
 
+# the last K's peaks are kept: a sweep builds every trio of one K in a row
+@lru_cache(maxsize=1)
 def sidelobe_points(K: int) -> np.ndarray:
     """Positive-valued side-lobe peak locations of D(h) = sum cos(h k) on (0, pi].
 
@@ -114,13 +117,14 @@ def sidelobe_points(K: int) -> np.ndarray:
     search that refines the bracket of every grid maximum to 1e-8 rad. The
     last grid point, pi, is one more lane when D still rises into it (a lobe
     of odd K peaks there): that lane keeps pi unless the search beat it.
+    The array is shared, read-only.
     """
     if K < 2:
         raise ValueError(f"no side lobes exist for K < 2, got K={K}")
     step = math.pi / (_SCAN_POINTS * K)
     first_null = 2.0 * math.pi / K
     if first_null >= math.pi:  # K = 2: the main lobe fills (0, pi]
-        return np.empty(0)
+        return _read_only(np.empty(0))
     grid = np.arange(first_null + step, math.pi + 0.5 * step, step)
     grid[-1] = math.pi
     vals = dirichlet_kernel(grid, K)
@@ -132,7 +136,12 @@ def sidelobe_points(K: int) -> np.ndarray:
     d_peak = dirichlet_kernel(peak, K)
     at_pi = i == last
     peak = np.where(at_pi & (vals[-1] >= d_peak), math.pi, peak)
-    return np.sort(peak[np.where(at_pi, vals[-1], d_peak) > 0.0])
+    return _read_only(np.sort(peak[np.where(at_pi, vals[-1], d_peak) > 0.0]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def even_points(n: int) -> np.ndarray:

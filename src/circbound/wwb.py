@@ -12,6 +12,13 @@ slices out each member set by its mask and eliminates the member's matrices
 as one stack, which drops the points of singular pivots; the bound
 h Q^{-1} h^T sits on that stack. `best_s` picks the maximizing s at one SNR,
 and `wwb_value` is the bound of one set at s = 0.5 and one SNR.
+
+Under an even prior (kappa = 0, or mu = 0 or +-pi) the mirror theta -> -theta
+maps product t at s onto product 3 - t at 1 - s, and the single-point
+normalizers at s onto those at 1 - s, so the bound at s equals the bound at
+1 - s (Van Trees & Bell, 2007; Renaux et al., IEEE TSP 56(11), 2008).
+`wwb_axis` then solves each mirror pair of its grid once, and `_set_parts`
+integrates only products 0 and 1 at s = 1/2, its own mirror.
 """
 from __future__ import annotations
 
@@ -30,6 +37,9 @@ __all__ = ["WwbResult", "wwb_axis", "wwb_value", "best_s"]
 
 # a bound below the smallest normal double has lost digits or is 0
 _TINY = float(np.finfo(float).tiny)
+# exponents whose sum is within this of 1 are a mirror pair: a few ulps,
+# so that 0.7 pairs with 1 - 0.7, which is not 0.3 in doubles
+_MIRROR_TOL = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,11 @@ def _log_integrals(prior: VonMisesPrior, z, lo, hi) -> np.ndarray:
     return out
 
 
+def _even(prior: VonMisesPrior) -> bool:
+    """Whether the prior density is even in theta, so the bound is symmetric in s about 1/2."""
+    return prior.kappa == 0.0 or abs(prior.mu) in (0.0, math.pi)
+
+
 # the last set's parts are kept: `wwb_value` along an SNR axis reuses them
 @lru_cache(maxsize=1)
 def _set_parts(
@@ -124,6 +139,8 @@ def _set_parts(
 
     Product t of entry (a, b) has the exponent snr * core[t, a, b] + gamma[t, a, b]
     relative to the normalizers of h[a] and h[b]. The arrays are shared, read-only.
+    At s = 1/2 under an even prior, products 3 and 2 are the mirror images of
+    products 0 and 1, whose prior integrals they take: only those two are integrated.
     """
     hv = np.array(h)
     r = hv.size
@@ -136,10 +153,15 @@ def _set_parts(
     s_j = np.concatenate([np.full(n, s), np.zeros(r)])
     w, o = _products(s, s_j, h_i, h_j)
     cores = _cores(w, o, K)
-    supports = (np.concatenate([x[:, :n].ravel(), x[0, n:]]) for x in _supports(w, o))
+    # the products integrated: 2 at a mirror-symmetric s = 1/2
+    integrated = 2 if s == 0.5 and _even(prior) else 4
+    supports = (np.concatenate([x[:integrated, :n].ravel(), x[0, n:]]) for x in _supports(w, o))
     logs = _log_integrals(prior, *supports)
+    gamma = logs[:integrated * n].reshape(integrated, n)
+    if integrated == 2:
+        gamma = gamma[[0, 1, 1, 0]]
     parts = []
-    for entries, norm in ((cores[:, :n], cores[0, n:]), (logs[:4 * n].reshape(4, n), logs[4 * n:])):
+    for entries, norm in ((cores[:, :n], cores[0, n:]), (gamma, logs[integrated * n:])):
         full = np.empty((4, r, r))
         full[:, a, b] = full[:, b, a] = entries - (norm[a] + norm[b])
         full.setflags(write=False)
@@ -204,6 +226,20 @@ def _pools(sets: list[TestPointSet]) -> list[tuple[np.ndarray, list[tuple[int, n
     return pools
 
 
+def _representatives(s_grid: list[float], prior: VonMisesPrior) -> list[int]:
+    """The index of the exponent each s of the grid is solved at: under an
+    even prior, the smaller s of a mirror pair whose sum is 1 within
+    _MIRROR_TOL, else its own."""
+    reps = list(range(len(s_grid)))
+    if _even(prior):
+        solved = []
+        for k in sorted(reps, key=s_grid.__getitem__):
+            reps[k] = next((j for j in solved if abs(s_grid[j] + s_grid[k] - 1.0) <= _MIRROR_TOL), k)
+            if reps[k] == k:
+                solved.append(k)
+    return reps
+
+
 def wwb_axis(
     prior: VonMisesPrior, K: int, sets: list[TestPointSet], snr, s_grid
 ) -> list[list[list[WwbResult | RuntimeError]]]:
@@ -225,6 +261,11 @@ def wwb_axis(
     instance because its quadrature does not converge, holds its error at
     every SNR. A pool's other members are then built alone at that s, so
     that each set holds the error it fails with on its own.
+
+    Under an even prior, each mirror pair s, 1 - s of the grid is built,
+    combined and eliminated once, at its smaller s (`_representatives`);
+    the partner holds the same outcomes, its results relabelled with its
+    own s, so its value, dropped points and errors are the representative's.
     """
     s_grid = list(s_grid)
     if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
@@ -234,9 +275,12 @@ def wwb_axis(
         raise ValueError(f"snr must be finite and >= 0, got {snr.tolist()}")
 
     out = [[None] * len(s_grid) for _ in sets]
+    reps = _representatives(s_grid, prior)
     for pool, members in _pools(sets):
         stacks, solved = [], []
         for k, s in enumerate(s_grid):
+            if reps[k] != k:  # a mirror partner, relabelled below
+                continue
             try:
                 stacks.append(_combine(*_set_parts(K, tuple(pool.tolist()), s, prior), snr))
             except RuntimeError as err:
@@ -255,6 +299,11 @@ def wwb_axis(
             kept = kept.reshape(len(solved), snr.size, -1).tolist()
             for k, v, keep in zip(solved, values, kept):
                 out[i][k] = [_outcome(s_grid[k], *pair) for pair in zip(v, keep)]
+    for k, rep in enumerate(reps):
+        if rep != k:
+            for per_s in out:
+                per_s[k] = [replace(o, s=s_grid[k]) if isinstance(o, WwbResult) else o
+                            for o in per_s[rep]]
     return out
 
 
@@ -271,8 +320,10 @@ def best_s(s_grid, outcomes) -> WwbResult | RuntimeError:
     """Of the outcomes at one SNR, one per exponent of `s_grid`, the result
     that maximizes the bound, or the RuntimeError of every s failing.
 
-    Ties are broken toward s = 0.5, then toward smaller s. The failing
-    exponents are recorded with their messages in the result's `s_failed`.
+    Ties are broken toward s = 0.5, then toward smaller s; under an even
+    prior the two s of a mirror pair tie exactly, so the smaller wins. The
+    failing exponents are recorded with their messages in the result's
+    `s_failed`.
     """
     results = [r for r in outcomes if isinstance(r, WwbResult)]
     failed = tuple((s, str(r)) for s, r in zip(s_grid, outcomes) if not isinstance(r, WwbResult))

@@ -829,7 +829,11 @@ class TestPooledSets:
         (["sweep", "--figure", "8", "--kappa", "1", "--mu", "0", "--snr-db=-20:10:5"], 1),
         (["sweep", "--figure", "8", "--trio", "2,5,0", "--kappa", "1", "--mu", "0",
           "--snr-db=-20:10:5"], 1),
-        (["wwb", "--s", "0.1,0.5,0.9", "--kappa", "0,1", "--snr-db=-10,0"], 6),
+        # at an even prior s = 0.9 is solved as its mirror 0.1: two calls per
+        # kappa at mu = 0, and at mu = 0.7 three for kappa = 1 and two for the
+        # uniform prior of kappa = 0, which is even whatever mu
+        (["wwb", "--s", "0.1,0.5,0.9", "--kappa", "0,1", "--snr-db=-10,0"], 4),
+        (["wwb", "--s", "0.1,0.5,0.9", "--kappa", "0,1", "--mu", "0.7", "--snr-db=-10,0"], 5),
     ])
     def test_one_quadrature_call_per_pool_and_s(self, argv, calls, capsys, monkeypatch):
         # the name the benchmark's tracer wraps; the five nested sets of
@@ -840,3 +844,20 @@ class TestPooledSets:
         wwb._set_parts.cache_clear()
         assert main(argv) == 0
         assert len(seen) == calls
+
+    def test_even_prior_halves_the_prior_integrals(self, capsys, monkeypatch):
+        # the README's exponent grid at the default kappa = 1: at mu = 0 the
+        # pairs (0.1, 0.9) and (0.3, 0.7) are integrated once each, and
+        # s = 0.5 integrates two of its four products; at mu = 0.7 every s
+        # integrates all four
+        integrate = wwb.integrate
+        entries = []
+        monkeypatch.setattr(wwb, "integrate",
+                            lambda f, a, *args: entries.append(a.size) or integrate(f, a, *args))
+        counts = []
+        for mu in ("0", "0.7"):
+            entries.clear()
+            wwb._set_parts.cache_clear()
+            assert main(["wwb", "--snr-db=-8", "--s", "0.1,0.3,0.5,0.7,0.9", "--mu", mu]) == 0
+            counts.append(sum(entries))
+        assert counts[0] <= 0.52 * counts[1]

@@ -64,11 +64,13 @@ class TestSidelobePoints:
             assert val >= left - 1e-9 and val >= right - 1e-9
 
     def test_grid_step_halving_stability(self, monkeypatch):
+        # the uncached search: a patched module constant must neither hit
+        # nor fill the cache of sidelobe_points
         K = 20
         monkeypatch.setattr(testpoints, "_SCAN_POINTS", 64)
-        coarse = sidelobe_points(K)
+        coarse = sidelobe_points.__wrapped__(K)
         monkeypatch.setattr(testpoints, "_SCAN_POINTS", 128)
-        fine = sidelobe_points(K)
+        fine = sidelobe_points.__wrapped__(K)
         assert coarse.size == fine.size
         assert np.max(np.abs(coarse - fine)) < 1e-6
 
@@ -97,7 +99,8 @@ class TestSidelobePoints:
     @pytest.mark.parametrize("per_sample", [64, 128])
     def test_matches_per_lobe_search_bit_for_bit(self, K, per_sample, monkeypatch):
         monkeypatch.setattr(testpoints, "_SCAN_POINTS", per_sample)
-        assert np.array_equal(sidelobe_points(K), sidelobe_oracle(K, math.pi / (per_sample * K)))
+        got = sidelobe_points.__wrapped__(K)
+        assert np.array_equal(got, sidelobe_oracle(K, math.pi / (per_sample * K)))
 
     @pytest.mark.parametrize("K", [20, 200])
     def test_one_search_for_every_lobe(self, K, monkeypatch):
@@ -109,8 +112,27 @@ class TestSidelobePoints:
             return dirichlet_kernel(h, K)
 
         monkeypatch.setattr(testpoints, "dirichlet_kernel", counting)
-        sidelobe_points(K)
+        sidelobe_points.__wrapped__(K)
         assert len(calls) < 50
+
+    def test_one_search_per_k_for_every_trio(self, monkeypatch):
+        # figure 8's five trios of K = 20 share one search, whose shared
+        # array is read-only and equal to the uncached search's
+        calls = []
+        monkeypatch.setattr(testpoints, "dirichlet_kernel",
+                            lambda h, K: calls.append(h) or dirichlet_kernel(h, K))
+        sidelobe_points.cache_clear()
+        sets = [build(TestPointConfig(2, n, 0), 20) for n in (1, 3, 5, 7, 9)]
+        one = len(calls)
+        sidelobe_points.__wrapped__(20)
+        assert len(calls) == 2 * one
+        peaks = sidelobe_points(20)
+        assert np.array_equal(peaks, sidelobe_points.__wrapped__(20))
+        assert [points.h[points.h > 0.1].tolist() for points in sets] == [
+            peaks[:n].tolist() for n in (1, 3, 5, 7, 9)]
+        for K in (2, 20):
+            with pytest.raises(ValueError, match="read-only"):
+                sidelobe_points(K)[:] = 0.0
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):

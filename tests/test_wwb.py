@@ -619,15 +619,17 @@ class TestPools:
     @pytest.mark.parametrize("K", [5, 20, 60])
     def test_members_equal_their_slice_of_the_pool(self, K):
         # bit for bit: a member is solved from the pool's SNR-free parts
-        # sliced to its mask, drops included
+        # sliced to its mask, drops included; under an even prior s = 0.9
+        # is the partner of 0.1 and is solved from 0.1's parts
         sets = self._sets()
         (pool, members), _ = _pools(sets)
         dropped = 0
         for kappa, mu in ((0.0, 0.0), (2.0, 0.7), (20.0, 0.0)):
             prior = VonMisesPrior(mu=mu, kappa=kappa)
             pooled = wwb_axis(prior, K, sets, self.SNRS, self.S_GRID)
+            solved_at = {0.9: 0.1} if mu == 0.0 else {}
             for k, s in enumerate(self.S_GRID):
-                core, gamma = _set_parts(K, tuple(pool.tolist()), s, prior)
+                core, gamma = _set_parts(K, tuple(pool.tolist()), solved_at.get(s, s), prior)
                 for i, mask in members:
                     at = np.flatnonzero(mask)
                     c, half = _combine(core[:, at[:, None], at], gamma[:, at[:, None], at], self.SNRS)
@@ -673,3 +675,82 @@ class TestPools:
 
     def test_no_sets_no_results(self):
         assert wwb_axis(VonMisesPrior(kappa=1.0), 20, [], [1.0], [0.5]) == []
+
+
+class TestMirrorPairs:
+    """Under an even prior (kappa = 0, or mu = 0 or +-pi) the mirror
+    theta -> -theta maps product t at s onto product 3 - t at 1 - s, so the
+    bound at s equals the bound at 1 - s and `wwb_axis` solves each mirror
+    pair of its grid once; an uneven prior keeps every s."""
+
+    EVEN = [(kappa, mu) for mu in (0.0, math.pi, -math.pi) for kappa in (0.0, 1.0, 20.0, 300.0)]
+    EVEN += [(0.0, 0.7)]
+    SNRS = 10.0 ** (np.arange(-20.0, 11.0, 2.5) / 10.0)
+
+    @pytest.mark.parametrize("kappa, mu", EVEN)
+    def test_row_and_its_mirror_match_the_density_quadrature(self, kappa, mu):
+        # the products of one entry at s = 0.3 and of one normalizer, each
+        # row (w, o) and its mirror (w, -o); at kappa = 300 some integrals
+        # are near e^-177, so the oracle is held to relative accuracy alone
+        prior = VonMisesPrior(mu=mu, kappa=kappa)
+        w, o = (x.transpose(0, 2, 1).reshape(-1, 3) for x in _products(
+            0.3, np.array([0.3, 0.0]), np.array([0.7, 0.4]) * math.pi,
+            np.array([0.2, 0.4]) * math.pi))
+        for sign in (1.0, -1.0):
+            got = _log_integrals(prior, *_supports(w, sign * o))
+            for row in range(len(w)):
+                want = prior_power_integral_oracle(prior, w[row], sign * o[row], epsabs=0.0)
+                assert got[row] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("K", [5, 20, 60])
+    def test_bound_at_s_equals_bound_at_one_minus_s(self, K):
+        # each side's prior integrals converge to 1e-10 on their own nodes,
+        # and the close points' entries cancel to about h^2: at kappa = 20
+        # and 300 the two sides agree to about 4e-10 at worst (K = 5), at
+        # kappa <= 1 to about 5e-14
+        points = build(TestPointConfig(2, 2 if K == 5 else 9, 10), K)
+        for kappa, mu in self.EVEN:
+            prior = VonMisesPrior(mu=mu, kappa=kappa)
+            tol = 1e-12 if kappa <= 1.0 else 1e-9
+            for s in (0.1, 0.3):
+                ((lo,), (hi,)) = (wwb_axis(prior, K, [points], self.SNRS, [v])[0]
+                                  for v in (s, 1.0 - s))
+                for a, b in zip(lo, hi):
+                    assert (a.s, b.s) == (s, 1.0 - s)
+                    assert a.dropped_points == b.dropped_points
+                    assert a.mse_bound == pytest.approx(b.mse_bound, rel=tol, abs=0.0)
+
+    def test_uneven_prior_is_not_symmetric(self):
+        prior = VonMisesPrior(mu=0.7, kappa=1.0)
+        points = build(TestPointConfig(2, 9, 10), 20)
+        ((lo,), (hi,)) = wwb_axis(prior, 20, [points], [0.1], [0.1, 0.9])[0]
+        assert abs(lo.mse_bound / hi.mse_bound - 1.0) > 0.01
+
+    def test_uneven_prior_solves_every_s(self):
+        s_grid = list(S_GRID)
+        for kappa, mu in ((1.0, 0.7), (20.0, 0.7), (2.0, 1.5707963267948966)):
+            prior = VonMisesPrior(mu=mu, kappa=kappa)
+            for points in TestSnrAxis._sets():
+                grid = wwb_axis(prior, 20, [points], self.SNRS, s_grid)[0]
+                for s, axis in zip(s_grid, grid):
+                    assert axis == wwb_axis(prior, 20, [points], self.SNRS, [s])[0][0]
+
+    @pytest.mark.parametrize("kappa, mu, calls", [(2.0, 0.0, 3), (2.0, -math.pi, 3),
+                                                  (0.0, 0.7, 3), (2.0, 0.7, 5)])
+    def test_partner_is_its_representative_relabelled(self, kappa, mu, calls, monkeypatch):
+        # 0.7 pairs with 1 - 0.7, which is not 0.3 in doubles, and 0.1 with
+        # the 0.9 of np.arange(0.05, 1.0, 0.05), whose sum is 1 + 2^-52; a
+        # partner's results are its representative's bit for bit
+        s_grid = [0.9000000000000001, 0.1, 0.5, 1.0 - 0.7, 0.7]
+        partners = {0: 1, 4: 3} if calls == 3 else {}
+        prior = VonMisesPrior(mu=mu, kappa=kappa)
+        seen = []
+        monkeypatch.setattr(wwb, "integrate",
+                            lambda *args, f=wwb.integrate: seen.append(1) or f(*args))
+        for points in TestSnrAxis._sets():
+            grid = wwb_axis(prior, 20, [points], self.SNRS, s_grid)[0]
+            for s, axis in zip(s_grid, grid):
+                assert all(o.s == s for o in axis)
+            for k, rep in partners.items():
+                assert grid[k] == [replace(o, s=s_grid[k]) for o in grid[rep]]
+        assert len(seen) == 2 * calls
