@@ -37,8 +37,8 @@ __all__ = ["WwbResult", "wwb_axis", "wwb_value", "best_s"]
 
 # a bound below the smallest normal double has lost digits or is 0
 _TINY = float(np.finfo(float).tiny)
-# exponents whose sum is within this of 1 are a mirror pair: a few ulps,
-# so that 0.7 pairs with 1 - 0.7, which is not 0.3 in doubles
+# exponents whose sum is within this of 1 are a mirror pair: a few ulps, so
+# that 0.1 pairs with the 0.9000000000000001 of np.arange(0.05, 1.0, 0.05)
 _MIRROR_TOL = 4.0 * float(np.finfo(float).eps)
 
 
