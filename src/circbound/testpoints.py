@@ -7,7 +7,7 @@ peaks come from one golden-section search whose lanes are the lobes, a lobe
 peaking at pi included; each lane takes the steps of a scalar search. A set
 holds only offsets and their provenance: the bound's other hyperparameter,
 the exponent s, is an argument of `wwb.wwb_axis`, which evaluates the sets
-of one K over a whole (s, SNR) grid, one stack per pool of nested sets.
+of one K over a whole (s, SNR) grid as masks of one pool, their union.
 """
 from __future__ import annotations
 
@@ -60,17 +60,22 @@ class TestPointConfig:
 
 @dataclass(frozen=True)
 class TestPointSet:
-    """Strictly increasing offsets in (0, pi] with per-point provenance tags."""
+    """Strictly increasing offsets in (0, pi] with per-point provenance tags.
+
+    `h` is stored as a read-only float64 copy of the offsets given.
+    """
 
     h: np.ndarray
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+        h = np.array(self.h, dtype=float)
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
         if h.size == 0:
             raise ValueError("empty test point set")
-        if np.any(h <= 0.0) or np.any(h > math.pi):
-            raise ValueError("test points must lie in (0, pi]")
+        if not np.all((h > 0.0) & (h <= math.pi)):  # NaN fails both comparisons
+            raise ValueError("test points must be finite and lie in (0, pi]")
         if np.any(np.diff(h) <= 0.0):
             raise ValueError("test points must be strictly increasing")
         if len(self.provenance) != h.size:

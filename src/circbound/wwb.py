@@ -5,10 +5,10 @@ The four score products are laid out once, as (weights, offsets) in
 their prior-only log integrals over the von Mises support derive from that
 table. The exponents of Q are snr * core + gamma: the data cores and the prior
 log-integrals gamma are computed once per pool of test-point sets and
-exponent s, as arrays. `wwb_axis` takes the sets of one K; a set that nests in
-another joins the larger one's pool (`_pools`). It forms the correlation
-matrices of Q in the exponent at every (s, SNR) of its grid once per pool,
-slices out each member set by its mask and eliminates the member's matrices
+exponent s, as arrays. `wwb_axis` takes the sets of one K; their pool is the
+union of their offsets, and each set is a boolean mask of it (`_union`). It
+forms the correlation matrices of Q in the exponent at every (s, SNR) of its
+grid once, slices out each set by its mask and eliminates the set's matrices
 as one stack, which drops the points of singular pivots; the bound
 h Q^{-1} h^T sits on that stack. `best_s` picks the maximizing s at one SNR,
 and `wwb_value` is the bound of one set at s = 0.5 and one SNR.
@@ -202,28 +202,16 @@ def _outcome(s: float, bound: float, keep: list[bool]) -> WwbResult | RuntimeErr
     return WwbResult(mse_bound=bound, s=s, dropped_points=dropped)
 
 
-def _pools(sets: list[TestPointSet]) -> list[tuple[np.ndarray, list[tuple[int, np.ndarray]]]]:
-    """The test-point sets grouped into pools, as (pool points, members).
-
-    A pool is one of the sets, and its first member. Taken largest first,
-    each set joins the first pool that holds all of its points bit for bit,
-    as (set index, mask of its points in the pool), or starts a pool of its
-    own. Both offset arrays are strictly increasing, so a binary search
-    finds the points; nothing is sorted or made unique.
-    """
-    pools = []
-    for i in sorted(range(len(sets)), key=lambda i: -len(sets[i])):
-        h = sets[i].h
-        for pool, members in pools:
-            at = np.minimum(np.searchsorted(pool, h), pool.size - 1)
-            if np.array_equal(pool[at], h):
-                mask = np.zeros(pool.size, dtype=bool)
-                mask[at] = True
-                members.append((i, mask))
-                break
-        else:
-            pools.append((h, [(i, np.ones(h.size, dtype=bool))]))
-    return pools
+def _union(sets: list[TestPointSet]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The pool of the test-point sets, their offsets sorted with each value
+    once, and a boolean mask of each set's offsets in it. The masks come from
+    a binary search: np.unique and np.isin import numpy.ma."""
+    h = np.sort(np.concatenate([points.h for points in sets]))
+    pool = h[np.diff(h, prepend=-np.inf) > 0.0]
+    masks = [np.zeros(pool.size, dtype=bool) for _ in sets]
+    for mask, points in zip(masks, sets):
+        mask[np.searchsorted(pool, points.h)] = True
+    return pool, masks
 
 
 def _representatives(s_grid: list[float], prior: VonMisesPrior) -> list[int]:
@@ -250,22 +238,23 @@ def wwb_axis(
     fails with.
 
     The bound is solved as g C^{-1} g^T, with C the correlation matrix of Q
-    and g_a = h_a / sqrt(Q_aa). C and g are built once per s for each pool
-    of nested sets (`_pools`); a member set takes the rows and columns of
-    its mask, which are its own C and g, and one elimination runs over the
-    stack of all its (s, SNR). Near-duplicate or redundant test points
+    and g_a = h_a / sqrt(Q_aa). C and g are built once per s for the pool,
+    the union of the sets' offsets (`_union`); a set takes the rows and
+    columns of its mask, which are its own C and g, and one elimination runs
+    over the stack of all its (s, SNR). Near-duplicate or redundant test points
     make C numerically singular; each matrix drops the points whose pivots
     fail, as if their rows and columns were deleted, and records them in
     its result. A point holds a RuntimeError when every test point drops or
     the bound underflows; an s whose score matrix cannot be built, for
     instance because its quadrature does not converge, holds its error at
-    every SNR. A pool's other members are then built alone at that s, so
-    that each set holds the error it fails with on its own.
+    every SNR. When the pool fails at some s, each set that is not the
+    whole pool is built alone over the whole grid, so that it holds the
+    error it fails with on its own.
 
     Under an even prior, each mirror pair s, 1 - s of the grid is built,
     combined and eliminated once, at its smaller s (`_representatives`);
-    the partner holds the same outcomes, its results relabelled with its
-    own s, so its value, dropped points and errors are the representative's.
+    the partner's outcomes are made from the representative's values with
+    its own s, so its value, dropped points and errors are the representative's.
     """
     s_grid = list(s_grid)
     if not s_grid or any(not (0.0 < s < 1.0) for s in s_grid):
@@ -273,37 +262,35 @@ def wwb_axis(
     snr = np.asarray(snr, dtype=float)
     if not np.all((snr >= 0.0) & (snr < np.inf)):
         raise ValueError(f"snr must be finite and >= 0, got {snr.tolist()}")
+    if not sets:
+        return []
 
-    out = [[None] * len(s_grid) for _ in sets]
+    pool, masks = _union(sets)
     reps = _representatives(s_grid, prior)
-    for pool, members in _pools(sets):
-        stacks, solved = [], []
-        for k, s in enumerate(s_grid):
-            if reps[k] != k:  # a mirror partner, relabelled below
-                continue
-            try:
-                stacks.append(_combine(*_set_parts(K, tuple(pool.tolist()), s, prior), snr))
-            except RuntimeError as err:
-                for i, mask in members:  # each other set is built alone, to fail as it does alone
-                    out[i][k] = ([err] * snr.size if mask.all()
-                                 else wwb_axis(prior, K, [sets[i]], snr, [s])[0][0])
-                continue
+    solved, stacks, failed = [], [], {}
+    for k in sorted(set(reps)):
+        try:
+            stacks.append(_combine(*_set_parts(K, tuple(pool.tolist()), s_grid[k], prior), snr))
+        except RuntimeError as err:
+            failed[k] = err
+        else:
             solved.append(k)
-        if not solved:
-            continue
+    if solved:
         c, half = (np.concatenate(parts) for parts in zip(*stacks))
         g = pool * np.exp(-half)
-        for i, mask in members:
+    out = []
+    for points, mask in zip(sets, masks):
+        if failed and not mask.all():  # built alone, to fail as it does alone
+            out.append(wwb_axis(prior, K, [points], snr, s_grid)[0])
+            continue
+        at = {}
+        if solved:
             values, kept = inverse_form(c[:, mask][:, :, mask], g[:, mask])
-            values = values.reshape(len(solved), snr.size).tolist()
-            kept = kept.reshape(len(solved), snr.size, -1).tolist()
-            for k, v, keep in zip(solved, values, kept):
-                out[i][k] = [_outcome(s_grid[k], *pair) for pair in zip(v, keep)]
-    for k, rep in enumerate(reps):
-        if rep != k:
-            for per_s in out:
-                per_s[k] = [replace(o, s=s_grid[k]) if isinstance(o, WwbResult) else o
-                            for o in per_s[rep]]
+            at = dict(zip(solved, zip(values.reshape(len(solved), snr.size).tolist(),
+                                      kept.reshape(len(solved), snr.size, -1).tolist())))
+        out.append([[failed[rep]] * snr.size if rep in failed
+                    else [_outcome(s, *pair) for pair in zip(*at[rep])]
+                    for s, rep in zip(s_grid, reps)])
     return out
 
 

@@ -91,14 +91,14 @@ CROSS_LAYOUTS = {
 }
 
 
-def prior_power_integral_oracle(prior: VonMisesPrior, weights, offsets, epsabs=1e-13) -> float:
+def prior_power_integral_oracle(prior: VonMisesPrior, weights, offsets) -> float:
     """ln of integral of prod_l pdf(theta + a_l)^{w_l} over the common support.
 
     Written directly in terms of density calls and adaptive quadrature, so the
     support limits and the integrand both come from the density itself. The
-    default absolute tolerance `epsabs` sets the digits of integrals far
-    below 1e-13, such as those of concentrated priors whose shifted peaks
-    barely overlap; epsabs=0 holds every integral to 1e-12 relative.
+    quadrature has no absolute tolerance and holds every integral to 1e-12
+    relative, also those far below 1e-13, such as those of concentrated
+    priors whose shifted peaks barely overlap.
     """
     from scipy.integrate import quad
 
@@ -114,7 +114,7 @@ def prior_power_integral_oracle(prior: VonMisesPrior, weights, offsets, epsabs=1
             out *= float(pdf(theta + a)) ** w
         return out
 
-    val, _ = quad(f, lo, hi, limit=400, epsabs=epsabs, epsrel=1e-12)
+    val, _ = quad(f, lo, hi, limit=400, epsabs=0.0, epsrel=1e-12)
     return math.log(val)
 
 

@@ -788,8 +788,9 @@ class TestFigurePresets:
 
 
 class TestPooledSets:
-    """A sweep solves the nested test-point sets of one K together (`wwb._pools`);
-    each trio must report what a sweep of that trio alone reports."""
+    """A sweep solves the test-point sets of one K together, as masks of their
+    union (`wwb._union`); each trio must report what a sweep of that trio
+    alone reports."""
 
     @staticmethod
     def _run(argv, capsys):

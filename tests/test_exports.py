@@ -81,15 +81,20 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_wwb_commands_leave_numpy_ma_unloaded():
-    # np.unique imports numpy.ma, which added about 1 MB of peak memory to a
-    # sweep; grouping test-point sets into pools must not need it
+    # np.unique and np.isin import numpy.ma, which added about 1 MB of peak
+    # memory to a sweep; the union of test-point sets, nested or not, must
+    # not need it
     env = dict(os.environ, PYTHONPATH=str(Path(circbound.__file__).parents[1]))
     code = "\n".join([
         "import contextlib, io, sys",
-        "from circbound import cli",
+        "from circbound import cli, wwb",
+        "from circbound.prior import VonMisesPrior",
+        "from circbound.testpoints import TestPointSet",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    codes = [cli.main(['sweep', '--figure', '8', '--snr-db=-20:10:5']),",
         "             cli.main(['wwb', '--s', '0.1,0.5'])]",
+        "sets = [TestPointSet(h=h, provenance=('E', 'E')) for h in ([0.1, 2.0], [0.5, 2.0])]",
+        "wwb.wwb_axis(VonMisesPrior(kappa=1.0), 20, sets, [1.0], [0.5])",
         "print(codes, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))",
     ])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -6,6 +6,8 @@ import pytest
 
 from circbound import testpoints
 from circbound.numerics import dirichlet_kernel
+from circbound.prior import VonMisesPrior
+from circbound.signal_model import SignalConfig
 from circbound.testpoints import (
     DEDUP_TOL,
     TestPointConfig,
@@ -15,6 +17,7 @@ from circbound.testpoints import (
     even_points,
     sidelobe_points,
 )
+from circbound.wwb import wwb_value
 
 from conftest import sidelobe_oracle
 
@@ -214,6 +217,23 @@ class TestSetValidation:
     def test_rejects_beyond_pi(self):
         with pytest.raises(ValueError):
             TestPointSet(h=np.array([3.5]), provenance=("E",))
+
+    @pytest.mark.parametrize("h", [[math.nan], [0.5, math.nan], [math.inf]])
+    def test_rejects_non_finite(self, h):
+        with pytest.raises(ValueError, match="finite"):
+            TestPointSet(h=h, provenance=("E",) * len(h))
+
+    def test_stores_a_read_only_float_array(self):
+        # a list is accepted and stored as the array the bound reads
+        given = [0.1, 0.2]
+        points = TestPointSet(h=given, provenance=("E", "E"))
+        assert isinstance(points.h, np.ndarray) and points.h.dtype == np.float64
+        assert len(points) == 2 and not points.h.flags.writeable
+        res = wwb_value(VonMisesPrior(kappa=1.0), SignalConfig(K=20, snr=1.0), points)
+        assert res.mse_bound > 0.0
+        array = np.array(given)
+        assert TestPointSet(h=array, provenance=("E", "E")).h is not array
+        assert array.flags.writeable
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty test point set"):

@@ -26,10 +26,10 @@ from circbound.wwb import (
     _combine,
     _cores,
     _log_integrals,
-    _pools,
     _products,
     _set_parts,
     _supports,
+    _union,
     best_s,
     wwb_axis,
     wwb_value,
@@ -589,32 +589,41 @@ def _subset(h: np.ndarray) -> TestPointSet:
 
 
 class TestPools:
-    """Nested test-point sets solved as masks of one pool against each set on
-    its own: `wwb_axis` of several sets must report for each what it
+    """Test-point sets solved as masks of one pool, their union, against each
+    set on its own: `wwb_axis` of several sets must report for each what it
     reports alone."""
 
     SNRS = 10.0 ** (np.arange(-20.0, 11.0, 2.5) / 10.0)
     S_GRID = [0.1, 0.5, 0.9]
 
+    UNION = 5  # the index of the set that is the whole pool
+
     @staticmethod
     def _sets():
         big = np.array([0.001, 0.01, 0.1, 0.3, 0.3, 0.7, 0.9]) * math.pi
         big[4] += 1e-13  # a near-duplicate pair forces drops
+        other = np.array([0.2, 0.5]) * math.pi
         return [
             _subset(big[[0, 2, 3, 4, 5]]),
             _subset(big),
             _subset(big[[1, 5]]),
-            _subset(np.array([0.2, 0.5]) * math.pi),  # nests in no other set
+            _subset(other),  # nests in no other set
             _subset(big[[1, 5]]),  # equal to a set before it
+            _subset(np.sort(np.concatenate([big, other]))),  # the union of all
         ]
 
-    def test_nested_sets_share_the_largest(self):
+    def test_union_holds_each_offset_once(self):
+        # the near-duplicate pair 0.3 pi, 0.3 pi + 1e-13 also comes from two
+        # one-point sets, the larger offset first
         sets = self._sets()
-        (big, members), (other, alone) = _pools(sets)
-        assert big is sets[1].h and other is sets[3].h
-        assert [i for i, _ in members] == [1, 0, 2, 4] and [i for i, _ in alone] == [3]
-        for i, mask in members:
-            assert np.array_equal(big[mask], sets[i].h)
+        sets += [_subset(sets[1].h[[4]]), _subset(sets[1].h[[3]])]
+        pool, masks = _union(sets)
+        assert pool.tolist() == sorted({h for points in sets for h in points.h.tolist()})
+        assert pool.tolist() == sets[self.UNION].h.tolist()
+        assert len(masks) == len(sets)
+        for points, mask in zip(sets, masks):
+            assert mask.dtype == bool and mask.shape == pool.shape
+            assert pool[mask].tolist() == points.h.tolist()
 
     @pytest.mark.parametrize("K", [5, 20, 60])
     def test_members_equal_their_slice_of_the_pool(self, K):
@@ -622,7 +631,7 @@ class TestPools:
         # sliced to its mask, drops included; under an even prior s = 0.9
         # is the partner of 0.1 and is solved from 0.1's parts
         sets = self._sets()
-        (pool, members), _ = _pools(sets)
+        pool, masks = _union(sets)
         dropped = 0
         for kappa, mu in ((0.0, 0.0), (2.0, 0.7), (20.0, 0.0)):
             prior = VonMisesPrior(mu=mu, kappa=kappa)
@@ -630,7 +639,7 @@ class TestPools:
             solved_at = {0.9: 0.1} if mu == 0.0 else {}
             for k, s in enumerate(self.S_GRID):
                 core, gamma = _set_parts(K, tuple(pool.tolist()), solved_at.get(s, s), prior)
-                for i, mask in members:
+                for i, mask in enumerate(masks):
                     at = np.flatnonzero(mask)
                     c, half = _combine(core[:, at[:, None], at], gamma[:, at[:, None], at], self.SNRS)
                     values, kept = inverse_form(c, pool[at] * np.exp(-half))
@@ -653,10 +662,23 @@ class TestPools:
                         assert _stored(got) == _stored(want)
                         continue
                     assert (got.s, got.dropped_points) == (want.s, want.dropped_points)
-                    # the pool's own set is bit for bit; a member's prior
-                    # integrals may round apart in the last bit (CHANGES.md)
-                    tol = 0.0 if i in (1, 3) else 1e-14
+                    # the set that is the whole pool is bit for bit; another
+                    # set's prior integrals may round apart in the last bit
+                    # (CHANGES.md)
+                    tol = 0.0 if i == self.UNION else 1e-14
                     assert got.mse_bound == pytest.approx(want.mse_bound, rel=tol, abs=0.0)
+
+    @pytest.mark.parametrize("kappa, mu", [(0.0, 0.0), (2.0, 0.7), (2e5, 0.0)])
+    def test_order_of_sets_changes_no_outcome(self, kappa, mu):
+        # at kappa = 2e5 the pool fails, and every set but the union is built alone
+        sets = self._sets()
+        order = [3, 5, 0, 4, 2, 1]
+        prior = VonMisesPrior(mu=mu, kappa=kappa)
+        pooled = wwb_axis(prior, 20, sets, self.SNRS, self.S_GRID)
+        permuted = wwb_axis(prior, 20, [sets[i] for i in order], self.SNRS, self.S_GRID)
+        for j, i in enumerate(order):
+            assert [[_stored(o) for o in axis] for axis in permuted[j]] == [
+                [_stored(o) for o in axis] for axis in pooled[i]]
 
     def test_errors_stay_per_set(self):
         # at kappa = 2e5 the set {0.1 pi, 0.5 pi, 0.9 pi} fails at every s
@@ -699,7 +721,7 @@ class TestMirrorPairs:
         for sign in (1.0, -1.0):
             got = _log_integrals(prior, *_supports(w, sign * o))
             for row in range(len(w)):
-                want = prior_power_integral_oracle(prior, w[row], sign * o[row], epsabs=0.0)
+                want = prior_power_integral_oracle(prior, w[row], sign * o[row])
                 assert got[row] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("K", [5, 20, 60])
