@@ -7,13 +7,13 @@ the optional --f-int conversion.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import io
 import itertools
 import json
 import math
 import numbers
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -252,26 +252,16 @@ def _write(text: str, path: str) -> None:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _float(text: str, fieldname: str) -> float:
+def _number(text: str, fieldname: str, kind=float):
     try:
-        return float(text)
+        return kind(text)
     except ValueError:
-        raise SpecError(fieldname, f"expected a number, got {text!r}") from None
+        noun = "a number" if kind is float else "an integer"
+        raise SpecError(fieldname, f"expected {noun}, got {text!r}") from None
 
 
-def _floats(text: str, fieldname: str) -> list[float]:
-    return [_float(v, fieldname) for v in text.split(",") if v.strip() != ""]
-
-
-def _int(text: str, fieldname: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SpecError(fieldname, f"expected an integer, got {text!r}") from None
-
-
-def _ints(text: str, fieldname: str) -> list[int]:
-    return [_int(v, fieldname) for v in text.split(",") if v.strip() != ""]
+def _numbers(text: str, fieldname: str, kind=float) -> list:
+    return [_number(v, fieldname, kind) for v in text.split(",") if v.strip() != ""]
 
 
 _SNR_POINTS_MAX = 10**6
@@ -283,7 +273,7 @@ def _snr_axis(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise SpecError("snr_db", f"expected start:stop:step, got {text!r}")
-        start, stop, step = (_float(p, "snr_db") for p in parts)
+        start, stop, step = (_number(p, "snr_db") for p in parts)
         if not all(math.isfinite(v) for v in (start, stop, step)):
             raise SpecError("snr_db", f"start, stop and step must be finite, got {text!r}")
         if step <= 0:
@@ -294,11 +284,11 @@ def _snr_axis(text: str) -> list[float]:
         if last >= _SNR_POINTS_MAX:  # counted before any point is built
             raise SpecError("snr_db", f"an axis holds at most {_SNR_POINTS_MAX} points")
         return [start + i * step for i in range(math.floor(last) + 1)]
-    return _floats(text, "snr_db")
+    return _numbers(text, "snr_db")
 
 
 def _trio(text: str) -> tuple[int, int, int]:
-    vals = _ints(text, "testpoint_trio")
+    vals = _numbers(text, "testpoint_trio", int)
     if len(vals) != 3:
         raise SpecError("testpoint_trio", f"expected C,S,E, got {text!r}")
     return (vals[0], vals[1], vals[2])
@@ -324,26 +314,27 @@ FIGURE_PRESETS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    def _read_args_from_files(self, arg_strings):
-        # argparse reports an @file it cannot open, but not one it cannot
-        # decode: before Python 3.12 it raises UnicodeDecodeError, and later it
-        # decodes each bad byte to a lone surrogate, which the round trip
-        # refuses; the file's bytes are then decoded again, so the error gives
-        # the position in the file on every Python
+    def _read_args_from_files(self, arg_strings, chain=()):
+        # each @file is read once, as strict UTF-8 on every Python and locale,
+        # and replaced by its words; `chain` holds the files being read, so a
+        # file that includes itself, directly or through another, is refused
         out = []
         for arg in arg_strings:
+            if not arg.startswith("@"):
+                out.append(arg)
+                continue
+            name, key = arg[1:], os.path.realpath(arg[1:])
+            if key in chain:
+                self.error(f"flag file {name!r} includes itself")
             try:
-                words = super()._read_args_from_files([arg])
-                try:
-                    for word in words if arg.startswith("@") else ():
-                        word.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError:
-                    with contextlib.suppress(OSError), open(arg[1:], "rb") as fh:
-                        fh.read().decode("utf-8")
-                    raise
+                with open(name, "rb") as fh:
+                    text = fh.read().decode("utf-8")
+            except OSError as err:
+                self.error(str(err))
             except UnicodeDecodeError as err:
-                self.error(f"cannot decode flag file {arg[1:]!r}: {err}")
-            out += words
+                self.error(f"cannot decode flag file {name!r}: {err}")
+            words = [word for line in text.splitlines() for word in line.split("#", 1)[0].split()]
+            out += self._read_args_from_files(words, (*chain, key))
         return out
 
 
@@ -378,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bayesian lower bounds on circular frequency estimation error",
         fromfile_prefix_chars="@",
     )
-    parser.convert_arg_line_to_args = lambda line: line.split("#", 1)[0].split()
     sub = parser.add_subparsers(dest="command", required=True)
     for name, text in (("wwb", "evaluate the analytic bound"), ("bcrb", "evaluate the BCRB"),
                        ("zzb", "evaluate the ZZB"), ("map-sim", "Monte Carlo MAP estimator MSE")):
@@ -404,7 +394,7 @@ def _make_spec(args) -> SweepSpec:
     def pick(flag_value, preset_key, fallback):
         if flag_value is not None:
             return flag_value
-        value = preset.get(preset_key, fallback) if preset else fallback
+        value = preset.get(preset_key, fallback)
         if value is None:
             raise SpecError(
                 preset_key,
@@ -418,25 +408,25 @@ def _make_spec(args) -> SweepSpec:
         _trio(t) for t in preset.get("trios", ["2,9,10"])
     ]
     snr_default = _FIGURE_SNR if sweep else "0"
-    s_grid = _floats(pick(args.s, "s", "0.5"), "s_grid")
+    s_grid = _numbers(pick(args.s, "s", "0.5"), "s_grid")
     return SweepSpec(
         snr_db=_snr_axis(args.snr_db if args.snr_db is not None else snr_default),
-        k_values=_ints(pick(args.k, "k", "20"), "k_values"),
-        kappa_values=_floats(pick(args.kappa, "kappa", "1"), "kappa_values"),
-        mu_values=_floats(pick(args.mu, "mu", "0"), "mu_values"),
+        k_values=_numbers(pick(args.k, "k", "20"), "k_values", int),
+        kappa_values=_numbers(pick(args.kappa, "kappa", "1"), "kappa_values"),
+        mu_values=_numbers(pick(args.mu, "mu", "0"), "mu_values"),
         bound_kinds=[k.strip().upper() for k in kinds],
         trios=trios,
         s_grid=s_grid,
         maximize_s=args.command == "wwb" and len(s_grid) > 1,
-        seed=_int(args.seed, "seed"),
-        trials=_int(args.trials, "trials"),
+        seed=_number(args.seed, "seed", int),
+        trials=_number(args.trials, "trials", int),
         wrap=not args.linear_error,
-        f_int_hz=_float(args.f_int, "f_int_hz") if args.f_int is not None else None,
+        f_int_hz=_number(args.f_int, "f_int_hz") if args.f_int is not None else None,
     )
 
 
 def _cmd_testpoints(args) -> int:
-    trio, k = _trio(args.config), _int(args.k, "k")
+    trio, k = _trio(args.config), _number(args.k, "k", int)
     if k < 1:
         raise SpecError("k", "K must be >= 1")
     points = _point_set(trio, k)
@@ -460,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, RuntimeError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:  # argparse reports an @file it cannot read: only _write gets here
+    except OSError as err:  # _Parser reports an @file it cannot read: only _write gets here
         print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
         return 3
 

@@ -58,11 +58,12 @@ class TestPointConfig:
         return (self.c_count, self.s_count, self.e_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestPointSet:
     """Strictly increasing offsets in (0, pi] with per-point provenance tags.
 
-    `h` is stored as a read-only float64 copy of the offsets given.
+    `h` is stored as a read-only float64 copy of the offsets given. Sets
+    compare and hash by identity, as an array field cannot by value.
     """
 
     h: np.ndarray

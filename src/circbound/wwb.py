@@ -135,7 +135,8 @@ def _even(prior: VonMisesPrior) -> bool:
 def _set_parts(
     K: int, h: tuple[float, ...], s: float, prior: VonMisesPrior
 ) -> tuple[np.ndarray, np.ndarray]:
-    """SNR-free parts (core, gamma), each 4 x r x r, of the score matrix of the points `h`.
+    """SNR-free parts (core, gamma), each 4 x r x r, of the score matrix of the
+    ascending points `h`.
 
     Product t of entry (a, b) has the exponent snr * core[t, a, b] + gamma[t, a, b]
     relative to the normalizers of h[a] and h[b]. The arrays are shared, read-only.
@@ -146,10 +147,10 @@ def _set_parts(
     r = hv.size
     a, b = np.triu_indices(r)
     n = a.size
-    # the n entries in canonical order h_i >= h_j, then the r single-point
-    # normalizers, which are the first product with s_j = 0
-    h_i = np.concatenate([np.maximum(hv[a], hv[b]), hv])
-    h_j = np.concatenate([np.minimum(hv[a], hv[b]), hv])
+    # the n entries in canonical order h_i >= h_j (a <= b, and h ascends),
+    # then the r single-point normalizers, the first product with s_j = 0
+    h_i = np.concatenate([hv[b], hv])
+    h_j = np.concatenate([hv[a], hv])
     s_j = np.concatenate([np.full(n, s), np.zeros(r)])
     w, o = _products(s, s_j, h_i, h_j)
     cores = _cores(w, o, K)

@@ -751,6 +751,44 @@ class TestConfigFile:
         assert "can't decode byte 0xe9 in position 9: invalid continuation byte" in err
         assert [p.name for p in tmp_path.iterdir()] == ["latin.txt"]
 
+    def test_crlf_lines_read_as_lf_lines(self, tmp_path):
+        rows = {}
+        for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            cfg = tmp_path / f"{name}.txt"
+            text = "# a comment line\n\n--snr-db=-5\n--kappa 2  # concentrated\n"
+            cfg.write_bytes(text.replace("\n", newline).encode())
+            out = tmp_path / f"{name}.csv"
+            assert main(["bcrb", f"@{cfg}", "--out", str(out)]) == 0
+            rows[name] = parse_rows(out.read_text())
+        assert rows["crlf"] == rows["lf"]
+        assert rows["lf"][0]["snr_db"] == -5.0 and rows["lf"][0]["kappa"] == 2.0
+
+    @pytest.mark.parametrize("loop", ["self", "pair"])
+    def test_file_that_includes_itself_rejected(self, loop, tmp_path, monkeypatch, capsys):
+        # directly, or through another file; the message names the file
+        # entered a second time, as the including file spells it
+        monkeypatch.chdir(tmp_path)
+        if loop == "self":
+            (tmp_path / "a.txt").write_text("--kappa 2 @a.txt\n")
+        else:
+            (tmp_path / "a.txt").write_text("--kappa 2 @b.txt\n")
+            (tmp_path / "b.txt").write_text(f"@{tmp_path / 'a.txt'}\n")
+        assert main(["bcrb", "@a.txt"]) == 2
+        out, err = capsys.readouterr()
+        name = "a.txt" if loop == "self" else str(tmp_path / "a.txt")
+        assert out == "" and err.startswith("usage: ")
+        assert err.endswith(f"error: flag file {name!r} includes itself\n")
+
+    def test_file_named_twice_side_by_side_is_read_twice(self, tmp_path, capsys):
+        # a repeat that is not nested is no cycle: the later words win
+        cfg = tmp_path / "a.txt"
+        cfg.write_text("--kappa 2\n")
+        nested = tmp_path / "b.txt"
+        nested.write_text(f"@{cfg} @{cfg}\n")
+        for argv in (["bcrb", f"@{cfg}", f"@{cfg}"], ["bcrb", f"@{nested}"]):
+            assert main(argv) == 0
+            assert parse_rows(capsys.readouterr().out)[0]["kappa"] == 2.0
+
     def test_at_sign_inside_a_value_is_literal(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["bcrb", "--out=@x.csv"]) == 0

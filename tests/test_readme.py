@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from circbound import testpoints
-from circbound.cli import CSV_COLUMNS, _build_parser, _int, _make_spec, _trio, main
+from circbound.cli import CSV_COLUMNS, _build_parser, _make_spec, _number, _trio, main
 from circbound.testpoints import TestPointConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -46,7 +46,7 @@ def test_block_has_every_command():
 def test_command_parses_into_a_valid_spec(argv):
     args = _build_parser().parse_args(argv)
     if args.command == "testpoints":
-        testpoints.build(TestPointConfig(*_trio(args.config)), _int(args.k, "k"))
+        testpoints.build(TestPointConfig(*_trio(args.config)), _number(args.k, "k", int))
     else:
         _make_spec(args).validate()
 

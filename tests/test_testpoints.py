@@ -235,6 +235,13 @@ class TestSetValidation:
         assert TestPointSet(h=array, provenance=("E", "E")).h is not array
         assert array.flags.writeable
 
+    def test_compares_and_hashes_by_identity(self):
+        # an array field has no truth value, so sets are not compared by value
+        points = TestPointSet(h=[0.1, 0.2], provenance=("E", "E"))
+        twin = TestPointSet(h=[0.1, 0.2], provenance=("E", "E"))
+        assert points == points and points != twin
+        assert {points: 1, twin: 2}[points] == 1
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty test point set"):
             TestPointSet(h=np.array([]), provenance=())
