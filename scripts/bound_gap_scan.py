@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
-from circbound.cli import SweepSpec, run_sweep
+from circbound.cli import SweepSpec, _numbers, _snr_axis, run_sweep
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -29,12 +30,16 @@ def run(argv: list[str] | None = None) -> int:
     ap.add_argument("--step", type=float, default=0.25)
     args = ap.parse_args(argv)
 
-    grid = np.arange(args.snr_min, args.snr_max + 1e-9, args.step)
-    ks = [int(v) for v in args.k.split(",")]
-    # WWB at the default trio (2,9,10) and s = 0.5; rows come back sorted by
-    # kind, K and SNR
-    rows = run_sweep(SweepSpec(snr_db=grid.tolist(), k_values=ks, kappa_values=[args.kappa],
-                               mu_values=[0.0], bound_kinds=["WWB", "ZZB"]))
+    # the grid of `circbound sweep --snr-db=min:max:step`; WWB at the default
+    # trio (2,9,10) and s = 0.5; rows come back sorted by kind, K and SNR
+    try:
+        grid = _snr_axis(f"{args.snr_min!r}:{args.snr_max!r}:{args.step!r}")
+        ks = _numbers(args.k, "k_values", int)
+        rows = run_sweep(SweepSpec(snr_db=grid, k_values=ks, kappa_values=[args.kappa],
+                                   mu_values=[0.0], bound_kinds=["WWB", "ZZB"]))
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
     for K in ks:
         wwb, zzb = ([r["value_rad2"] for r in rows if r["kind"] == kind and r["k"] == K]

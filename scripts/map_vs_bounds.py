@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 
-import numpy as np
-
-from circbound.cli import SweepSpec, run_sweep
+from circbound.cli import SweepSpec, _snr_axis, run_sweep
 
 
 def _db(value: float) -> float:
@@ -38,13 +37,18 @@ def run(argv: list[str] | None = None) -> int:
     ap.add_argument("--step", type=float, default=2.0)
     args = ap.parse_args(argv)
 
-    grid = np.arange(args.snr_min, args.snr_max + 1e-9, args.step)
-    # WWB at the default trio (2,9,10) and s = 0.5; the MAP trials at the
-    # i-th SNR are seeded from SeedSequence([seed, i]), as in `circbound map-sim`
+    # the grid of `circbound map-sim --snr-db=min:max:step`; WWB at the default
+    # trio (2,9,10) and s = 0.5; the MAP trials at the i-th SNR are seeded
+    # from SeedSequence([seed, i]), as in `circbound map-sim`
     kinds = ["MAP", "WWB", "ZZB", "BCRB"]
-    rows = run_sweep(SweepSpec(snr_db=grid.tolist(), k_values=[args.k],
-                               kappa_values=[args.kappa], mu_values=[args.mu],
-                               bound_kinds=kinds, trials=args.trials, seed=args.seed))
+    try:
+        grid = _snr_axis(f"{args.snr_min!r}:{args.snr_max!r}:{args.step!r}")
+        rows = run_sweep(SweepSpec(snr_db=grid, k_values=[args.k],
+                                   kappa_values=[args.kappa], mu_values=[args.mu],
+                                   bound_kinds=kinds, trials=args.trials, seed=args.seed))
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     columns = [[r for r in rows if r["kind"] == kind] for kind in kinds]
 
     print(f"{'snr_db':>8} {'map_rmse_db':>12} {'+/-':>6} {'wwb_db':>8}"

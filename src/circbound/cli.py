@@ -101,30 +101,11 @@ class SweepSpec:
                 raise SpecError(name, f"value {repeated[0]!r} is repeated")
 
 
-def _trio_str(trio: tuple[int, int, int]) -> str:
-    return f"{trio[0]},{trio[1]},{trio[2]}"
-
-
 def _point_set(trio: tuple[int, int, int], k: int) -> testpoints.TestPointSet:
     try:
         return testpoints.build(TestPointConfig(*trio), k)
     except ValueError as err:
         raise SpecError("testpoint_trio", f"K={k}: {err}") from err
-
-
-def _row(kind, snr_db, k, kappa, mu, s, trio, value, extra):
-    return {
-        "kind": kind,
-        "snr_db": float(snr_db),
-        "k": int(k),
-        "kappa": float(kappa),
-        "mu_rad": float(mu),
-        "s": None if s is None else float(s),
-        "trio": "" if trio is None else _trio_str(trio),
-        "value_rad2": float(value),
-        "value_db": 10.0 * math.log10(value) if value > 0.0 else -math.inf,
-        "extra": extra or {},
-    }
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -134,78 +115,70 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     cannot supply fails before any work. Points are numbered in k x kappa x
     mu x SNR order. The MAP trials at point i use the seed
     SeedSequence([spec.seed, i]), so a MAP row does not depend on which
-    other kinds the sweep evaluates. WWB is evaluated over
-    the whole SNR axis per (k, kappa, mu) first; a failure it stores is
-    raised when the loop reaches its grid point, so the first failure in
-    loop order is the one reported.
+    other kinds the sweep evaluates. WWB is evaluated over the whole SNR
+    axis per (k, kappa, mu) first; an error it stores is raised when the
+    loop reaches its grid point, the first in (set, s) order, so the first
+    failure in loop order is the one reported.
     """
     spec.validate()
     trios = spec.trios if "WWB" in spec.bound_kinds else []
-    point_sets = {k: {trio: _point_set(trio, k) for trio in trios} for k in spec.k_values}
+    point_sets = {k: [_point_set(trio, k) for trio in trios] for k in spec.k_values}
+    labels = [f"{c},{s},{e}" for c, s, e in trios]
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     rows: list[dict] = []
-    point_index = 0
-    for k, kappa, mu in itertools.product(spec.k_values, spec.kappa_values, spec.mu_values):
+
+    def add(kind, s, trio, value, extra):
+        value = float(value)
+        if spec.f_int_hz is not None:  # f_IF = theta f_INT / (2 pi); the RMS error likewise
+            extra["rmse_hz"] = math.sqrt(value) * spec.f_int_hz / (2.0 * math.pi)
+        rows.append({
+            "kind": kind, "snr_db": float(snr_db), "k": int(k), "kappa": float(kappa),
+            "mu_rad": float(mu), "s": s, "trio": trio, "value_rad2": value,
+            "value_db": 10.0 * math.log10(value) if value > 0.0 else -math.inf,
+            "extra": extra,
+        })
+
+    axes = itertools.product(spec.k_values, spec.kappa_values, spec.mu_values)
+    for axis, (k, kappa, mu) in enumerate(axes):
         prior = VonMisesPrior(mu=mu, kappa=kappa)
-        wwb_outcomes = _wwb_axis(spec, prior, k, point_sets[k])
-        for snr_db, wwb_at_snr in zip(spec.snr_db, wwb_outcomes):
+        per_set = wwb.wwb_axis(prior, k, point_sets[k], snrs, spec.s_grid)
+        for i, (snr_db, snr) in enumerate(zip(spec.snr_db, snrs)):
             for kind in spec.bound_kinds:
                 try:
-                    rows.extend(_eval_point(
-                        kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index,
-                    ))
+                    if kind == "WWB":
+                        at = [[outcomes[i] for outcomes in per_s] for per_s in per_set]
+                        if spec.maximize_s:
+                            at = [[wwb.best_s(spec.s_grid, outcomes)] for outcomes in at]
+                        found = [(label, res) for label, results in zip(labels, at)
+                                 for res in results]
+                        for _, res in found:
+                            if isinstance(res, Exception):
+                                raise res
+                        for label, res in found:
+                            extra = {"s_grid": list(spec.s_grid)} if spec.maximize_s else {}
+                            if res.dropped_points:
+                                extra["dropped_points"] = list(res.dropped_points)
+                            if res.s_failed:
+                                extra["s_failed"] = [list(pair) for pair in res.s_failed]
+                            add("WWB", float(res.s), label, res.mse_bound, extra)
+                    elif kind == "MAP":
+                        index = axis * len(snrs) + i
+                        seed = int(np.random.SeedSequence([spec.seed, index]).generate_state(1)[0])
+                        mc = mapsim.McConfig(trials=spec.trials, seed=seed)
+                        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc,
+                                                     wrap=spec.wrap)
+                        add("MAP", None, "", res.mse, {"trials": mc.trials,
+                                                       "outlier_fraction": res.outlier_fraction,
+                                                       "mse_se": res.mse_se})
+                    else:  # BCRB or ZZB, looked up per call so a module wrapper is seen
+                        add(kind, None, "", getattr(benchmarks, kind.lower())(prior, k, snr), {})
                 except (OverflowError, RuntimeError) as err:
                     where = f"kind={kind} K={k} kappa={kappa} mu={mu} snr_db={snr_db}"
                     raise RuntimeError(f"numerical failure at {where}: {err}") from err
-            point_index += 1
-    if spec.f_int_hz is not None:
-        for row in rows:  # f_IF = theta * f_INT / (2 pi); RMS error converted the same way
-            row["extra"]["rmse_hz"] = math.sqrt(row["value_rad2"]) * spec.f_int_hz / (2.0 * math.pi)
     rows.sort(
         key=lambda r: (r["kind"], r["k"], r["kappa"], r["mu_rad"], r["snr_db"],
                        r["trio"], -1.0 if r["s"] is None else r["s"])
     )
-    return rows
-
-
-def _wwb_axis(spec, prior, k, point_sets) -> list[tuple]:
-    """WWB outcomes of every test-point set over the whole SNR axis, one tuple
-    per SNR of spec.snr_db: (trio, result) in row order, or (trio, error)
-    for an error that the grid point raises when the SNR loop reaches it."""
-    snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
-    columns = []
-    per_set = wwb.wwb_axis(prior, k, list(point_sets.values()), snrs, spec.s_grid)
-    for trio, per_s in zip(point_sets, per_set):
-        if spec.maximize_s:
-            per_s = [[wwb.best_s(spec.s_grid, outcomes) for outcomes in zip(*per_s)]]
-        columns.extend([(trio, outcome) for outcome in outcomes] for outcomes in per_s)
-    return list(zip(*columns)) or [()] * len(snrs)
-
-
-def _eval_point(kind, spec, prior, k, kappa, mu, snr_db, wwb_at_snr, point_index):
-    snr = 10.0 ** (snr_db / 10.0)
-    rows = []
-    if kind == "WWB":
-        for _, outcome in wwb_at_snr:
-            if isinstance(outcome, Exception):
-                raise outcome
-        for trio, res in wwb_at_snr:
-            extra = {"s_grid": list(spec.s_grid)} if spec.maximize_s else {}
-            if res.dropped_points:
-                extra["dropped_points"] = list(res.dropped_points)
-            if res.s_failed:
-                extra["s_failed"] = [list(pair) for pair in res.s_failed]
-            rows.append(_row("WWB", snr_db, k, kappa, mu, res.s, trio, res.mse_bound, extra))
-    elif kind in ("BCRB", "ZZB"):  # looked up per call, so a wrapper set on the module is seen
-        bound = getattr(benchmarks, kind.lower())
-        rows.append(_row(kind, snr_db, k, kappa, mu, None, None, bound(prior, k, snr), {}))
-    elif kind == "MAP":
-        point_seed = int(np.random.SeedSequence([spec.seed, point_index]).generate_state(1)[0])
-        mc = mapsim.McConfig(trials=spec.trials, seed=point_seed)
-        res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc, wrap=spec.wrap)
-        rows.append(_row("MAP", snr_db, k, kappa, mu, None, None, res.mse,
-                         {"trials": mc.trials,
-                          "outlier_fraction": res.outlier_fraction,
-                          "mse_se": res.mse_se}))
     return rows
 
 

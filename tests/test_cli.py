@@ -1,6 +1,7 @@
 """Command-line surface: sweeps, presets, serialization, exit codes."""
 import argparse
 import functools
+import itertools
 import json
 import math
 import warnings
@@ -232,15 +233,26 @@ class TestMainExitCodes:
         assert err.count("\n") == 1 and err.startswith("numerical error:")
         assert "s=0.3:" in err and "s=0.5:" in err
 
-    def test_axis_failure_reported_at_first_failing_point(self, capsys):
+    @pytest.mark.parametrize("argv, where, message", [
+        (["--kinds", "WWB,ZZB", "--k", "200", "--kappa", "1", "--snr-db=0,18,20"],
+         "kind=WWB K=200 kappa=1.0 mu=0.0 snr_db=18.0", "bound value 0 underflows"),
+        (["--kinds", "ZZB,WWB", "--k", "200", "--kappa", "1", "--snr-db=0,18,20"],
+         "kind=WWB K=200 kappa=1.0 mu=0.0 snr_db=18.0", "bound value 0 underflows"),
+        # K=200 fails only at 20 dB, K=1 at every SNR: the K axis is outermost
+        (["--kinds", "BCRB,WWB", "--k", "200,1", "--trio", "0,0,3", "--kappa", "1e-160",
+          "--snr-db=0,20"],
+         "kind=WWB K=200 kappa=1e-160 mu=0.0 snr_db=20.0", "bound value 0 underflows"),
+        (["--kinds", "BCRB,WWB", "--k", "1,200", "--trio", "0,0,3", "--kappa", "1e-160",
+          "--snr-db=0,20"],
+         "kind=BCRB K=1 kappa=1e-160 mu=0.0 snr_db=0.0", "BCRB exceeds the largest double"),
+    ], ids=["wwb-first", "zzb-first", "k200-then-k1", "k1-then-k200"])
+    def test_axis_failure_reported_at_first_failing_point(self, argv, where, message, capsys):
         # WWB is evaluated over the whole SNR axis first; its failures are
-        # still reported in SNR-then-kind order
-        rc = main(["sweep", "--kinds", "WWB,ZZB", "--k", "200", "--kappa", "1",
-                   "--snr-db=0,18,20"])
-        assert rc == 3
+        # still reported in axis, then SNR, then kind order
+        assert main(["sweep", *argv]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical error: numerical failure at kind=WWB K=200 ")
-        assert "snr_db=18.0: bound value 0 underflows double precision" in err
+        assert err.startswith(f"numerical error: numerical failure at {where}: {message}")
+        assert err.count("\n") == 1
 
     def test_s_grid_failure_follows_snr_order(self, capsys):
         rc = main(["wwb", "--k", "200", "--kappa", "1", "--snr-db=20,18", "--s", "0.3,0.5"])
@@ -558,6 +570,26 @@ class TestDeterminism:
             map_rows[name] = [r for r in parse_rows(out.read_text()) if r["kind"] == "MAP"]
         assert len(map_rows["map_sim"]) == 2
         assert map_rows["sweep_map"] == map_rows["sweep_zzb_map"] == map_rows["map_sim"]
+
+    def test_map_seed_numbers_points_across_axes(self, tmp_path):
+        # point i of the k x kappa x mu x SNR product, in flag order, draws
+        # from SeedSequence([seed, i]); rows come back sorted, mu=-1 first
+        out = tmp_path / "map.csv"
+        assert main(["sweep", "--kinds", "MAP", "--kappa", "0,2", "--mu", "0,-1",
+                     "--snr-db=-3,2", "--trials", "20", "--seed", "7", "--out", str(out)]) == 0
+        rows = {(r["kappa"], r["mu_rad"], r["snr_db"]): r for r in parse_rows(out.read_text())}
+        points = list(itertools.product([0.0, 2.0], [0.0, -1.0], [-3.0, 2.0]))
+        assert sorted(rows) == sorted(points)
+        for i, (kappa, mu, snr_db) in enumerate(points):
+            seed = int(np.random.SeedSequence([7, i]).generate_state(1)[0])
+            want = mapsim.run_monte_carlo(
+                SignalConfig(K=20, snr=10.0 ** (snr_db / 10.0)), VonMisesPrior(mu=mu, kappa=kappa),
+                mapsim.McConfig(trials=20, seed=seed),
+            )
+            row = rows[kappa, mu, snr_db]
+            assert row["value_rad2"] == want.mse
+            assert row["extra"] == {"trials": 20, "outlier_fraction": want.outlier_fraction,
+                                    "mse_se": want.mse_se}
 
     def test_seed_changes_monte_carlo_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

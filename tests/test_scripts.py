@@ -33,6 +33,23 @@ def test_script_runs(name, argv, lines, capsys):
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("name, argv, message", [
+    ("bound_gap_scan", ["--step", "0"], "invalid snr_db: step must be > 0"),
+    ("map_vs_bounds", ["--step", "0"], "invalid snr_db: step must be > 0"),
+    ("bound_gap_scan", ["--k", "x"], "invalid k_values: expected an integer, got 'x'"),
+    ("bound_gap_scan", ["--snr-max", "nan"], "invalid snr_db: start, stop and step must be finite"),
+    ("map_vs_bounds", ["--snr-max", "nan"], "invalid snr_db: start, stop and step must be finite"),
+    ("bound_gap_scan", ["--k", "0"], "invalid k_values: K must be >= 1"),
+    ("map_vs_bounds", ["--k", "0"], "invalid k_values: K must be >= 1"),
+    ("map_vs_bounds", ["--trials", "0"], "invalid trials: must be >= 1"),
+])
+def test_script_bad_input_exits_2(name, argv, message, capsys):
+    assert _load(name).run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_reproduce_figures_writes_every_preset(tmp_path):
     assert _load("reproduce_figures").run(["--trials", "20", "--outdir", str(tmp_path)]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())
