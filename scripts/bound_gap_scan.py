@@ -40,6 +40,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (OverflowError, RuntimeError) as err:  # as `circbound` maps them: exit 3
+        print(f"numerical error: {err}", file=sys.stderr)
+        return 3
 
     for K in ks:
         wwb, zzb = ([r["value_rad2"] for r in rows if r["kind"] == kind and r["k"] == K]

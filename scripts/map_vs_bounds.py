@@ -38,8 +38,8 @@ def run(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     # the grid of `circbound map-sim --snr-db=min:max:step`; WWB at the default
-    # trio (2,9,10) and s = 0.5; the MAP trials at the i-th SNR are seeded
-    # from SeedSequence([seed, i]), as in `circbound map-sim`
+    # trio (2,9,10) and s = 0.5; the MAP trials of every SNR draw at `seed`,
+    # as in `circbound map-sim`, so the rows share their trials
     kinds = ["MAP", "WWB", "ZZB", "BCRB"]
     try:
         grid = _snr_axis(f"{args.snr_min!r}:{args.snr_max!r}:{args.step!r}")
@@ -49,6 +49,9 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except (OverflowError, RuntimeError) as err:  # as `circbound` maps them: exit 3
+        print(f"numerical error: {err}", file=sys.stderr)
+        return 3
     columns = [[r for r in rows if r["kind"] == kind] for kind in kinds]
 
     print(f"{'snr_db':>8} {'map_rmse_db':>12} {'+/-':>6} {'wwb_db':>8}"

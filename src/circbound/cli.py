@@ -18,8 +18,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import benchmarks, mapsim, testpoints, wwb
 from .prior import VonMisesPrior
 from .signal_model import SignalConfig
@@ -112,11 +110,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Evaluate the Cartesian product of sweep axes; one row per (kind, point).
 
     Every test-point set is built before any bound, so a trio that some K
-    cannot supply fails before any work. Points are numbered in k x kappa x
-    mu x SNR order. The MAP trials at point i use the seed
-    SeedSequence([spec.seed, i]), so a MAP row does not depend on which
-    other kinds the sweep evaluates. WWB is evaluated over the whole SNR
-    axis per (k, kappa, mu) first; an error it stores is raised when the
+    cannot supply fails before any work. Every MAP row draws its trials at
+    spec.seed, so a row depends on its own point, trial count, error scoring
+    and seed alone, not on the other values, kinds or order of the axes, and
+    the rows of one axis share their draws. WWB is evaluated over the whole
+    SNR axis per (k, kappa, mu) first; an error it stores is raised when the
     loop reaches its grid point, the first in (set, s) order, so the first
     failure in loop order is the one reported.
     """
@@ -125,6 +123,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     point_sets = {k: [_point_set(trio, k) for trio in trios] for k in spec.k_values}
     labels = [f"{c},{s},{e}" for c, s, e in trios]
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
+    mc = mapsim.McConfig(trials=spec.trials, seed=spec.seed)
     rows: list[dict] = []
 
     def add(kind, s, trio, value, extra):
@@ -138,8 +137,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             "extra": extra,
         })
 
-    axes = itertools.product(spec.k_values, spec.kappa_values, spec.mu_values)
-    for axis, (k, kappa, mu) in enumerate(axes):
+    for k, kappa, mu in itertools.product(spec.k_values, spec.kappa_values, spec.mu_values):
         prior = VonMisesPrior(mu=mu, kappa=kappa)
         per_set = wwb.wwb_axis(prior, k, point_sets[k], snrs, spec.s_grid)
         for i, (snr_db, snr) in enumerate(zip(spec.snr_db, snrs)):
@@ -162,9 +160,6 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                                 extra["s_failed"] = [list(pair) for pair in res.s_failed]
                             add("WWB", float(res.s), label, res.mse_bound, extra)
                     elif kind == "MAP":
-                        index = axis * len(snrs) + i
-                        seed = int(np.random.SeedSequence([spec.seed, index]).generate_state(1)[0])
-                        mc = mapsim.McConfig(trials=spec.trials, seed=seed)
                         res = mapsim.run_monte_carlo(SignalConfig(K=k, snr=snr), prior, mc,
                                                      wrap=spec.wrap)
                         add("MAP", None, "", res.mse, {"trials": mc.trials,

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .prior import VonMisesPrior, wrap_angle
-from .signal_model import SignalConfig, synthesize
+from .signal_model import SignalConfig, _count, synthesize
 
 __all__ = ["McConfig", "McResult", "run_monte_carlo"]
 
@@ -40,14 +39,7 @@ class McConfig:
 
     def __post_init__(self):
         for name, least in (("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}") from None
-            if value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,17 @@ import numpy as np
 __all__ = ["SignalConfig", "synthesize"]
 
 
+def _count(name: str, value, least: int) -> int:
+    """`value` as an int, or a ValueError naming `name` if it is no integer >= `least`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {count}")
+    return count
+
+
 @dataclass(frozen=True)
 class SignalConfig:
     """K coherent samples at linear power ratio `snr`."""
@@ -24,12 +35,7 @@ class SignalConfig:
     snr: float
 
     def __post_init__(self):
-        try:
-            K = operator.index(self.K)
-        except TypeError:
-            raise ValueError(f"K must be an integer >= 1, got {self.K!r}") from None
-        if K < 1:
-            raise ValueError(f"K must be an integer >= 1, got {K}")
+        _count("K", self.K, 1)
         if not 0.0 < self.snr < math.inf:
             raise ValueError(f"snr must be finite and > 0, got {self.snr}")
 

@@ -528,10 +528,9 @@ class TestMainExitCodes:
         rc = main(["map-sim", "--snr-db=-5", "--trials", "40", "--seed", "2",
                    "--linear-error", "--out", str(out)])
         assert rc == 0
-        seed = int(np.random.SeedSequence([2, 0]).generate_state(1)[0])
         want = mapsim.run_monte_carlo(
             SignalConfig(K=20, snr=10.0 ** -0.5), VonMisesPrior(mu=0.0, kappa=1.0),
-            mapsim.McConfig(trials=40, seed=seed), wrap=False,
+            mapsim.McConfig(trials=40, seed=2), wrap=False,
         )
         (row,) = parse_rows(out.read_text())
         assert row["value_rad2"] == want.mse
@@ -571,25 +570,30 @@ class TestDeterminism:
         assert len(map_rows["map_sim"]) == 2
         assert map_rows["sweep_map"] == map_rows["sweep_zzb_map"] == map_rows["map_sim"]
 
-    def test_map_seed_numbers_points_across_axes(self, tmp_path):
-        # point i of the k x kappa x mu x SNR product, in flag order, draws
-        # from SeedSequence([seed, i]); rows come back sorted, mu=-1 first
-        out = tmp_path / "map.csv"
-        assert main(["sweep", "--kinds", "MAP", "--kappa", "0,2", "--mu", "0,-1",
-                     "--snr-db=-3,2", "--trials", "20", "--seed", "7", "--out", str(out)]) == 0
-        rows = {(r["kappa"], r["mu_rad"], r["snr_db"]): r for r in parse_rows(out.read_text())}
-        points = list(itertools.product([0.0, 2.0], [0.0, -1.0], [-3.0, 2.0]))
+    def test_map_row_draws_at_the_sweep_seed_whatever_the_axes(self, tmp_path):
+        # every MAP row draws from the two streams of the sweep's own seed, so
+        # it stays put when values join the flag lists or the lists are reordered
+        def map_rows(*flags):
+            out = tmp_path / "map.csv"
+            assert main(["sweep", "--kinds", "MAP", *flags, "--trials", "20", "--seed", "7",
+                         "--out", str(out)]) == 0
+            return {(r["k"], r["kappa"], r["mu_rad"], r["snr_db"]): r
+                    for r in parse_rows(out.read_text())}
+
+        rows = map_rows("--kappa", "0,2", "--mu", "0,-1", "--snr-db=-3,2")
+        points = itertools.product([20], [0.0, 2.0], [0.0, -1.0], [-3.0, 2.0])
         assert sorted(rows) == sorted(points)
-        for i, (kappa, mu, snr_db) in enumerate(points):
-            seed = int(np.random.SeedSequence([7, i]).generate_state(1)[0])
+        for (k, kappa, mu, snr_db), row in rows.items():
             want = mapsim.run_monte_carlo(
-                SignalConfig(K=20, snr=10.0 ** (snr_db / 10.0)), VonMisesPrior(mu=mu, kappa=kappa),
-                mapsim.McConfig(trials=20, seed=seed),
+                SignalConfig(K=k, snr=10.0 ** (snr_db / 10.0)), VonMisesPrior(mu=mu, kappa=kappa),
+                mapsim.McConfig(trials=20, seed=7),
             )
-            row = rows[kappa, mu, snr_db]
             assert row["value_rad2"] == want.mse
             assert row["extra"] == {"trials": 20, "outlier_fraction": want.outlier_fraction,
                                     "mse_se": want.mse_se}
+        more = map_rows("--k", "20,10", "--kappa", "2,0", "--mu=-1,0", "--snr-db=2,-3")
+        assert len(more) == 16
+        assert {key: more[key] for key in rows} == rows
 
     def test_seed_changes_monte_carlo_rows(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -398,6 +398,30 @@ class TestMonteCarlo:
         run_monte_carlo(SignalConfig(K=K, snr=1.0), VonMisesPrior(kappa=1.0), McConfig(trials=3))
         assert sizes == [grid_size]
 
+    def test_shared_draws_shrink_paired_differences(self):
+        # the rows of one sweep axis draw at one seed; in the threshold region
+        # that shrinks the SE of the difference of adjacent rows (about 2.7x
+        # at -9/-8 dB) against rows drawn at independent seeds
+        prior = VonMisesPrior(mu=0.0, kappa=1.0)
+
+        def squared_errors(snr_db, seed):  # per trial, as run_monte_carlo scores them
+            config = SignalConfig(K=20, snr=10.0 ** (snr_db / 10.0))
+            sq = []
+            for truths, samples in mapsim._trials(config, prior, McConfig(trials=2000, seed=seed)):
+                z = mapsim._fold(config, prior, samples)
+                estimates = mapsim._refine_peaks(z, mapsim._grid_peak(z, 4096), _CELL)
+                sq.append(wrap_angle(estimates - truths) ** 2)
+            return np.concatenate(sq)
+
+        def se(diff):
+            return np.std(diff, ddof=1) / math.sqrt(len(diff))
+
+        low = squared_errors(-9.0, 5)
+        config = SignalConfig(K=20, snr=10.0 ** -0.9)
+        assert np.mean(low) == run_monte_carlo(config, prior, McConfig(trials=2000, seed=5)).mse
+        shared, independent = (se(squared_errors(-8.0, seed) - low) for seed in (5, 6))
+        assert 1.5 * shared <= independent
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)

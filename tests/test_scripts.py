@@ -50,6 +50,19 @@ def test_script_bad_input_exits_2(name, argv, message, capsys):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("bound_gap_scan", ["--k", "200", "--snr-min", "18", "--snr-max", "20", "--step", "1"]),
+    ("map_vs_bounds", ["--k", "200", "--snr-min", "18", "--snr-max", "18", "--trials", "10"]),
+])
+def test_script_numerical_failure_exits_3(name, argv, capsys):
+    # the WWB at K=200 and +18 dB underflows double precision
+    assert _load(name).run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical error: numerical failure at kind=WWB K=200 kappa=1.0 mu=0.0"
+                   " snr_db=18.0: bound value 0 underflows double precision\n")
+
+
 def test_reproduce_figures_writes_every_preset(tmp_path):
     assert _load("reproduce_figures").run(["--trials", "20", "--outdir", str(tmp_path)]) == 0
     written = sorted(p.name for p in tmp_path.iterdir())
